@@ -1,9 +1,8 @@
 //! Batching policy: which queued queries may share one kernel execution.
 //!
-//! The executor-side batcher (see `engine.rs`) pops one job under the
-//! normal lane-aging policy, then — if the job is *batchable* — drains
-//! compatible jobs from the same lane into a coalesced batch and runs one
-//! shared kernel for all of them. This module holds the pure, unit-testable
+//! The executor (see `exec.rs`) pops one job under the normal lane-aging
+//! policy, then — if the job is *batchable* — drains compatible jobs from
+//! the same lane into its group and runs one shared kernel for all of them. This module holds the pure, unit-testable
 //! policy pieces: the batch-kind classification and the shard-grouped
 //! ordering for point sweeps.
 //!

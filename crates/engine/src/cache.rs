@@ -26,7 +26,7 @@
 //! A capacity of zero disables the cache entirely: lookups return `None`
 //! without touching the counters, inserts are dropped. The chaos harness
 //! corrupts inserted entries through the `engine.cache.insert` failpoint
-//! (see `engine.rs`), which the sequential-oracle digest comparison must
+//! (see `exec.rs`), which the sequential-oracle digest comparison must
 //! catch — proving the oracle actually guards the cache path.
 
 use std::collections::hash_map::DefaultHasher;

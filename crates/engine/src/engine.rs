@@ -1,4 +1,4 @@
-//! The concurrent query engine: priority lanes, executors, deadlines.
+//! The concurrent query engine: its public types and the [`Engine`] API.
 //!
 //! Submission is synchronous admission control ([`Engine::submit`] returns
 //! `Err(RejectReason)` immediately when over budget); admitted queries park
@@ -19,28 +19,36 @@
 //! and a background compactor ([`Engine::compact`]) materializes the
 //! overlay into a fresh CSR published as a new epoch while in-flight
 //! queries keep their pinned snapshot.
+//!
+//! This file is the front door only. What happens to a request after it is
+//! admitted is written once each in `lifecycle.rs` (admit, dequeue, finish,
+//! resolve), `exec.rs` (the executor loop, group formation and the guarded
+//! run) and `compact.rs` (folding the overlay).
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use graphbig_chaos::{self as chaos, FaultAction};
+use graphbig_chaos as chaos;
 use graphbig_framework::csr::Csr;
 use graphbig_runtime::{CancelToken, ThreadPool};
-use graphbig_telemetry::metrics::{Counter, Histogram, Registry};
+use graphbig_telemetry::metrics::Registry;
 use graphbig_telemetry::recorder::{self, EventKind};
-use graphbig_workloads::service::{self, ServiceError, ServiceOutput};
-use graphbig_workloads::{msbfs, parallel, CostClass, Workload};
+use graphbig_workloads::service::ServiceOutput;
+use graphbig_workloads::{CostClass, Workload};
 
 use crate::admission::{AdmissionController, RejectReason};
-use crate::batch::{self, BatchKind};
 use crate::cache::ResultCache;
-use crate::delta::{DeltaOverlay, IncrementalCComp, Mutation, MutationBuffer, MutationReceipt};
+use crate::compact::{compact_inner, compactor_loop};
+use crate::delta::{DeltaOverlay, Mutation, MutationBuffer, MutationReceipt};
+use crate::exec::{executor_loop, run_group};
+use crate::lifecycle::{
+    admit, dequeue, lane, lock, EngineMetrics, Job, Lanes, Resolver, Shared, WRITE_LANE,
+};
 use crate::shard::ShardedGraph;
 use crate::slo::{self, SloTracker, StatsSnapshot};
-use crate::store::{EpochSnapshot, GraphStore};
+use crate::store::GraphStore;
 
 /// Engine sizing knobs.
 #[derive(Debug, Clone)]
@@ -116,7 +124,7 @@ pub enum Query {
         /// Maximum traversal depth.
         hops: u32,
     },
-    /// A registry workload through [`service::run_service`].
+    /// A registry workload through [`graphbig_workloads::service::run_service`].
     Run {
         /// The workload to execute.
         workload: Workload,
@@ -245,289 +253,9 @@ impl Ticket {
     }
 }
 
-/// Compact status code for flight-recorder `run`/`resolve` event args.
-fn status_code(status: &QueryStatus) -> u64 {
-    match status {
-        QueryStatus::Completed(_) => 0,
-        QueryStatus::DeadlineExceeded => 1,
-        QueryStatus::Cancelled => 2,
-        QueryStatus::Unsupported(_) => 3,
-        QueryStatus::Failed(_) => 4,
-    }
-}
-
-/// One-shot response channel. Exactly one of the paths that can terminate a
-/// query (executor completion, shutdown shedding, drain-on-drop) wins the
-/// CAS and sends; any loser is counted in `engine.double_resolve` instead
-/// of delivering a second response. This is what makes "every ticket
-/// resolved exactly once" a checkable invariant rather than a convention.
-struct Resolver {
-    tx: Sender<QueryResponse>,
-    done: AtomicBool,
-}
-
-impl Resolver {
-    fn new(tx: Sender<QueryResponse>) -> Self {
-        Resolver {
-            tx,
-            done: AtomicBool::new(false),
-        }
-    }
-
-    fn resolve(&self, metrics: &EngineMetrics, response: QueryResponse) {
-        if self.done.swap(true, Ordering::AcqRel) {
-            metrics.double_resolve.inc();
-            recorder::record(EventKind::DoubleResolve, response.request_id, 0);
-            return;
-        }
-        metrics.resolved.inc();
-        recorder::record_lane(
-            EventKind::Resolve,
-            lane(response.class) as u8,
-            response.request_id,
-            status_code(&response.status),
-        );
-        // A dropped ticket just means nobody is waiting; not an error.
-        let _ = self.tx.send(response);
-    }
-}
-
-struct Job {
-    query: Query,
-    class: CostClass,
-    /// Budget cost actually charged (the feedback-adjusted estimate).
-    cost: u64,
-    /// Unscaled `Query::cost` estimate — the denominator the feedback
-    /// model calibrates against.
-    static_cost: u64,
-    snapshot: Arc<EpochSnapshot>,
-    token: CancelToken,
-    enqueued: Instant,
-    /// Chaos request key (also the token's chaos key); auto-assigned for
-    /// untagged submissions.
-    tag: u64,
-    /// Flight-recorder request id minted at admission.
-    request_id: u64,
-    resolver: Resolver,
-}
-
-/// Pick the lane to serve next. Strict priority (lowest index first)
-/// except that any occupied lane whose skip counter has reached `limit`
-/// is served ahead of everything else (lowest such index on ties) — the
-/// aging rule that keeps an analytics queue moving under a point-query
-/// storm. `limit == 0` disables aging. Pure so the policy is unit-testable
-/// without an engine.
-fn select_lane(occupied: [bool; 4], skips: [u64; 4], limit: u64) -> Option<usize> {
-    if limit > 0 {
-        if let Some(aged) = (0..4).find(|&l| occupied[l] && skips[l] >= limit) {
-            return Some(aged);
-        }
-    }
-    (0..4).find(|&l| occupied[l])
-}
-
-struct Lanes {
-    queues: [VecDeque<Job>; 4],
-    /// Consecutive times each lane was occupied yet passed over. Serving a
-    /// lane resets its counter; lanes below the served one age by one.
-    skips: [u64; 4],
-    /// High-water mark of any skip counter — the starvation invariant
-    /// bounds this by `aging_limit + 1`.
-    max_skip: u64,
-    aging_limit: u64,
-    shutdown: bool,
-}
-
-impl Lanes {
-    /// Pop the next job under the aging policy. The flag reports whether
-    /// the job was served out of strict priority order (an "aged" serve).
-    fn pop(&mut self) -> Option<(Job, bool)> {
-        let occupied = [
-            !self.queues[0].is_empty(),
-            !self.queues[1].is_empty(),
-            !self.queues[2].is_empty(),
-            !self.queues[3].is_empty(),
-        ];
-        let served = select_lane(occupied, self.skips, self.aging_limit)?;
-        let aged = occupied.iter().take(served).any(|&o| o);
-        for (l, &occ) in occupied.iter().enumerate().skip(served + 1) {
-            if occ {
-                self.skips[l] += 1;
-                self.max_skip = self.max_skip.max(self.skips[l]);
-            }
-        }
-        self.skips[served] = 0;
-        Some((self.queues[served].pop_front().unwrap(), aged))
-    }
-}
-
-struct Shared {
-    lanes: Mutex<Lanes>,
-    available: Condvar,
-    admission: AdmissionController,
-    cache: ResultCache,
-    /// The live write path's copy-on-write delta overlay buffer.
-    buffer: MutationBuffer,
-    /// Serializes the writers — mutate, compact, publish, republish — so
-    /// `buffer.current().epoch() == store.epoch()` holds outside writer
-    /// critical sections. Lock order: `write_lock` before the store's
-    /// internal lock; the buffer's own mutex is a leaf.
-    write_lock: Mutex<()>,
-    /// Memoized materialization of one `(epoch, delta-seq)` overlay: a
-    /// burst of workload queries (or the compactor) against the same
-    /// overlay version pays the base+overlay fold exactly once.
-    materialized: Mutex<Option<(u64, u64, Arc<ShardedGraph>)>>,
-    /// Incremental connected-components state, seeded once per epoch.
-    inc_ccomp: Mutex<Option<(u64, IncrementalCComp)>>,
-    /// Background-compactor doorbell: `(work_pending, shutdown)`.
-    compact_doorbell: (Mutex<(bool, bool)>, Condvar),
-    shards: usize,
-    /// Batch coalescing cap (see [`EngineConfig::batch_max`]).
-    batch_max: usize,
-    /// Batch formation window (see [`EngineConfig::batch_window_us`]).
-    batch_window_us: u64,
-}
-
-fn lock(m: &Mutex<Lanes>) -> MutexGuard<'_, Lanes> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Poison-tolerant lock for the write-path mutexes (a panicking kernel
-/// must not wedge every later mutation or compaction).
-fn lockp<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Per-class and engine-wide metric handles, created eagerly in
-/// [`Engine::with_registry`] so every run manifest carries the same metric
-/// key set regardless of which events actually occurred (the golden
-/// structural check depends on this).
-#[derive(Clone)]
-struct EngineMetrics {
-    submitted: Counter,
-    rejected_queue: Counter,
-    rejected_cost: Counter,
-    deadline_missed: Counter,
-    cancelled: Counter,
-    unsupported: Counter,
-    failed: Counter,
-    resolved: Counter,
-    double_resolve: Counter,
-    completed: [Counter; 4],
-    latency_us: [Histogram; 4],
-    queue_us: Histogram,
-    /// Per-stage latency decomposition: queue-wait and execution per class,
-    /// plus engine-wide admission and resolve cost. These feed the
-    /// "Per-stage latency breakdown" manifest table.
-    stage_queue_us: [Histogram; 4],
-    stage_exec_us: [Histogram; 4],
-    stage_admit_us: Histogram,
-    stage_resolve_us: Histogram,
-    cache_hit: Counter,
-    cache_miss: Counter,
-    cache_evict: Counter,
-    /// Dequeues that served an aged lane ahead of a higher-priority one.
-    lane_aged: Counter,
-    /// Mutation batches applied (each bumps the overlay delta-seq once).
-    mutations: Counter,
-    /// Compactions entered / finished — the chaos invariant sweep requires
-    /// these to balance after every mix.
-    compact_started: Counter,
-    compact_completed: Counter,
-    /// Time the write path was blocked while a compaction folded the
-    /// overlay under the write lock (the "compaction pause").
-    compact_pause_us: Histogram,
-    /// Requests sharing each coalesced batch (recorded once per formed
-    /// batch of size >= 2; a distribution hugging 1 means coalescing never
-    /// engages).
-    batch_size: Histogram,
-    /// Microseconds an executor spent draining and (optionally) waiting
-    /// for batch mates between dequeue and kernel start.
-    batch_coalesce_us: Histogram,
-}
-
-impl EngineMetrics {
-    fn new(reg: &Registry) -> Self {
-        let class_counter = |c: CostClass| reg.counter(&format!("engine.completed.{}", c.name()));
-        let class_hist = |c: CostClass| reg.histogram(&format!("engine.latency_us.{}", c.name()));
-        let stage_hist = |stage: &str, c: CostClass| {
-            reg.histogram(&format!("engine.stage_us.{stage}.{}", c.name()))
-        };
-        EngineMetrics {
-            submitted: reg.counter("engine.submitted"),
-            rejected_queue: reg.counter("engine.rejected.queue_full"),
-            rejected_cost: reg.counter("engine.rejected.cost_budget"),
-            deadline_missed: reg.counter("engine.deadline_missed"),
-            cancelled: reg.counter("engine.cancelled"),
-            unsupported: reg.counter("engine.unsupported"),
-            failed: reg.counter("engine.failed"),
-            resolved: reg.counter("engine.resolved"),
-            double_resolve: reg.counter("engine.double_resolve"),
-            completed: [
-                class_counter(CostClass::Point),
-                class_counter(CostClass::Traversal),
-                class_counter(CostClass::Analytics),
-                class_counter(CostClass::Write),
-            ],
-            latency_us: [
-                class_hist(CostClass::Point),
-                class_hist(CostClass::Traversal),
-                class_hist(CostClass::Analytics),
-                class_hist(CostClass::Write),
-            ],
-            queue_us: reg.histogram("engine.queue_us"),
-            stage_queue_us: [
-                stage_hist("queue", CostClass::Point),
-                stage_hist("queue", CostClass::Traversal),
-                stage_hist("queue", CostClass::Analytics),
-                stage_hist("queue", CostClass::Write),
-            ],
-            stage_exec_us: [
-                stage_hist("exec", CostClass::Point),
-                stage_hist("exec", CostClass::Traversal),
-                stage_hist("exec", CostClass::Analytics),
-                stage_hist("exec", CostClass::Write),
-            ],
-            stage_admit_us: reg.histogram("engine.stage_us.admit"),
-            stage_resolve_us: reg.histogram("engine.stage_us.resolve"),
-            cache_hit: reg.counter("engine.cache.hit"),
-            cache_miss: reg.counter("engine.cache.miss"),
-            cache_evict: reg.counter("engine.cache.evict"),
-            lane_aged: reg.counter("engine.lane.aged"),
-            mutations: reg.counter("engine.mutations"),
-            compact_started: reg.counter("engine.compact.started"),
-            compact_completed: reg.counter("engine.compact.completed"),
-            compact_pause_us: reg.histogram("engine.compact.pause_us"),
-            batch_size: reg.histogram("engine.batch.size"),
-            batch_coalesce_us: reg.histogram("engine.batch.coalesce_us"),
-        }
-    }
-}
-
-fn lane(class: CostClass) -> usize {
-    match class {
-        CostClass::Point => 0,
-        CostClass::Traversal => 1,
-        CostClass::Analytics => 2,
-        CostClass::Write => 3,
-    }
-}
-
-/// Index of the write lane (mutations bill here without queueing).
-const WRITE_LANE: usize = 3;
-
 /// The serving engine: graph store + admission + executors + write path.
 pub struct Engine {
-    store: Arc<GraphStore>,
-    pool: Arc<ThreadPool>,
     shared: Arc<Shared>,
-    metrics: EngineMetrics,
-    slo: SloTracker,
-    default_deadline: Option<Duration>,
-    shards: usize,
-    adaptive_costs: bool,
-    lane_aging_limit: u64,
-    compact_threshold: usize,
     auto_tag: AtomicU64,
     executors: Vec<std::thread::JoinHandle<()>>,
     compactor: Option<std::thread::JoinHandle<()>>,
@@ -548,22 +276,12 @@ impl Engine {
     pub fn with_registry(cfg: EngineConfig, csr: Csr, reg: &Registry) -> Self {
         let graph = ShardedGraph::build(csr, cfg.shards);
         let base_n = graph.num_vertices() as u32;
-        let store = Arc::new(GraphStore::new(graph));
-        let pool = Arc::new(ThreadPool::new(cfg.pool_threads));
         let metrics = EngineMetrics::new(reg);
         let shared = Arc::new(Shared {
-            lanes: Mutex::new(Lanes {
-                queues: [
-                    VecDeque::new(),
-                    VecDeque::new(),
-                    VecDeque::new(),
-                    VecDeque::new(),
-                ],
-                skips: [0; 4],
-                max_skip: 0,
-                aging_limit: cfg.lane_aging_limit,
-                shutdown: false,
-            }),
+            store: GraphStore::new(graph),
+            pool: Arc::new(ThreadPool::new(cfg.pool_threads)),
+            slo: SloTracker::new(),
+            lanes: Mutex::new(Lanes::default()),
             available: Condvar::new(),
             admission: AdmissionController::new(cfg.queue_capacity, cfg.cost_budget),
             cache: ResultCache::new(
@@ -577,44 +295,23 @@ impl Engine {
             materialized: Mutex::new(None),
             inc_ccomp: Mutex::new(None),
             compact_doorbell: (Mutex::new((false, false)), Condvar::new()),
-            shards: cfg.shards,
-            batch_max: cfg.batch_max,
-            batch_window_us: cfg.batch_window_us,
-        });
-        let slo = SloTracker::new();
-        let executors = (0..cfg.executors.max(1))
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                let pool = Arc::clone(&pool);
-                let metrics = metrics.clone();
-                let slo = slo.clone();
-                std::thread::Builder::new()
-                    .name(format!("graphbig-executor-{i}"))
-                    .spawn(move || executor_loop(&shared, &pool, &metrics, &slo))
-                    .expect("spawn executor thread")
-            })
-            .collect();
-        let compactor = (cfg.compact_threshold > 0).then(|| {
-            let store = Arc::clone(&store);
-            let shared = Arc::clone(&shared);
-            let metrics = metrics.clone();
-            let threshold = cfg.compact_threshold;
-            std::thread::Builder::new()
-                .name("graphbig-compactor".to_string())
-                .spawn(move || compactor_loop(&store, &shared, &metrics, threshold))
-                .expect("spawn compactor thread")
-        });
-        Engine {
-            store,
-            pool,
-            shared,
             metrics,
-            slo,
-            default_deadline: cfg.default_deadline,
-            shards: cfg.shards,
-            adaptive_costs: cfg.adaptive_costs,
-            lane_aging_limit: cfg.lane_aging_limit,
-            compact_threshold: cfg.compact_threshold,
+            cfg,
+        });
+        let spawn = |name: String, body: fn(&Shared)| {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name(name)
+                .spawn(move || body(&shared))
+                .expect("spawn engine thread")
+        };
+        let executors = (0..shared.cfg.executors.max(1))
+            .map(|i| spawn(format!("graphbig-executor-{i}"), executor_loop))
+            .collect();
+        let compactor = (shared.cfg.compact_threshold > 0)
+            .then(|| spawn("graphbig-compactor".to_string(), compactor_loop));
+        Engine {
+            shared,
             auto_tag: AtomicU64::new(0),
             executors,
             compactor,
@@ -623,7 +320,7 @@ impl Engine {
 
     /// Submit with the configured default deadline (if any).
     pub fn submit(&self, query: Query) -> Result<Ticket, RejectReason> {
-        self.submit_with_deadline(query, self.default_deadline)
+        self.submit_with_deadline(query, self.shared.cfg.default_deadline)
     }
 
     /// Submit with an explicit per-query deadline (`None` = no deadline).
@@ -646,72 +343,27 @@ impl Engine {
         deadline: Option<Duration>,
         tag: u64,
     ) -> Result<Ticket, RejectReason> {
+        let sh = &*self.shared;
         let admit_start = Instant::now();
         let request_id = recorder::next_request_id();
-        let snapshot = self.store.snapshot();
+        let snapshot = sh.store.snapshot();
         let (n, m) = (
             snapshot.graph().num_vertices() as u64,
             snapshot.graph().num_edges() as u64,
         );
         let class = query.class();
-        let lane_idx = lane(class) as u8;
+        let lane_idx = lane(class);
         let static_cost = query.cost(n, m);
         // Feedback cost model: charge the budget what this key has been
         // *observed* to cost relative to the global calibration, not what
         // the static formula guesses. Bounded by the correction clamp, so
         // an adjusted cost is always within [1/4, 4]x the static one.
-        let cost = if self.adaptive_costs {
-            self.slo.adaptive_cost(slo::query_key(&query), static_cost)
+        let cost = if sh.cfg.adaptive_costs {
+            sh.slo.adaptive_cost(slo::query_key(&query), static_cost)
         } else {
             static_cost
         };
-        // Lifecycle: `admit` opens the request's story; the arg carries the
-        // chaos tag so fault_fired events (keyed by tag) correlate back.
-        recorder::record_lane(EventKind::Admit, lane_idx, request_id, tag);
-        if cost != static_cost {
-            recorder::record_lane(EventKind::CostAdjust, lane_idx, request_id, cost);
-        }
-        if let Err(reason) = self.shared.admission.try_admit(cost) {
-            match reason {
-                RejectReason::QueueFull { .. } => {
-                    self.metrics.rejected_queue.inc();
-                    recorder::record_lane(EventKind::Reject, lane_idx, request_id, 0);
-                }
-                RejectReason::CostBudget { .. } => {
-                    self.metrics.rejected_cost.inc();
-                    recorder::record_lane(EventKind::Reject, lane_idx, request_id, 1);
-                }
-            }
-            return Err(reason);
-        }
-        // Failpoint `engine.admit`: force a spurious rejection *after* a
-        // successful admission (rolling the reservation back so the
-        // controller's books look exactly like a real rejection), or delay.
-        if let Some(fault) = chaos::failpoint!("engine.admit", tag) {
-            match fault.action {
-                FaultAction::RejectQueueFull => {
-                    self.shared.admission.cancel_admit(cost);
-                    self.metrics.rejected_queue.inc();
-                    recorder::record_lane(EventKind::Reject, lane_idx, request_id, 0);
-                    return Err(RejectReason::QueueFull {
-                        depth: self.shared.admission.queued(),
-                        limit: self.shared.admission.max_queue(),
-                    });
-                }
-                FaultAction::RejectCostBudget => {
-                    self.shared.admission.cancel_admit(cost);
-                    self.metrics.rejected_cost.inc();
-                    recorder::record_lane(EventKind::Reject, lane_idx, request_id, 1);
-                    return Err(RejectReason::CostBudget {
-                        in_flight: self.shared.admission.in_flight_cost(),
-                        requested: cost,
-                        limit: self.shared.admission.max_cost(),
-                    });
-                }
-                _ => {}
-            }
-        }
-        self.metrics.submitted.inc();
+        admit(sh, lane_idx, cost, static_cost, tag, request_id)?;
         let token = match deadline {
             Some(d) => CancelToken::with_timeout(d),
             None => CancelToken::new(),
@@ -733,10 +385,10 @@ impl Engine {
         };
         // `enqueue` is recorded before the push so an executor's `dequeue`
         // can never precede it in the event stream.
-        recorder::record_lane(EventKind::Enqueue, lane_idx, request_id, cost);
-        lock(&self.shared.lanes).queues[lane(class)].push_back(job);
-        self.shared.available.notify_one();
-        self.metrics
+        recorder::record_lane(EventKind::Enqueue, lane_idx as u8, request_id, cost);
+        lock(&sh.lanes).queues[lane_idx].push_back(job);
+        sh.available.notify_one();
+        sh.metrics
             .stage_admit_us
             .record(admit_start.elapsed().as_micros() as u64);
         Ok(Ticket {
@@ -751,15 +403,16 @@ impl Engine {
     /// under. Any buffered mutations against the *old* graph are
     /// discarded: the caller is replacing the dataset wholesale.
     pub fn publish(&self, csr: Csr) -> u64 {
+        let sh = &*self.shared;
         let _ = chaos::failpoint!("engine.publish");
-        let graph = ShardedGraph::build(csr, self.shards);
+        let graph = ShardedGraph::build(csr, sh.cfg.shards);
         let base_n = graph.num_vertices() as u32;
-        let _w = lockp(&self.shared.write_lock);
-        let epoch = self.store.publish(graph);
-        self.shared.buffer.reset(epoch, base_n);
+        let _w = lock(&sh.write_lock);
+        let epoch = sh.store.publish(graph);
+        sh.buffer.reset(epoch, base_n);
         // Epoch keying already makes old entries unreachable; the sweep
         // reclaims their memory promptly.
-        self.shared.cache.invalidate();
+        sh.cache.invalidate();
         epoch
     }
 
@@ -768,11 +421,12 @@ impl Engine {
     /// The delta overlay follows the graph to the new epoch with its
     /// contents intact (same base, new version number).
     pub fn republish(&self) -> u64 {
+        let sh = &*self.shared;
         let _ = chaos::failpoint!("engine.publish");
-        let _w = lockp(&self.shared.write_lock);
-        let epoch = self.store.republish();
-        self.shared.buffer.retarget(epoch);
-        self.shared.cache.invalidate();
+        let _w = lock(&sh.write_lock);
+        let epoch = sh.store.republish();
+        sh.buffer.retarget(epoch);
+        sh.cache.invalidate();
         epoch
     }
 
@@ -795,55 +449,40 @@ impl Engine {
         batch: &[Mutation],
         tag: u64,
     ) -> Result<MutationReceipt, RejectReason> {
+        let sh = &*self.shared;
         let start = Instant::now();
         let request_id = recorder::next_request_id();
         let cost = (batch.len() as u64).max(1);
-        recorder::record_lane(EventKind::Admit, WRITE_LANE as u8, request_id, tag);
-        if let Err(reason) = self.shared.admission.try_admit(cost) {
-            match reason {
-                RejectReason::QueueFull { .. } => {
-                    self.metrics.rejected_queue.inc();
-                    recorder::record_lane(EventKind::Reject, WRITE_LANE as u8, request_id, 0);
-                }
-                RejectReason::CostBudget { .. } => {
-                    self.metrics.rejected_cost.inc();
-                    recorder::record_lane(EventKind::Reject, WRITE_LANE as u8, request_id, 1);
-                }
-            }
-            return Err(reason);
-        }
-        self.metrics.submitted.inc();
-        self.shared.admission.on_start();
+        admit(sh, WRITE_LANE, cost, cost, tag, request_id)?;
+        sh.admission.on_start();
         // Failpoint `engine.mutate`: delay inside the write path, widening
         // the compaction-vs-mutation race window under chaos.
         let _ = chaos::failpoint!("engine.mutate", tag);
         let receipt = {
-            let _w = lockp(&self.shared.write_lock);
-            let snap = self.store.snapshot();
+            let _w = lock(&sh.write_lock);
+            let snap = sh.store.snapshot();
             // A publish that bypassed the engine (direct store access)
             // orphans the overlay; rebase on the live epoch rather than
             // feeding a future compaction a stale base.
-            if self.shared.buffer.current().epoch() != snap.epoch() {
-                self.shared
-                    .buffer
+            if sh.buffer.current().epoch() != snap.epoch() {
+                sh.buffer
                     .reset(snap.epoch(), snap.graph().num_vertices() as u32);
             }
-            self.shared.buffer.apply(snap.graph(), batch)
+            sh.buffer.apply(snap.graph(), batch)
         };
-        self.shared.admission.on_finish(cost);
+        sh.admission.on_finish(cost);
         let us = start.elapsed().as_micros() as u64;
         recorder::record_lane(EventKind::Mutate, WRITE_LANE as u8, request_id, receipt.seq);
-        self.metrics.mutations.inc();
-        self.metrics.completed[WRITE_LANE].inc();
-        self.metrics.latency_us[WRITE_LANE].record(us);
-        self.metrics.stage_exec_us[WRITE_LANE].record(us);
-        self.metrics.resolved.inc();
-        self.slo.record(WRITE_LANE, "write", us);
-        if self.compact_threshold > 0
-            && self.shared.buffer.current().overlay_edges() >= self.compact_threshold
-        {
-            let (doorbell, cv) = &self.shared.compact_doorbell;
-            lockp(doorbell).0 = true;
+        sh.metrics.mutations.inc();
+        sh.metrics.completed[WRITE_LANE].inc();
+        sh.metrics.latency_us[WRITE_LANE].record(us);
+        sh.metrics.stage_exec_us[WRITE_LANE].record(us);
+        sh.metrics.resolved.inc();
+        sh.slo.record(WRITE_LANE, "write", us);
+        let threshold = sh.cfg.compact_threshold;
+        if threshold > 0 && sh.buffer.current().overlay_edges() >= threshold {
+            let (doorbell, cv) = &sh.compact_doorbell;
+            lock(doorbell).0 = true;
             cv.notify_one();
         }
         Ok(receipt)
@@ -856,7 +495,7 @@ impl Engine {
     /// when the overlay was already empty). Safe to call concurrently with
     /// mutations, queries, and itself.
     pub fn compact(&self) -> u64 {
-        compact_inner(&self.store, &self.shared, &self.metrics)
+        compact_inner(&self.shared)
     }
 
     /// The overlay's current delta sequence number. Bumps once per applied
@@ -886,13 +525,13 @@ impl Engine {
 
     /// The epoch store (snapshots, epoch numbers, byte-level publish).
     pub fn store(&self) -> &GraphStore {
-        &self.store
+        &self.shared.store
     }
 
     /// The shared kernel pool (the sequential oracle reuses it so engine
     /// and oracle run the exact same kernel configuration).
     pub fn pool(&self) -> &Arc<ThreadPool> {
-        &self.pool
+        &self.shared.pool
     }
 
     /// The admission controller's live counters.
@@ -902,7 +541,7 @@ impl Engine {
 
     /// The live sliding-window SLO tracker the executors feed.
     pub fn slo(&self) -> &SloTracker {
-        &self.slo
+        &self.shared.slo
     }
 
     /// Entries currently in the result cache (0 when caching is disabled).
@@ -919,7 +558,7 @@ impl Engine {
 
     /// The configured aging limit (0 = strict priority).
     pub fn lane_aging_limit(&self) -> u64 {
-        self.lane_aging_limit
+        self.shared.cfg.lane_aging_limit
     }
 
     /// A point-in-time serving snapshot: queue depth, in-flight cost, and
@@ -929,919 +568,52 @@ impl Engine {
             t_ms: slo::now_ms(),
             queue_depth: self.shared.admission.queued() as u64,
             in_flight_cost: self.shared.admission.in_flight_cost(),
-            lanes: (0..4).map(|l| self.slo.lane_stats(l)).collect(),
+            lanes: (0..4).map(|l| self.shared.slo.lane_stats(l)).collect(),
         }
     }
 }
 
 impl Drop for Engine {
     fn drop(&mut self) {
+        let sh = &*self.shared;
         {
-            let (doorbell, cv) = &self.shared.compact_doorbell;
-            lockp(doorbell).1 = true;
+            let (doorbell, cv) = &sh.compact_doorbell;
+            lock(doorbell).1 = true;
             cv.notify_all();
         }
         if let Some(h) = self.compactor.take() {
             let _ = h.join();
         }
-        {
-            let mut lanes = lock(&self.shared.lanes);
-            lanes.shutdown = true;
-        }
-        self.shared.available.notify_all();
+        lock(&sh.lanes).shutdown = true;
+        sh.available.notify_all();
         for h in self.executors.drain(..) {
             let _ = h.join();
         }
         // Backstop: if any job is still queued after the executors exited
-        // (only possible if an executor died outside its panic guard),
-        // resolve it here so no ticket ever hangs. The Resolver CAS makes
-        // this race-free against any response an executor already sent.
-        let mut lanes = lock(&self.shared.lanes);
+        // (only possible if an executor died outside its panic guard), shed
+        // it through the same draining dequeue an executor would have used,
+        // so no ticket ever hangs and the shed leaves the full lifecycle
+        // behind. The Resolver CAS makes this race-free against any
+        // response an executor already sent.
+        let mut lanes = lock(&sh.lanes);
         for queue in lanes.queues.iter_mut() {
             while let Some(job) = queue.pop_front() {
-                self.shared.admission.on_start();
-                self.shared.admission.on_finish(job.cost);
-                self.metrics.cancelled.inc();
-                let queue_us = job.enqueued.elapsed().as_micros() as u64;
-                // Backstop sheds still get a full lifecycle in the flight
-                // recorder (dequeue -> run(cancelled) -> resolve), so the
-                // exactly-once-per-stage invariant holds on every path.
-                let lane_idx = lane(job.class) as u8;
-                recorder::record_lane(EventKind::Dequeue, lane_idx, job.request_id, queue_us);
-                recorder::record_lane(
-                    EventKind::Run,
-                    lane_idx,
-                    job.request_id,
-                    status_code(&QueryStatus::Cancelled),
-                );
-                job.resolver.resolve(
-                    &self.metrics,
-                    QueryResponse {
-                        request_id: job.request_id,
-                        epoch: job.snapshot.epoch(),
-                        class: job.class,
-                        status: QueryStatus::Cancelled,
-                        queue_us,
-                        exec_us: 0,
-                    },
-                );
+                run_group(sh, dequeue(sh, job, None, true), Vec::new());
             }
         }
     }
-}
-
-fn executor_loop(shared: &Shared, pool: &ThreadPool, metrics: &EngineMetrics, slo: &SloTracker) {
-    loop {
-        let (job, draining) = {
-            let mut lanes = lock(&shared.lanes);
-            loop {
-                if let Some((j, aged)) = lanes.pop() {
-                    if aged {
-                        metrics.lane_aged.inc();
-                    }
-                    break (Some(j), lanes.shutdown);
-                }
-                if lanes.shutdown {
-                    break (None, true);
-                }
-                lanes = shared
-                    .available
-                    .wait(lanes)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        let Some(job) = job else {
-            return;
-        };
-        // Shared-traversal batching: coalesce compatible queued requests
-        // behind this one and run a single shared kernel for all of them.
-        // Only on the live path — a draining engine sheds queries instead.
-        if !draining && shared.batch_max > 1 {
-            if let Some(kind) = batch::kind_of(&job.query) {
-                let opened = Instant::now();
-                let mates = form_batch(shared, &job, kind);
-                if !mates.is_empty() {
-                    run_batch(
-                        kind,
-                        job,
-                        mates,
-                        opened.elapsed(),
-                        pool,
-                        shared,
-                        metrics,
-                        slo,
-                    );
-                    continue;
-                }
-            }
-        }
-        execute_single(job, draining, pool, shared, metrics, slo);
-    }
-}
-
-/// The unbatched per-job execution path (also the fallback when a
-/// batchable job finds no compatible mates queued).
-fn execute_single(
-    job: Job,
-    draining: bool,
-    pool: &ThreadPool,
-    shared: &Shared,
-    metrics: &EngineMetrics,
-    slo: &SloTracker,
-) {
-    shared.admission.on_start();
-    let queue_us = job.enqueued.elapsed().as_micros() as u64;
-    metrics.queue_us.record(queue_us);
-    let lane_idx = lane(job.class);
-    metrics.stage_queue_us[lane_idx].record(queue_us);
-    recorder::record_lane(EventKind::Dequeue, lane_idx as u8, job.request_id, queue_us);
-    // Failpoint `engine.dequeue`: force a terminal status before the
-    // kernel runs (deadline expiry / cancellation), or delay pickup.
-    let forced = match chaos::failpoint!("engine.dequeue", job.tag) {
-        Some(fault) => match fault.action {
-            FaultAction::DeadlineExpire => Some(QueryStatus::DeadlineExceeded),
-            FaultAction::Cancel => Some(QueryStatus::Cancelled),
-            _ => None,
-        },
-        None => None,
-    };
-    let exec_start = Instant::now();
-    let status = if draining {
-        // Engine shutting down: shed the query without running it.
-        QueryStatus::Cancelled
-    } else if let Some(forced) = forced {
-        forced
-    } else if job.token.is_cancelled() {
-        // Fired while queued — never start doomed work.
-        if job.token.deadline_passed() {
-            QueryStatus::DeadlineExceeded
-        } else {
-            QueryStatus::Cancelled
-        }
-    } else {
-        run_guarded(&job, pool, shared)
-    };
-    let exec_us = exec_start.elapsed().as_micros() as u64;
-    finish_job(job, queue_us, status, exec_us, shared, metrics, slo);
-}
-
-/// Terminal bookkeeping shared by the single path and every batch member:
-/// exec-stage metrics, the `Run` event, per-status counters and SLO feed,
-/// admission release, the `engine.resolve` / `engine.batch.fanout`
-/// failpoints, then the one-shot resolve.
-fn finish_job(
-    job: Job,
-    queue_us: u64,
-    status: QueryStatus,
-    exec_us: u64,
-    shared: &Shared,
-    metrics: &EngineMetrics,
-    slo: &SloTracker,
-) {
-    let lane_idx = lane(job.class);
-    metrics.stage_exec_us[lane_idx].record(exec_us);
-    recorder::record_lane(
-        EventKind::Run,
-        lane_idx as u8,
-        job.request_id,
-        status_code(&status),
-    );
-    match &status {
-        QueryStatus::Completed(_) => {
-            metrics.completed[lane_idx].inc();
-            metrics.latency_us[lane_idx].record(queue_us + exec_us);
-            let key = slo::query_key(&job.query);
-            slo.record(lane_idx, key, queue_us + exec_us);
-            // Feed the feedback cost model with what execution
-            // actually cost relative to the static estimate. Cache
-            // hits count too — a hot cached key genuinely is cheap,
-            // and its correction should drift toward the floor.
-            slo.observe_cost(key, job.static_cost, exec_us);
-        }
-        QueryStatus::DeadlineExceeded => metrics.deadline_missed.inc(),
-        QueryStatus::Cancelled => metrics.cancelled.inc(),
-        QueryStatus::Unsupported(_) => metrics.unsupported.inc(),
-        QueryStatus::Failed(_) => metrics.failed.inc(),
-    }
-    shared.admission.on_finish(job.cost);
-    let response = QueryResponse {
-        request_id: job.request_id,
-        epoch: job.snapshot.epoch(),
-        class: job.class,
-        status,
-        queue_us,
-        exec_us,
-    };
-    // Failpoint `engine.resolve` (and its batch twin
-    // `engine.batch.fanout`): a `DoubleResolve` fault delivers the
-    // response twice — the second attempt loses the one-shot CAS and
-    // trips the resolved-once invariant, exercising the failure dump.
-    // Both sites are always evaluated so a plan's fire counts stay
-    // independent of which one matches.
-    let resolve_double = matches!(
-        chaos::failpoint!("engine.resolve", job.tag),
-        Some(f) if f.action == FaultAction::DoubleResolve
-    );
-    let fanout_double = matches!(
-        chaos::failpoint!("engine.batch.fanout", job.tag),
-        Some(f) if f.action == FaultAction::DoubleResolve
-    );
-    let resolve_start = Instant::now();
-    if resolve_double || fanout_double {
-        job.resolver.resolve(metrics, response.clone());
-    }
-    job.resolver.resolve(metrics, response);
-    metrics
-        .stage_resolve_us
-        .record(resolve_start.elapsed().as_micros() as u64);
-}
-
-/// A batch member between dequeue bookkeeping and terminal resolution.
-struct Pending {
-    job: Job,
-    queue_us: u64,
-    /// Terminal status decided at formation time (forced fault, cancelled
-    /// while queued) — the member skips the shared kernel.
-    forced: Option<QueryStatus>,
-}
-
-/// Drain jobs compatible with `leader` from its lane (FIFO order
-/// preserved). Members must share the leader's batch kind and epoch, and
-/// the batch stops growing if the live overlay's `(epoch, delta-seq)`
-/// moves mid-window — one batch executes against exactly one graph state.
-/// With `batch_window_us == 0` this coalesces only what is already queued
-/// and never waits.
-fn form_batch(shared: &Shared, leader: &Job, kind: BatchKind) -> Vec<Job> {
-    let cap = match kind {
-        BatchKind::Bfs => shared.batch_max.min(msbfs::MSBFS_LANES),
-        BatchKind::Point => shared.batch_max,
-    };
-    if cap <= 1 {
-        return Vec::new();
-    }
-    let epoch = leader.snapshot.epoch();
-    let ov = shared.buffer.current();
-    let state = (ov.epoch(), ov.seq());
-    let lane_idx = lane(leader.class);
-    let window = Duration::from_micros(shared.batch_window_us);
-    let opened = Instant::now();
-    let mut mates: Vec<Job> = Vec::new();
-    loop {
-        {
-            let mut lanes = lock(&shared.lanes);
-            if lanes.shutdown {
-                break;
-            }
-            let queue = &mut lanes.queues[lane_idx];
-            let mut i = 0;
-            while i < queue.len() && mates.len() + 1 < cap {
-                let compatible = batch::kind_of(&queue[i].query) == Some(kind)
-                    && queue[i].snapshot.epoch() == epoch;
-                if compatible {
-                    mates.push(queue.remove(i).expect("index is in bounds"));
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        if mates.len() + 1 >= cap || shared.batch_window_us == 0 {
-            break;
-        }
-        let elapsed = opened.elapsed();
-        if elapsed >= window {
-            break;
-        }
-        let cur = shared.buffer.current();
-        if (cur.epoch(), cur.seq()) != state {
-            break; // a mutation moved the graph state: close the batch
-        }
-        std::thread::sleep((window - elapsed).min(Duration::from_micros(50)));
-    }
-    mates
-}
-
-/// Execute a coalesced batch: batch metrics and the leader's `BatchStart`
-/// event, per-member dequeue bookkeeping, then the kind-specific shared
-/// execution. Every member keeps its own full lifecycle (admit/enqueue/
-/// dequeue/run/resolve exactly once), deadline, and cancellation.
-#[allow(clippy::too_many_arguments)]
-fn run_batch(
-    kind: BatchKind,
-    leader: Job,
-    mates: Vec<Job>,
-    coalesce: Duration,
-    pool: &ThreadPool,
-    shared: &Shared,
-    metrics: &EngineMetrics,
-    slo: &SloTracker,
-) {
-    let leader_rid = leader.request_id;
-    let lane_idx = lane(leader.class) as u8;
-    let size = 1 + mates.len();
-    metrics.batch_size.record(size as u64);
-    metrics
-        .batch_coalesce_us
-        .record(coalesce.as_micros() as u64);
-    recorder::record_lane(EventKind::BatchStart, lane_idx, leader_rid, size as u64);
-    let members: Vec<Job> = std::iter::once(leader).chain(mates).collect();
-    let pendings = batch_preflight(members, leader_rid, shared, metrics);
-    match kind {
-        BatchKind::Bfs => run_bfs_batch(pendings, pool, shared, metrics, slo),
-        BatchKind::Point => run_point_batch(pendings, pool, shared, metrics, slo),
-    }
-}
-
-/// Per-member dequeue bookkeeping for a coalesced batch: exactly the
-/// single-path sequence (admission start, queue-stage metrics, `Dequeue`
-/// event, the `engine.dequeue` failpoint, the cancelled-while-queued
-/// pre-check) plus the batch-only pieces — a `BatchJoin` event tying each
-/// follower to the leader, and the `engine.batch.form` failpoint, which
-/// can expire or cancel one member at formation time without touching the
-/// rest of the batch.
-fn batch_preflight(
-    members: Vec<Job>,
-    leader_rid: u64,
-    shared: &Shared,
-    metrics: &EngineMetrics,
-) -> Vec<Pending> {
-    members
-        .into_iter()
-        .enumerate()
-        .map(|(i, job)| {
-            shared.admission.on_start();
-            let queue_us = job.enqueued.elapsed().as_micros() as u64;
-            metrics.queue_us.record(queue_us);
-            let lane_idx = lane(job.class);
-            metrics.stage_queue_us[lane_idx].record(queue_us);
-            recorder::record_lane(EventKind::Dequeue, lane_idx as u8, job.request_id, queue_us);
-            if i > 0 {
-                recorder::record_lane(
-                    EventKind::BatchJoin,
-                    lane_idx as u8,
-                    job.request_id,
-                    leader_rid,
-                );
-            }
-            let forced_by = |fault: Option<chaos::Fault>| match fault {
-                Some(f) => match f.action {
-                    FaultAction::DeadlineExpire => Some(QueryStatus::DeadlineExceeded),
-                    FaultAction::Cancel => Some(QueryStatus::Cancelled),
-                    _ => None,
-                },
-                None => None,
-            };
-            let mut forced = forced_by(chaos::failpoint!("engine.dequeue", job.tag));
-            if forced.is_none() {
-                forced = forced_by(chaos::failpoint!("engine.batch.form", job.tag));
-            }
-            if forced.is_none() && job.token.is_cancelled() {
-                forced = Some(if job.token.deadline_passed() {
-                    QueryStatus::DeadlineExceeded
-                } else {
-                    QueryStatus::Cancelled
-                });
-            }
-            Pending {
-                job,
-                queue_us,
-                forced,
-            }
-        })
-        .collect()
-}
-
-/// Shard-grouped point sweep: members sort by (shard index, vertex) so the
-/// sweep walks each shard's slice of the CSR once instead of hopping
-/// between shards per request, then each member runs through the exact
-/// single-query path (cache, overlay, panic guard) in that order. The
-/// batching win is pure access locality — every result is identical to
-/// running that member alone.
-fn run_point_batch(
-    mut pendings: Vec<Pending>,
-    pool: &ThreadPool,
-    shared: &Shared,
-    metrics: &EngineMetrics,
-    slo: &SloTracker,
-) {
-    // All members share one epoch, so one snapshot's shard map orders all.
-    let snapshot = Arc::clone(&pendings[0].job.snapshot);
-    batch::shard_sweep_order(
-        &mut pendings,
-        |p| batch::point_vertex(&p.job.query),
-        |v| snapshot.graph().shard_of(v).map(|s| s.index()),
-    );
-    for mut p in pendings {
-        let exec_start = Instant::now();
-        let status = match p.forced.take() {
-            Some(forced) => forced,
-            None => run_guarded(&p.job, pool, shared),
-        };
-        let exec_us = exec_start.elapsed().as_micros() as u64;
-        finish_job(p.job, p.queue_us, status, exec_us, shared, metrics, slo);
-    }
-}
-
-/// Shared multi-source BFS execution: resolve forced and cache-hit members
-/// up front, then run every remaining member as one bit-lane of a single
-/// [`msbfs::msbfs_cancellable`] pass. Per-lane output is bit-identical to
-/// the single-source kernel, so fanned-out results (and the cache entries
-/// they leave behind) match what each member would have produced alone.
-fn run_bfs_batch(
-    pendings: Vec<Pending>,
-    pool: &ThreadPool,
-    shared: &Shared,
-    metrics: &EngineMetrics,
-    slo: &SloTracker,
-) {
-    let snapshot = Arc::clone(&pendings[0].job.snapshot);
-    let epoch = snapshot.epoch();
-    let ov = shared.buffer.current();
-    // Cacheable only while the live overlay still describes this batch's
-    // epoch — the same transitional-view rule as `run_query`.
-    let cache_key = (ov.epoch() == epoch).then(|| (epoch, ov.seq()));
-    let mut runnable: Vec<Pending> = Vec::new();
-    for mut p in pendings {
-        if let Some(status) = p.forced.take() {
-            finish_job(p.job, p.queue_us, status, 0, shared, metrics, slo);
-            continue;
-        }
-        if let Some((e, s)) = cache_key {
-            if let Some(output) = shared.cache.get(e, s, &p.job.query) {
-                recorder::record_lane(
-                    EventKind::CacheHit,
-                    lane(p.job.class) as u8,
-                    p.job.request_id,
-                    e,
-                );
-                let status = QueryStatus::Completed(output);
-                finish_job(p.job, p.queue_us, status, 0, shared, metrics, slo);
-                continue;
-            }
-        }
-        // `engine.run.pre` parity with the single path's guard: an
-        // injected panic here fails exactly one member, never the batch.
-        let pre = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if let Some(fault) = chaos::failpoint!("engine.run.pre", p.job.tag) {
-                if fault.is_panic() {
-                    panic!("{} at engine.run.pre", chaos::PANIC_MSG);
-                }
-            }
-        }));
-        if let Err(payload) = pre {
-            let status = QueryStatus::Failed(panic_message(payload.as_ref()));
-            finish_job(p.job, p.queue_us, status, 0, shared, metrics, slo);
-            continue;
-        }
-        runnable.push(p);
-    }
-    if runnable.is_empty() {
-        return;
-    }
-    let use_overlay = cache_key.is_some() && !ov.is_empty();
-    // `engine.overlay.read` parity: when an overlay would be applied, a
-    // `StaleRead` fault drops it for that member only. Stale members leave
-    // the shared pass and run alone against the stale base — exactly what
-    // the single path serves under the same fault.
-    let mut stale: Vec<Pending> = Vec::new();
-    if use_overlay {
-        let mut kept = Vec::with_capacity(runnable.len());
-        for p in runnable {
-            let is_stale = matches!(
-                chaos::failpoint!("engine.overlay.read", p.job.tag),
-                Some(f) if f.action == FaultAction::StaleRead
-            );
-            if is_stale {
-                stale.push(p);
-            } else {
-                kept.push(p);
-            }
-        }
-        runnable = kept;
-    }
-    for p in stale {
-        let exec_start = Instant::now();
-        let status = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_query_uncached(&p.job, pool, shared, None)
-        })) {
-            Ok(status) => status,
-            Err(payload) => QueryStatus::Failed(panic_message(payload.as_ref())),
-        };
-        // Single-path parity: the stale result still lands in the cache
-        // under the live key (that is the drill — the oracle catches it).
-        if let (Some((e, s)), QueryStatus::Completed(output)) = (cache_key, &status) {
-            if shared.cache.enabled() {
-                let stored = match chaos::failpoint!("engine.cache.insert", p.job.tag) {
-                    Some(f) if f.action == FaultAction::CorruptCache => corrupted(output),
-                    _ => output.clone(),
-                };
-                shared.cache.insert(e, s, p.job.query, stored);
-            }
-        }
-        let exec_us = exec_start.elapsed().as_micros() as u64;
-        finish_job(p.job, p.queue_us, status, exec_us, shared, metrics, slo);
-    }
-    if runnable.is_empty() {
-        return;
-    }
-    // One graph for the whole pass: the memoized base+overlay
-    // materialization when an overlay is live, the pinned base otherwise.
-    let materialized;
-    let service = if use_overlay {
-        materialized = materialized_for(shared, &snapshot, &ov);
-        materialized.service()
-    } else {
-        snapshot.graph().service()
-    };
-    // Traced members get the same `KernelStart` marker `run_service`
-    // would have recorded (arg = Bfs's index in the workload registry).
-    let bfs_index = Workload::ALL
-        .iter()
-        .position(|&w| w == Workload::Bfs)
-        .unwrap_or(0) as u64;
-    for p in &runnable {
-        if p.job.token.trace_id() != 0 {
-            recorder::record(EventKind::KernelStart, p.job.token.trace_id(), bfs_index);
-        }
-    }
-    let sources: Vec<u32> = runnable
-        .iter()
-        .map(|p| batch::point_vertex(&p.job.query))
-        .collect();
-    let tokens: Vec<&CancelToken> = runnable.iter().map(|p| &p.job.token).collect();
-    let exec_start = Instant::now();
-    let kernel = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        msbfs::msbfs_dir_opt_cancellable(pool, service.bi(), &sources, &tokens)
-    }));
-    let exec_us = exec_start.elapsed().as_micros() as u64;
-    match kernel {
-        Err(payload) => {
-            // A genuine kernel panic fails every lane still in the pass —
-            // the shared-fate cost of sharing one kernel. The executor and
-            // every other query keep going, same as the single-path guard.
-            let msg = panic_message(payload.as_ref());
-            for p in runnable {
-                let status = QueryStatus::Failed(msg.clone());
-                finish_job(p.job, p.queue_us, status, exec_us, shared, metrics, slo);
-            }
-        }
-        Ok(results) => {
-            for (p, result) in runnable.into_iter().zip(results) {
-                let status = match result {
-                    Ok(levels) => {
-                        QueryStatus::Completed(QueryOutput::Workload(ServiceOutput::Levels(levels)))
-                    }
-                    Err(_) => {
-                        if p.job.token.deadline_passed() {
-                            QueryStatus::DeadlineExceeded
-                        } else {
-                            QueryStatus::Cancelled
-                        }
-                    }
-                };
-                // `engine.run.post` parity, contained per member.
-                let status = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    if let Some(fault) = chaos::failpoint!("engine.run.post", p.job.tag) {
-                        if fault.is_panic() {
-                            panic!("{} at engine.run.post", chaos::PANIC_MSG);
-                        }
-                    }
-                    status
-                })) {
-                    Ok(status) => status,
-                    Err(payload) => QueryStatus::Failed(panic_message(payload.as_ref())),
-                };
-                if let (Some((e, s)), QueryStatus::Completed(output)) = (cache_key, &status) {
-                    if shared.cache.enabled() {
-                        let stored = match chaos::failpoint!("engine.cache.insert", p.job.tag) {
-                            Some(f) if f.action == FaultAction::CorruptCache => corrupted(output),
-                            _ => output.clone(),
-                        };
-                        shared.cache.insert(e, s, p.job.query, stored);
-                    }
-                }
-                finish_job(p.job, p.queue_us, status, exec_us, shared, metrics, slo);
-            }
-        }
-    }
-}
-
-/// Run the query inside a panic guard. A kernel panic — injected via the
-/// `engine.run.pre`/`engine.run.post`/`runtime.cancel.check` failpoints, or
-/// a genuine bug surfacing through `ThreadPool::broadcast`'s re-throw —
-/// terminates *this query* with [`QueryStatus::Failed`]; the executor
-/// thread, the pool workers, and every other query keep going.
-fn run_guarded(job: &Job, pool: &ThreadPool, shared: &Shared) -> QueryStatus {
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if let Some(fault) = chaos::failpoint!("engine.run.pre", job.tag) {
-            if fault.is_panic() {
-                panic!("{} at engine.run.pre", chaos::PANIC_MSG);
-            }
-        }
-        let status = run_query(job, pool, shared);
-        if let Some(fault) = chaos::failpoint!("engine.run.post", job.tag) {
-            if fault.is_panic() {
-                panic!("{} at engine.run.post", chaos::PANIC_MSG);
-            }
-        }
-        status
-    }));
-    match result {
-        Ok(status) => status,
-        Err(payload) => QueryStatus::Failed(panic_message(payload.as_ref())),
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Chaos cache poisoning: the corrupted entry a firing
-/// [`FaultAction::CorruptCache`] stores in place of the real output. Any
-/// later hit serves a wrong answer whose digest cannot match the
-/// sequential oracle's — the drill that proves the oracle guards the
-/// cache path.
-fn corrupted(output: &QueryOutput) -> QueryOutput {
-    QueryOutput::KHop(output.digest() ^ 0xBAD_CAC4E)
-}
-
-fn run_query(job: &Job, pool: &ThreadPool, shared: &Shared) -> QueryStatus {
-    let epoch = job.snapshot.epoch();
-    let ov = shared.buffer.current();
-    if ov.epoch() != epoch {
-        // A publish or compaction raced this job between admission and
-        // execution: the live overlay no longer describes this job's
-        // pinned base. Serve the pinned snapshot as-is and bypass the
-        // cache — no (epoch, delta-seq) key names this transitional view.
-        return run_query_uncached(job, pool, shared, None);
-    }
-    let seq = ov.seq();
-    // Serve from the (epoch, delta-seq)-keyed cache first: identical query
-    // + identical graph state = bit-identical output, so a hit skips the
-    // kernel entirely while the response (and its digest) stays exactly
-    // what a fresh run would produce. Any mutation bumps the delta-seq,
-    // making every entry cached against the older overlay unreachable.
-    if let Some(output) = shared.cache.get(epoch, seq, &job.query) {
-        recorder::record_lane(
-            EventKind::CacheHit,
-            lane(job.class) as u8,
-            job.request_id,
-            epoch,
-        );
-        return QueryStatus::Completed(output);
-    }
-    let overlay = if ov.is_empty() { None } else { Some(&*ov) };
-    let status = run_query_uncached(job, pool, shared, overlay);
-    // The clone feeding the store is skipped outright when the cache is
-    // off (`cache_capacity: 0`) — a benchmark or test that disables the
-    // cache should not pay a per-result deep copy for nothing.
-    if let QueryStatus::Completed(output) = &status {
-        if shared.cache.enabled() {
-            let stored = match chaos::failpoint!("engine.cache.insert", job.tag) {
-                Some(f) if f.action == FaultAction::CorruptCache => corrupted(output),
-                _ => output.clone(),
-            };
-            shared.cache.insert(epoch, seq, job.query, stored);
-        }
-    }
-    status
-}
-
-fn run_query_uncached(
-    job: &Job,
-    pool: &ThreadPool,
-    shared: &Shared,
-    overlay: Option<&DeltaOverlay>,
-) -> QueryStatus {
-    let graph = job.snapshot.graph();
-    // Failpoint `engine.overlay.read`: a `StaleRead` fault drops the
-    // overlay from this read and serves the stale base — the drill that
-    // proves the rebuild oracle catches a broken overlay-read path.
-    let overlay = match overlay {
-        Some(ov) => match chaos::failpoint!("engine.overlay.read", job.tag) {
-            Some(f) if f.action == FaultAction::StaleRead => None,
-            _ => Some(ov),
-        },
-        None => None,
-    };
-    match job.query {
-        // Point queries run inline on the executor thread: waking the pool
-        // would cost more than the lookup.
-        Query::Degree { vertex } => {
-            let (out, inc) = match overlay {
-                Some(ov) => ov.degree(graph, vertex),
-                None => graph.degree(vertex),
-            }
-            .unwrap_or((0, 0));
-            QueryStatus::Completed(QueryOutput::Degree { out, inc })
-        }
-        Query::KHop { source, hops } => {
-            let count = match overlay {
-                Some(ov) => ov.k_hop(graph, source, hops),
-                None => graph.k_hop(source, hops),
-            };
-            QueryStatus::Completed(QueryOutput::KHop(count))
-        }
-        Query::Run { workload, source } => {
-            let served = match overlay {
-                None => service::run_service(workload, pool, graph.service(), source, &job.token),
-                Some(ov) => run_overlay_service(job, pool, shared, ov, workload, source),
-            };
-            match served {
-                Ok(output) => QueryStatus::Completed(QueryOutput::Workload(output)),
-                Err(ServiceError::Cancelled) => {
-                    if job.token.deadline_passed() {
-                        QueryStatus::DeadlineExceeded
-                    } else {
-                        QueryStatus::Cancelled
-                    }
-                }
-                Err(ServiceError::Unsupported(w)) => QueryStatus::Unsupported(w),
-            }
-        }
-    }
-}
-
-/// Serve a workload query against base + overlay. Connected components on
-/// an insert-only ("clean") overlay goes through the incremental
-/// union-find kernel; everything else recomputes on the memoized
-/// materialized graph.
-fn run_overlay_service(
-    job: &Job,
-    pool: &ThreadPool,
-    shared: &Shared,
-    ov: &DeltaOverlay,
-    workload: Workload,
-    source: u32,
-) -> Result<ServiceOutput, ServiceError> {
-    if workload == Workload::CComp && !ov.dirty() {
-        if let Some(labels) = incremental_ccomp(pool, shared, job, ov)? {
-            return Ok(ServiceOutput::Labels(labels));
-        }
-    }
-    let graph = materialized_for(shared, &job.snapshot, ov);
-    service::run_service(workload, pool, graph.service(), source, &job.token)
-}
-
-/// Advance the per-epoch incremental connected-components state to this
-/// overlay's insert log and return the labels. `None` when the shared
-/// state has already advanced past this overlay's log (an older in-flight
-/// view must recompute — union-find cannot rewind).
-fn incremental_ccomp(
-    pool: &ThreadPool,
-    shared: &Shared,
-    job: &Job,
-    ov: &DeltaOverlay,
-) -> Result<Option<Vec<u32>>, ServiceError> {
-    let mut guard = lockp(&shared.inc_ccomp);
-    let needs_seed = !matches!(&*guard, Some((e, _)) if *e == ov.epoch());
-    if needs_seed {
-        // Seed once per epoch with a full pool run over the base graph;
-        // every later clean-overlay CComp is a cheap union of the new
-        // insert-log suffix instead of a whole-graph recompute.
-        let base =
-            parallel::ccomp_cancellable(pool, job.snapshot.graph().service().sym(), &job.token)?;
-        *guard = Some((ov.epoch(), IncrementalCComp::new(&base)));
-    }
-    let (_, inc) = guard.as_mut().expect("state seeded above");
-    if inc.applied() > ov.insert_log().len() {
-        return Ok(None);
-    }
-    inc.advance(ov.insert_log());
-    Ok(Some(inc.labels(ov.n_total() as usize)))
-}
-
-/// The memoized materialization of `(epoch, delta-seq)` — base + overlay
-/// folded into a real sharded CSR, shared by every workload query and by
-/// the compactor so one overlay version pays the fold exactly once.
-fn materialized_for(shared: &Shared, snap: &EpochSnapshot, ov: &DeltaOverlay) -> Arc<ShardedGraph> {
-    let mut memo = lockp(&shared.materialized);
-    if let Some((e, s, g)) = &*memo {
-        if *e == ov.epoch() && *s == ov.seq() {
-            return Arc::clone(g);
-        }
-    }
-    let g = Arc::new(ov.materialize(snap.graph(), shared.shards));
-    *memo = Some((ov.epoch(), ov.seq(), Arc::clone(&g)));
-    g
-}
-
-/// Background compaction worker: waits on the doorbell the write path
-/// rings when the overlay crosses the configured threshold, folds, and
-/// re-checks (mutations landing mid-fold may already warrant another
-/// pass).
-fn compactor_loop(store: &GraphStore, shared: &Shared, metrics: &EngineMetrics, threshold: usize) {
-    let (doorbell, cv) = &shared.compact_doorbell;
-    loop {
-        {
-            let mut state = lockp(doorbell);
-            while !state.0 && !state.1 {
-                state = cv.wait(state).unwrap_or_else(|e| e.into_inner());
-            }
-            if state.1 {
-                return;
-            }
-            state.0 = false;
-        }
-        compact_inner(store, shared, metrics);
-        if shared.buffer.current().overlay_edges() >= threshold {
-            lockp(doorbell).0 = true;
-        }
-    }
-}
-
-/// Fold the current overlay into a fresh sharded CSR and publish it as a
-/// new epoch. Materialization runs *off* the write lock (mutations keep
-/// landing); publication retries optimistically and only falls back to
-/// folding under the lock — the measured "compaction pause" — when writers
-/// keep winning the race. Returns the serving epoch (unchanged when there
-/// was nothing to fold).
-fn compact_inner(store: &GraphStore, shared: &Shared, metrics: &EngineMetrics) -> u64 {
-    let ov0 = shared.buffer.current();
-    if ov0.is_empty() {
-        return store.epoch();
-    }
-    metrics.compact_started.inc();
-    recorder::record(EventKind::CompactStart, ov0.epoch(), ov0.seq());
-    let _ = chaos::failpoint!("engine.compact.pre");
-    let mut attempts = 0;
-    let epoch = loop {
-        attempts += 1;
-        if attempts > 3 {
-            // Writers keep beating us to the buffer: fold while holding
-            // the write lock. This is the stop-the-world pause the bench
-            // reports; the optimistic path below keeps it rare.
-            let _w = lockp(&shared.write_lock);
-            let snap = store.snapshot();
-            let cur = shared.buffer.current();
-            if cur.is_empty() {
-                break 0;
-            }
-            let pause = Instant::now();
-            let graph = Arc::new(cur.materialize(snap.graph(), shared.shards));
-            break publish_folded(store, shared, metrics, graph, pause);
-        }
-        let snap = store.snapshot();
-        let cur = shared.buffer.current();
-        if cur.is_empty() {
-            break 0; // another writer already folded or replaced the graph
-        }
-        if cur.epoch() != snap.epoch() {
-            continue; // raced a publish; re-grab a consistent pair
-        }
-        let graph = materialized_for(shared, &snap, &cur);
-        let pause = Instant::now();
-        let _w = lockp(&shared.write_lock);
-        if shared.buffer.current().seq() == cur.seq() && store.epoch() == snap.epoch() {
-            break publish_folded(store, shared, metrics, graph, pause);
-        }
-        // A batch landed while we materialized; retry with the fresh log.
-    };
-    let _ = chaos::failpoint!("engine.compact.post");
-    recorder::record(EventKind::CompactEnd, ov0.epoch(), epoch);
-    metrics.compact_completed.inc();
-    if epoch == 0 {
-        store.epoch()
-    } else {
-        epoch
-    }
-}
-
-/// Publish an already-folded graph as the next epoch, reset the overlay
-/// onto it (sequence counter preserved), and sweep the cache. The caller
-/// holds the write lock; `pause` marks when the write path stalled.
-fn publish_folded(
-    store: &GraphStore,
-    shared: &Shared,
-    metrics: &EngineMetrics,
-    graph: Arc<ShardedGraph>,
-    pause: Instant,
-) -> u64 {
-    let n_total = graph.num_vertices() as u32;
-    let epoch = store.publish_shared(graph);
-    shared.buffer.reset(epoch, n_total);
-    shared.cache.invalidate();
-    metrics
-        .compact_pause_us
-        .record(pause.elapsed().as_micros() as u64);
-    epoch
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use graphbig_datagen::Dataset;
 
-    fn csr(n: usize) -> Csr {
+    pub(crate) fn csr(n: usize) -> Csr {
         Csr::from_graph(&Dataset::Ldbc.generate_with_vertices(n))
     }
 
-    fn quiet_cfg() -> EngineConfig {
+    pub(crate) fn quiet_cfg() -> EngineConfig {
         EngineConfig {
             pool_threads: 2,
             ..EngineConfig::default()
@@ -1927,51 +699,6 @@ mod tests {
             .unwrap();
         assert!(matches!(t.wait().status, QueryStatus::Completed(_)));
         assert_eq!(engine.admission().in_flight_cost(), 0);
-    }
-
-    #[test]
-    fn expired_deadline_cancels_instead_of_completing() {
-        let reg = Registry::new();
-        let engine = Engine::with_registry(quiet_cfg(), csr(300), &reg);
-        let t = engine
-            .submit_with_deadline(
-                Query::Run {
-                    workload: Workload::CComp,
-                    source: 0,
-                },
-                Some(Duration::ZERO),
-            )
-            .unwrap();
-        let r = t.wait();
-        assert_eq!(r.status, QueryStatus::DeadlineExceeded);
-        use graphbig_telemetry::MetricValue;
-        assert_eq!(
-            reg.snapshot()["engine.deadline_missed"],
-            MetricValue::Counter(1)
-        );
-        // Budget is released even for missed queries.
-        assert_eq!(engine.admission().in_flight_cost(), 0);
-    }
-
-    #[test]
-    fn explicit_cancel_reports_cancelled() {
-        let reg = Registry::new();
-        let engine = Engine::with_registry(quiet_cfg(), csr(100), &reg);
-        let t = engine
-            .submit(Query::Run {
-                workload: Workload::SPath,
-                source: 0,
-            })
-            .unwrap();
-        t.cancel();
-        let r = t.wait();
-        // Depending on timing the cancel lands before or during execution;
-        // either way the query must not complete... unless it already
-        // finished before the cancel arrived, which tiny graphs allow.
-        match r.status {
-            QueryStatus::Cancelled | QueryStatus::Completed(_) => {}
-            other => panic!("unexpected status {other:?}"),
-        }
     }
 
     #[test]
@@ -2071,144 +798,52 @@ mod tests {
         }
     }
 
+    /// The `Drop` backstop is only reachable when an executor died outside
+    /// its panic guard, so this retires the executors by hand to strand a
+    /// job — which is why the check lives here and not in
+    /// `tests/lifecycle.rs` next to the other lifecycle assertions.
     #[test]
-    fn select_lane_ages_starving_lanes() {
-        let all = [true, true, true, true];
-        // Strict priority while nobody has aged out.
-        assert_eq!(select_lane(all, [0; 4], 4), Some(0));
-        assert_eq!(select_lane([false, true, true, false], [0; 4], 4), Some(1));
-        assert_eq!(select_lane([false; 4], [9; 4], 4), None);
-        // A lane at the limit is served ahead of higher priorities.
-        assert_eq!(select_lane(all, [0, 0, 4, 0], 4), Some(2));
-        assert_eq!(
-            select_lane(all, [0, 4, 4, 0], 4),
-            Some(1),
-            "lowest aged wins"
-        );
-        // The write lane ages into service like any other.
-        assert_eq!(select_lane(all, [0, 0, 0, 4], 4), Some(3));
-        // An empty lane never ages into service.
-        assert_eq!(
-            select_lane([true, false, true, false], [0, 9, 0, 9], 4),
-            Some(0)
-        );
-        // Limit 0 = aging off: strict priority no matter the counters.
-        assert_eq!(select_lane(all, [0, 99, 99, 99], 0), Some(0));
-    }
-
-    #[test]
-    fn lane_skip_counts_are_bounded_by_the_aging_limit() {
-        // Model a point-query storm directly on the Lanes state machine:
-        // lane 0 never empties, lane 2 holds a steady backlog. Without
-        // aging lane 2 would starve forever; with it, lane 2 is served at
-        // least once every `limit + 1` dequeues and its skip counter never
-        // passes `limit + 1`.
-        let limit = 4u64;
-        let mut lanes = Lanes {
-            queues: [
-                VecDeque::new(),
-                VecDeque::new(),
-                VecDeque::new(),
-                VecDeque::new(),
-            ],
-            skips: [0; 4],
-            max_skip: 0,
-            aging_limit: limit,
-            shutdown: false,
-        };
-        let stub = |class: CostClass| {
-            let (tx, _rx) = channel();
-            Job {
-                query: Query::Degree { vertex: 0 },
-                class,
-                cost: 1,
-                static_cost: 1,
-                snapshot: GraphStore::new(ShardedGraph::build(
-                    Csr::from_graph(&graphbig_datagen::Dataset::Ldbc.generate_with_vertices(8)),
-                    2,
-                ))
-                .snapshot(),
-                token: CancelToken::new(),
-                enqueued: Instant::now(),
-                tag: 0,
-                request_id: 0,
-                resolver: Resolver::new(tx),
-            }
-        };
-        let mut analytics_served = 0u64;
-        for round in 0..100 {
-            lanes.queues[0].push_back(stub(CostClass::Point));
-            if lanes.queues[2].is_empty() {
-                lanes.queues[2].push_back(stub(CostClass::Analytics));
-            }
-            let (job, aged) = lanes.pop().unwrap();
-            if job.class == CostClass::Analytics {
-                analytics_served += 1;
-                assert!(aged, "analytics only gets served via aging here");
-            }
-            assert!(
-                lanes.max_skip <= limit + 1,
-                "round {round}: skip {} exceeds bound",
-                lanes.max_skip
-            );
+    fn drop_backstop_sheds_through_the_same_dequeue_as_the_executors() {
+        use graphbig_telemetry::MetricValue;
+        let reg = Registry::new();
+        let mut engine = Engine::with_registry(quiet_cfg(), csr(64), &reg);
+        lock(&engine.shared.lanes).shutdown = true;
+        engine.shared.available.notify_all();
+        for h in engine.executors.drain(..) {
+            h.join().expect("executor exits cleanly");
         }
-        assert!(
-            analytics_served >= 100 / (limit + 2),
-            "lane 2 starved: served {analytics_served} of 100"
+        let ticket = engine.submit(Query::Degree { vertex: 0 }).unwrap();
+        let rid = ticket.request_id();
+        drop(engine);
+        assert_eq!(ticket.wait().status, QueryStatus::Cancelled);
+        // The whole story was recorded on this thread, so ring order is
+        // causal order: the backstop leaves dequeue -> run -> resolve.
+        let story: Vec<(EventKind, u64)> = recorder::snapshot()
+            .events
+            .iter()
+            .filter(|e| e.id == rid)
+            .map(|e| (e.kind, e.arg))
+            .collect();
+        let kinds: Vec<EventKind> = story.iter().map(|(kind, _)| *kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                EventKind::Admit,
+                EventKind::Enqueue,
+                EventKind::Dequeue,
+                EventKind::Run,
+                EventKind::Resolve
+            ]
         );
-    }
-
-    #[test]
-    fn cache_serves_identical_results_and_publish_invalidates() {
-        let reg = Registry::new();
-        let engine = Engine::with_registry(quiet_cfg(), csr(200), &reg);
-        let q = Query::KHop { source: 3, hops: 2 };
-        let first = engine.submit(q).unwrap().wait();
-        let QueryStatus::Completed(ref cold) = first.status else {
-            panic!("{:?}", first.status);
-        };
-        assert!(engine.cache_len() >= 1);
-        let second = engine.submit(q).unwrap().wait();
-        let QueryStatus::Completed(ref hot) = second.status else {
-            panic!("{:?}", second.status);
-        };
-        assert_eq!(cold, hot, "cache hit must be bit-identical");
-        assert_eq!(cold.digest(), hot.digest());
-        use graphbig_telemetry::MetricValue;
-        assert_eq!(reg.snapshot()["engine.cache.hit"], MetricValue::Counter(1));
-        // Publishing a *different* graph must not serve stale results.
-        engine.publish(csr(300));
-        assert_eq!(engine.cache_len(), 0, "publish sweeps the cache");
-        let fresh = engine.submit(q).unwrap().wait();
-        let QueryStatus::Completed(ref post) = fresh.status else {
-            panic!("{:?}", fresh.status);
-        };
-        assert_ne!(
-            cold.digest(),
-            post.digest(),
-            "a 200- vs 300-vertex graph must answer differently"
-        );
+        assert_eq!(story[3].1, 2, "run carries the cancelled code");
+        assert_eq!(story[4].1, 2, "resolve carries the cancelled code");
+        // ... and the queue-stage samples every executor dequeue records.
+        assert_eq!(reg.histogram("engine.queue_us").snapshot().count, 1);
+        let queue_point = reg.histogram("engine.stage_us.queue.point");
+        assert_eq!(queue_point.snapshot().count, 1);
         let snap = reg.snapshot();
-        assert!(matches!(snap["engine.cache.evict"], MetricValue::Counter(n) if n >= 1));
-    }
-
-    #[test]
-    fn disabled_cache_never_hits() {
-        let reg = Registry::new();
-        let cfg = EngineConfig {
-            cache_capacity: 0,
-            ..quiet_cfg()
-        };
-        let engine = Engine::with_registry(cfg, csr(100), &reg);
-        let q = Query::Degree { vertex: 5 };
-        let a = engine.submit(q).unwrap().wait();
-        let b = engine.submit(q).unwrap().wait();
-        assert_eq!(a.status, b.status, "identical answers either way");
-        use graphbig_telemetry::MetricValue;
-        let snap = reg.snapshot();
-        assert_eq!(snap["engine.cache.hit"], MetricValue::Counter(0));
-        assert_eq!(snap["engine.cache.miss"], MetricValue::Counter(0));
-        assert_eq!(engine.cache_len(), 0);
+        assert_eq!(snap["engine.cancelled"], MetricValue::Counter(1));
+        assert_eq!(snap["engine.resolved"], MetricValue::Counter(1));
     }
 
     #[test]
@@ -2230,169 +865,10 @@ mod tests {
         assert!(degree <= khop && khop <= bfs && bfs < heavy);
     }
 
-    fn manual_compaction_cfg() -> EngineConfig {
+    pub(crate) fn manual_compaction_cfg() -> EngineConfig {
         EngineConfig {
             compact_threshold: 0,
             ..quiet_cfg()
         }
-    }
-
-    #[test]
-    fn mutations_read_through_the_overlay_and_compaction_preserves_them() {
-        let reg = Registry::new();
-        let engine = Engine::with_registry(manual_compaction_cfg(), csr(64), &reg);
-        let before = engine.submit(Query::Degree { vertex: 0 }).unwrap().wait();
-        let QueryStatus::Completed(QueryOutput::Degree { out: out0, .. }) = before.status else {
-            panic!("{:?}", before.status);
-        };
-        // A new vertex (id 64) plus an edge to it from vertex 0.
-        let receipt = engine
-            .mutate(&[
-                Mutation::AddVertex,
-                Mutation::AddEdge {
-                    u: 0,
-                    v: 64,
-                    w: 1.0,
-                },
-            ])
-            .unwrap();
-        assert_eq!((receipt.epoch, receipt.seq, receipt.applied), (1, 1, 2));
-        let during = engine.submit(Query::Degree { vertex: 0 }).unwrap().wait();
-        let QueryStatus::Completed(QueryOutput::Degree { out: out1, .. }) = during.status else {
-            panic!("{:?}", during.status);
-        };
-        assert_eq!(out1, out0 + 1, "reads must see the overlay insert");
-        // Compaction folds the overlay into epoch 2; the read sticks.
-        assert_eq!(engine.compact(), 2);
-        assert!(engine.overlay().is_empty());
-        assert_eq!(engine.delta_seq(), 1, "delta-seq survives compaction");
-        let after = engine.submit(Query::Degree { vertex: 0 }).unwrap().wait();
-        assert_eq!(after.epoch, 2);
-        let QueryStatus::Completed(QueryOutput::Degree { out: out2, .. }) = after.status else {
-            panic!("{:?}", after.status);
-        };
-        assert_eq!(out2, out0 + 1);
-        use graphbig_telemetry::MetricValue;
-        let snap = reg.snapshot();
-        assert_eq!(snap["engine.mutations"], MetricValue::Counter(1));
-        assert_eq!(snap["engine.completed.write"], MetricValue::Counter(1));
-        assert_eq!(snap["engine.compact.started"], MetricValue::Counter(1));
-        assert_eq!(snap["engine.compact.completed"], MetricValue::Counter(1));
-    }
-
-    #[test]
-    fn mutation_moves_the_cache_to_a_new_delta_seq() {
-        let reg = Registry::new();
-        let engine = Engine::with_registry(manual_compaction_cfg(), csr(100), &reg);
-        let q = Query::Degree { vertex: 7 };
-        let a = engine.submit(q).unwrap().wait();
-        let _warm = engine.submit(q).unwrap().wait();
-        use graphbig_telemetry::MetricValue;
-        assert_eq!(reg.snapshot()["engine.cache.hit"], MetricValue::Counter(1));
-        // A mutation bumps the delta-seq: same epoch, new key — the entry
-        // cached at seq 0 must be unreachable, not served stale.
-        engine
-            .mutate(&[
-                Mutation::AddVertex,
-                Mutation::AddEdge {
-                    u: 7,
-                    v: 100,
-                    w: 1.0,
-                },
-            ])
-            .unwrap();
-        let c = engine.submit(q).unwrap().wait();
-        assert_eq!(
-            reg.snapshot()["engine.cache.hit"],
-            MetricValue::Counter(1),
-            "the pre-mutation entry must not hit"
-        );
-        let d = engine.submit(q).unwrap().wait();
-        assert_eq!(
-            reg.snapshot()["engine.cache.hit"],
-            MetricValue::Counter(2),
-            "the post-mutation entry caches at the new delta-seq"
-        );
-        assert_eq!(c.status, d.status, "hit is bit-identical");
-        let QueryStatus::Completed(QueryOutput::Degree { out: oa, .. }) = a.status else {
-            panic!("{:?}", a.status);
-        };
-        let QueryStatus::Completed(QueryOutput::Degree { out: oc, .. }) = c.status else {
-            panic!("{:?}", c.status);
-        };
-        assert_eq!(oc, oa + 1);
-    }
-
-    #[test]
-    fn incremental_ccomp_over_the_overlay_matches_materialized_recompute() {
-        let cfg = EngineConfig {
-            cache_capacity: 0,
-            ..manual_compaction_cfg()
-        };
-        let engine = Engine::with_registry(cfg, csr(120), &Registry::new());
-        let q = Query::Run {
-            workload: Workload::CComp,
-            source: 0,
-        };
-        // Bridge two far-apart vertices through a fresh one: a clean
-        // (insert-only) overlay, so the incremental union-find path serves
-        // this query.
-        engine
-            .mutate(&[
-                Mutation::AddVertex,
-                Mutation::AddEdge {
-                    u: 3,
-                    v: 120,
-                    w: 1.0,
-                },
-                Mutation::AddEdge {
-                    u: 90,
-                    v: 120,
-                    w: 1.0,
-                },
-            ])
-            .unwrap();
-        let inc = engine.submit(q).unwrap().wait();
-        let QueryStatus::Completed(ref inc_out) = inc.status else {
-            panic!("{:?}", inc.status);
-        };
-        // The same logical graph served from the compacted CSR must agree
-        // bit-for-bit.
-        engine.compact();
-        let full = engine.submit(q).unwrap().wait();
-        let QueryStatus::Completed(ref full_out) = full.status else {
-            panic!("{:?}", full.status);
-        };
-        assert_eq!(inc_out.digest(), full_out.digest());
-    }
-
-    #[test]
-    fn background_compactor_folds_the_overlay_past_the_threshold() {
-        let cfg = EngineConfig {
-            compact_threshold: 4,
-            ..quiet_cfg()
-        };
-        let engine = Engine::with_registry(cfg, csr(64), &Registry::new());
-        engine.mutate(&[Mutation::AddVertex]).unwrap();
-        for u in 0..6u32 {
-            engine
-                .mutate(&[Mutation::AddEdge { u, v: 64, w: 1.0 }])
-                .unwrap();
-        }
-        // The compactor folds asynchronously; wait for the epoch to move.
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while engine.store().epoch() == 1 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(
-            engine.store().epoch() >= 2,
-            "compactor never folded the overlay"
-        );
-        // All six inserts survive, wherever the compaction boundary fell.
-        let r = engine.submit(Query::Degree { vertex: 64 }).unwrap().wait();
-        let QueryStatus::Completed(QueryOutput::Degree { inc, .. }) = r.status else {
-            panic!("{:?}", r.status);
-        };
-        assert_eq!(inc, 6);
     }
 }

@@ -1,0 +1,527 @@
+//! The executor side: pop, form a group, dequeue it, run it.
+//!
+//! There is one path. An executor pops a leader under the lane-aging
+//! policy, [`form_batch`] drains whatever compatible jobs may ride with it
+//! (usually none — a solo job is a group of one), every member goes
+//! through [`crate::lifecycle::dequeue`], and [`run_group`] walks each
+//! member through the same guarded run:
+//!
+//! `engine.run.pre` → cache probe → `engine.overlay.read` → **kernel** →
+//! cache insert (`engine.cache.insert`) → `engine.run.post` →
+//! [`crate::lifecycle::finish_job`].
+//!
+//! Only the kernel step depends on the group's shape: the members of a BFS
+//! group that miss the cache and read the group's graph state share one
+//! multi-source pass; everyone else runs [`run_query_uncached`] alone. So a
+//! request's failpoint decisions, terminal status and cache footprint are
+//! the same whether or not the scheduler happened to coalesce it.
+
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use graphbig_chaos::{self as chaos, FaultAction};
+use graphbig_runtime::CancelToken;
+use graphbig_telemetry::recorder::{self, EventKind};
+use graphbig_workloads::service::{self, ServiceError, ServiceOutput};
+use graphbig_workloads::{msbfs, Workload};
+
+use crate::batch::{self, BatchKind};
+use crate::compact::{incremental_ccomp, materialized_for};
+use crate::delta::DeltaOverlay;
+use crate::engine::{Query, QueryOutput, QueryStatus};
+use crate::lifecycle::{dequeue, finish_job, lane, lock, terminal_status, Job, Pending, Shared};
+
+pub(crate) fn executor_loop(sh: &Shared) {
+    loop {
+        let (leader, draining) = {
+            let mut lanes = lock(&sh.lanes);
+            loop {
+                if let Some((job, aged)) = lanes.pop(sh.cfg.lane_aging_limit) {
+                    if aged {
+                        sh.metrics.lane_aged.inc();
+                    }
+                    break (job, lanes.shutdown);
+                }
+                if lanes.shutdown {
+                    return;
+                }
+                lanes = sh.available.wait(lanes).unwrap_or_else(|e| e.into_inner());
+            }
+        };
+        // Shared-traversal batching: coalesce compatible queued requests
+        // behind this one. Only on the live path — a draining engine sheds
+        // queries instead.
+        let opened = Instant::now();
+        let mates = if draining {
+            Vec::new()
+        } else {
+            form_batch(sh, &leader)
+        };
+        let leader_rid = (!mates.is_empty()).then(|| {
+            let size = 1 + mates.len() as u64;
+            sh.metrics.batch_size.record(size);
+            sh.metrics
+                .batch_coalesce_us
+                .record(opened.elapsed().as_micros() as u64);
+            let lane_idx = lane(leader.class) as u8;
+            recorder::record_lane(EventKind::BatchStart, lane_idx, leader.request_id, size);
+            leader.request_id
+        });
+        let leader = dequeue(sh, leader, leader_rid, draining);
+        let mates = mates
+            .into_iter()
+            .map(|m| dequeue(sh, m, leader_rid, draining))
+            .collect();
+        run_group(sh, leader, mates);
+    }
+}
+
+/// Drain jobs compatible with `leader` from its lane (FIFO order
+/// preserved); empty when the leader is not batchable or coalescing is off
+/// (`batch_max <= 1`). Members must share the leader's batch kind and
+/// epoch, and the group stops growing if the live overlay's `(epoch,
+/// delta-seq)` moves mid-window — one group executes against exactly one
+/// graph state. With `batch_window_us == 0` this coalesces only what is
+/// already queued and never waits.
+fn form_batch(sh: &Shared, leader: &Job) -> Vec<Job> {
+    let kind = batch::kind_of(&leader.query);
+    let cap = match kind {
+        Some(BatchKind::Bfs) => sh.cfg.batch_max.min(msbfs::MSBFS_LANES),
+        Some(BatchKind::Point) => sh.cfg.batch_max,
+        None => 0,
+    };
+    if cap <= 1 {
+        return Vec::new();
+    }
+    let epoch = leader.snapshot.epoch();
+    let ov = sh.buffer.current();
+    let state = (ov.epoch(), ov.seq());
+    let lane_idx = lane(leader.class);
+    let window = Duration::from_micros(sh.cfg.batch_window_us);
+    let opened = Instant::now();
+    let mut mates: Vec<Job> = Vec::new();
+    loop {
+        {
+            let mut lanes = lock(&sh.lanes);
+            if lanes.shutdown {
+                break;
+            }
+            let queue = &mut lanes.queues[lane_idx];
+            let mut i = 0;
+            while i < queue.len() && mates.len() + 1 < cap {
+                let compatible =
+                    batch::kind_of(&queue[i].query) == kind && queue[i].snapshot.epoch() == epoch;
+                if compatible {
+                    mates.push(queue.remove(i).expect("index is in bounds"));
+                } else {
+                    i += 1;
+                }
+            }
+        }
+        if mates.len() + 1 >= cap || sh.cfg.batch_window_us == 0 {
+            break;
+        }
+        let elapsed = opened.elapsed();
+        if elapsed >= window {
+            break;
+        }
+        let cur = sh.buffer.current();
+        if (cur.epoch(), cur.seq()) != state {
+            break; // a mutation moved the graph state: close the group
+        }
+        std::thread::sleep((window - elapsed).min(Duration::from_micros(50)));
+    }
+    mates
+}
+
+/// The graph state one group executes against, sampled once per group.
+struct View<'a> {
+    /// `(epoch, delta-seq)` the group's results cache under. `None` when a
+    /// publish or compaction raced the group between admission and
+    /// execution: the live overlay no longer describes the pinned base, so
+    /// the group serves the pinned snapshot as-is and bypasses the cache —
+    /// no key names this transitional view.
+    key: Option<(u64, u64)>,
+    /// The overlay reads go through, when there is one to apply.
+    overlay: Option<&'a DeltaOverlay>,
+}
+
+/// What the pre-kernel steps decided for one member.
+enum Probe<'a> {
+    /// Served from the cache; no kernel, nothing to insert.
+    Hit(QueryOutput),
+    /// Run the kernel, reading through this overlay (`None` = pinned base).
+    Miss(Option<&'a DeltaOverlay>),
+}
+
+/// Run every member of a dequeued group — the leader and whatever mates
+/// were coalesced behind it, usually none — to its terminal status.
+/// Members share an epoch and a batch kind (a group of one trivially
+/// does). Point members run in shard-sweep order — group by shard index,
+/// then vertex — so a sweep walks each shard's slice of the CSR once
+/// instead of hopping between shards per request; the win is pure access
+/// locality, every result is identical to running that member alone.
+pub(crate) fn run_group(sh: &Shared, leader: Pending, mut mates: Vec<Pending>) {
+    let epoch = leader.job.snapshot.epoch();
+    let shares_pass = batch::kind_of(&leader.job.query) == Some(BatchKind::Bfs);
+    let mut leader = Some(leader);
+    if !mates.is_empty() && !shares_pass {
+        // The leader sorts with its mates, so it joins them in the `Vec`.
+        mates.insert(0, leader.take().expect("leader not yet moved"));
+        let snapshot = Arc::clone(&mates[0].job.snapshot);
+        batch::shard_sweep_order(
+            &mut mates,
+            |p| batch::point_vertex(&p.job.query),
+            |v| snapshot.graph().shard_of(v).map(|s| s.index()),
+        );
+    }
+    let ov = sh.buffer.current();
+    let key = (ov.epoch() == epoch).then(|| (epoch, ov.seq()));
+    let view = View {
+        key,
+        overlay: (key.is_some() && !ov.is_empty()).then_some(&*ov),
+    };
+    // BFS members waiting for the shared pass (never allocated otherwise).
+    let mut pass: Vec<Pending> = Vec::new();
+    for mut p in leader.into_iter().chain(mates) {
+        let started = Instant::now();
+        // One panic guard around everything this member runs on its own. A
+        // panic — injected via `engine.run.pre` / `engine.run.post` /
+        // `runtime.cancel.check`, or a genuine bug surfacing through
+        // `ThreadPool::broadcast`'s re-throw — terminates *this query* with
+        // `Failed`; the executor thread, the pool workers, and every other
+        // query keep going. `None` = the member rides the shared pass.
+        let outcome = match p.forced.take() {
+            Some(forced) => Some(forced),
+            None => guard(|| match before_kernel(sh, &p.job, &view) {
+                Probe::Hit(output) => {
+                    let status = QueryStatus::Completed(output);
+                    Some(after_kernel(sh, &p.job, status, None))
+                }
+                // A `StaleRead` member no longer reads the group's graph
+                // state: it leaves the pass and runs alone on the stale base.
+                Probe::Miss(overlay)
+                    if shares_pass && overlay.is_some() == view.overlay.is_some() =>
+                {
+                    None
+                }
+                Probe::Miss(overlay) => {
+                    let status = run_query_uncached(sh, &p.job, overlay);
+                    Some(after_kernel(sh, &p.job, status, view.key))
+                }
+            })
+            .unwrap_or_else(Some),
+        };
+        match outcome {
+            Some(status) => finish_job(sh, p, status, started.elapsed().as_micros() as u64),
+            None => pass.push(p),
+        }
+    }
+    if !pass.is_empty() {
+        run_shared_pass(sh, pass, &view);
+    }
+}
+
+/// The kernel step for the BFS members of a group: every lane rides one
+/// [`msbfs::msbfs_dir_opt_cancellable`] pass (which itself falls back to
+/// per-source direction-optimized runs below its lane crossover, so a group
+/// of one costs one single-source BFS). Per-lane output is bit-identical to
+/// the single-source kernel, so fanned-out results — and the cache entries
+/// they leave behind — match what each member would have produced alone.
+fn run_shared_pass(sh: &Shared, pass: Vec<Pending>, view: &View<'_>) {
+    // One graph for the whole pass: the memoized base+overlay
+    // materialization when an overlay is live, the pinned base otherwise.
+    let snapshot = Arc::clone(&pass[0].job.snapshot);
+    let materialized;
+    let service = match view.overlay {
+        Some(ov) => {
+            materialized = materialized_for(sh, &snapshot, ov);
+            materialized.service()
+        }
+        None => snapshot.graph().service(),
+    };
+    // Traced members get the same `KernelStart` marker `run_service`
+    // records (arg = Bfs's index in the workload registry).
+    let bfs_index = Workload::ALL
+        .iter()
+        .position(|&w| w == Workload::Bfs)
+        .unwrap_or(0) as u64;
+    for p in &pass {
+        if p.job.token.trace_id() != 0 {
+            recorder::record(EventKind::KernelStart, p.job.token.trace_id(), bfs_index);
+        }
+    }
+    let sources: Vec<u32> = pass
+        .iter()
+        .map(|p| batch::point_vertex(&p.job.query))
+        .collect();
+    let tokens: Vec<&CancelToken> = pass.iter().map(|p| &p.job.token).collect();
+    let started = Instant::now();
+    let kernel =
+        guard(|| msbfs::msbfs_dir_opt_cancellable(&sh.pool, service.bi(), &sources, &tokens));
+    let exec_us = started.elapsed().as_micros() as u64;
+    let mut kernel = kernel.map(Vec::into_iter);
+    for p in pass {
+        let status = match &mut kernel {
+            // A genuine kernel panic fails every lane in the pass — the
+            // shared-fate cost of sharing one kernel.
+            Err(failed) => failed.clone(),
+            Ok(lanes) => {
+                let status = match lanes.next().expect("one result per lane") {
+                    Ok(levels) => {
+                        QueryStatus::Completed(QueryOutput::Workload(ServiceOutput::Levels(levels)))
+                    }
+                    Err(_) => terminal_status(&p.job.token),
+                };
+                guard(|| after_kernel(sh, &p.job, status, view.key)).unwrap_or_else(|failed| failed)
+            }
+        };
+        finish_job(sh, p, status, exec_us);
+    }
+}
+
+/// Run `f` inside the engine's one panic guard; a panic becomes the
+/// [`QueryStatus::Failed`] carrying its message.
+fn guard<T>(f: impl FnOnce() -> T) -> Result<T, QueryStatus> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
+        QueryStatus::Failed(if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        })
+    })
+}
+
+/// The guarded run up to the kernel: `engine.run.pre`, then the cache
+/// probe, then — only when an overlay would apply — `engine.overlay.read`.
+fn before_kernel<'a>(sh: &Shared, job: &Job, view: &View<'a>) -> Probe<'a> {
+    if let Some(fault) = chaos::failpoint!("engine.run.pre", job.tag) {
+        if fault.is_panic() {
+            panic!("{} at engine.run.pre", chaos::PANIC_MSG);
+        }
+    }
+    // Serve from the (epoch, delta-seq)-keyed cache first: identical query
+    // + identical graph state = bit-identical output, so a hit skips the
+    // kernel entirely while the response (and its digest) stays exactly
+    // what a fresh run would produce. Any mutation bumps the delta-seq,
+    // making every entry cached against the older overlay unreachable.
+    if let Some((epoch, seq)) = view.key {
+        if let Some(output) = sh.cache.get(epoch, seq, &job.query) {
+            recorder::record_lane(
+                EventKind::CacheHit,
+                lane(job.class) as u8,
+                job.request_id,
+                epoch,
+            );
+            return Probe::Hit(output);
+        }
+    }
+    // Failpoint `engine.overlay.read`: a `StaleRead` fault drops the
+    // overlay from this read and serves the stale base — the drill that
+    // proves the rebuild oracle catches a broken overlay-read path.
+    Probe::Miss(view.overlay.filter(|_| {
+        !matches!(
+            chaos::failpoint!("engine.overlay.read", job.tag),
+            Some(f) if f.action == FaultAction::StaleRead
+        )
+    }))
+}
+
+/// The guarded run after the kernel: store a completed result under `key`
+/// (`None` for a cache hit or the transitional view — nothing to store),
+/// then `engine.run.post`. A stale-read result still lands under the live
+/// key; that is the drill — the oracle catches it.
+fn after_kernel(
+    sh: &Shared,
+    job: &Job,
+    status: QueryStatus,
+    key: Option<(u64, u64)>,
+) -> QueryStatus {
+    // The clone feeding the store is skipped outright when the cache is
+    // off (`cache_capacity: 0`) — a benchmark or test that disables the
+    // cache should not pay a per-result deep copy for nothing.
+    if let (Some((epoch, seq)), QueryStatus::Completed(output)) = (key, &status) {
+        if sh.cache.enabled() {
+            let stored = match chaos::failpoint!("engine.cache.insert", job.tag) {
+                Some(f) if f.action == FaultAction::CorruptCache => corrupted(output),
+                _ => output.clone(),
+            };
+            sh.cache.insert(epoch, seq, job.query, stored);
+        }
+    }
+    if let Some(fault) = chaos::failpoint!("engine.run.post", job.tag) {
+        if fault.is_panic() {
+            panic!("{} at engine.run.post", chaos::PANIC_MSG);
+        }
+    }
+    status
+}
+
+/// Chaos cache poisoning: the corrupted entry a firing
+/// [`FaultAction::CorruptCache`] stores in place of the real output. Any
+/// later hit serves a wrong answer whose digest cannot match the
+/// sequential oracle's — the drill that proves the oracle guards the
+/// cache path.
+fn corrupted(output: &QueryOutput) -> QueryOutput {
+    QueryOutput::KHop(output.digest() ^ 0xBAD_CAC4E)
+}
+
+/// The kernel step for one member on its own, against the job's pinned
+/// snapshot read through `overlay`.
+fn run_query_uncached(sh: &Shared, job: &Job, overlay: Option<&DeltaOverlay>) -> QueryStatus {
+    let graph = job.snapshot.graph();
+    match job.query {
+        // Point queries run inline on the executor thread: waking the pool
+        // would cost more than the lookup.
+        Query::Degree { vertex } => {
+            let (out, inc) = match overlay {
+                Some(ov) => ov.degree(graph, vertex),
+                None => graph.degree(vertex),
+            }
+            .unwrap_or((0, 0));
+            QueryStatus::Completed(QueryOutput::Degree { out, inc })
+        }
+        Query::KHop { source, hops } => {
+            let count = match overlay {
+                Some(ov) => ov.k_hop(graph, source, hops),
+                None => graph.k_hop(source, hops),
+            };
+            QueryStatus::Completed(QueryOutput::KHop(count))
+        }
+        Query::Run { workload, source } => {
+            let served = match overlay {
+                None => {
+                    service::run_service(workload, &sh.pool, graph.service(), source, &job.token)
+                }
+                Some(ov) => run_overlay_service(sh, job, ov, workload, source),
+            };
+            match served {
+                Ok(output) => QueryStatus::Completed(QueryOutput::Workload(output)),
+                Err(ServiceError::Cancelled) => terminal_status(&job.token),
+                Err(ServiceError::Unsupported(w)) => QueryStatus::Unsupported(w),
+            }
+        }
+    }
+}
+
+/// Serve a workload query against base + overlay. Connected components on
+/// an insert-only ("clean") overlay goes through the incremental
+/// union-find kernel; everything else recomputes on the memoized
+/// materialized graph.
+fn run_overlay_service(
+    sh: &Shared,
+    job: &Job,
+    ov: &DeltaOverlay,
+    workload: Workload,
+    source: u32,
+) -> Result<ServiceOutput, ServiceError> {
+    if workload == Workload::CComp && !ov.dirty() {
+        if let Some(labels) = incremental_ccomp(sh, job, ov)? {
+            return Ok(ServiceOutput::Labels(labels));
+        }
+    }
+    let graph = materialized_for(sh, &job.snapshot, ov);
+    service::run_service(workload, &sh.pool, graph.service(), source, &job.token)
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::engine::tests::{csr, manual_compaction_cfg, quiet_cfg};
+    use crate::{Engine, EngineConfig, Mutation, Query, QueryOutput, QueryStatus};
+    use graphbig_telemetry::metrics::{MetricValue, Registry};
+
+    #[test]
+    fn cache_serves_identical_results_and_publish_invalidates() {
+        let reg = Registry::new();
+        let engine = Engine::with_registry(quiet_cfg(), csr(200), &reg);
+        let q = Query::KHop { source: 3, hops: 2 };
+        let first = engine.submit(q).unwrap().wait();
+        let QueryStatus::Completed(ref cold) = first.status else {
+            panic!("{:?}", first.status);
+        };
+        assert!(engine.cache_len() >= 1);
+        let second = engine.submit(q).unwrap().wait();
+        let QueryStatus::Completed(ref hot) = second.status else {
+            panic!("{:?}", second.status);
+        };
+        assert_eq!(cold, hot, "cache hit must be bit-identical");
+        assert_eq!(cold.digest(), hot.digest());
+        assert_eq!(reg.snapshot()["engine.cache.hit"], MetricValue::Counter(1));
+        // Publishing a *different* graph must not serve stale results.
+        engine.publish(csr(300));
+        assert_eq!(engine.cache_len(), 0, "publish sweeps the cache");
+        let fresh = engine.submit(q).unwrap().wait();
+        let QueryStatus::Completed(ref post) = fresh.status else {
+            panic!("{:?}", fresh.status);
+        };
+        assert_ne!(
+            cold.digest(),
+            post.digest(),
+            "a 200- vs 300-vertex graph must answer differently"
+        );
+        let snap = reg.snapshot();
+        assert!(matches!(snap["engine.cache.evict"], MetricValue::Counter(n) if n >= 1));
+    }
+
+    #[test]
+    fn disabled_cache_never_hits() {
+        let reg = Registry::new();
+        let cfg = EngineConfig {
+            cache_capacity: 0,
+            ..quiet_cfg()
+        };
+        let engine = Engine::with_registry(cfg, csr(100), &reg);
+        let q = Query::Degree { vertex: 5 };
+        let a = engine.submit(q).unwrap().wait();
+        let b = engine.submit(q).unwrap().wait();
+        assert_eq!(a.status, b.status, "identical answers either way");
+        let snap = reg.snapshot();
+        assert_eq!(snap["engine.cache.hit"], MetricValue::Counter(0));
+        assert_eq!(snap["engine.cache.miss"], MetricValue::Counter(0));
+        assert_eq!(engine.cache_len(), 0);
+    }
+
+    #[test]
+    fn mutation_moves_the_cache_to_a_new_delta_seq() {
+        let reg = Registry::new();
+        let engine = Engine::with_registry(manual_compaction_cfg(), csr(100), &reg);
+        let q = Query::Degree { vertex: 7 };
+        let a = engine.submit(q).unwrap().wait();
+        let _warm = engine.submit(q).unwrap().wait();
+        assert_eq!(reg.snapshot()["engine.cache.hit"], MetricValue::Counter(1));
+        // A mutation bumps the delta-seq: same epoch, new key — the entry
+        // cached at seq 0 must be unreachable, not served stale.
+        engine
+            .mutate(&[
+                Mutation::AddVertex,
+                Mutation::AddEdge {
+                    u: 7,
+                    v: 100,
+                    w: 1.0,
+                },
+            ])
+            .unwrap();
+        let c = engine.submit(q).unwrap().wait();
+        assert_eq!(
+            reg.snapshot()["engine.cache.hit"],
+            MetricValue::Counter(1),
+            "the pre-mutation entry must not hit"
+        );
+        let d = engine.submit(q).unwrap().wait();
+        assert_eq!(
+            reg.snapshot()["engine.cache.hit"],
+            MetricValue::Counter(2),
+            "the post-mutation entry caches at the new delta-seq"
+        );
+        assert_eq!(c.status, d.status, "hit is bit-identical");
+        let QueryStatus::Completed(QueryOutput::Degree { out: oa, .. }) = a.status else {
+            panic!("{:?}", a.status);
+        };
+        let QueryStatus::Completed(QueryOutput::Degree { out: oc, .. }) = c.status else {
+            panic!("{:?}", c.status);
+        };
+        assert_eq!(oc, oa + 1);
+    }
+}

@@ -26,7 +26,10 @@
 //! - [`engine`]: the [`Engine`] itself — priority lanes (point queries
 //!   never queue behind analytics), executor threads over one shared
 //!   kernel pool, cooperative deadlines/cancellation, per-class latency
-//!   metrics in the telemetry registry.
+//!   metrics in the telemetry registry. Behind it, one request path:
+//!   `lifecycle` (admit, dequeue, finish — each stage written once),
+//!   `exec` (executor loop, group formation, the guarded run; a solo job
+//!   is a group of one) and `compact` (folding the overlay).
 //! - [`traffic`]: seeded multi-tenant request mixes, the closed-loop
 //!   driver behind the `graphbig-serve` binary and `benches/engine.rs`,
 //!   and the sequential oracle that cross-checks every concurrent result.
@@ -48,9 +51,12 @@
 pub mod admission;
 mod batch;
 pub mod cache;
+mod compact;
 pub mod delta;
 pub mod engine;
+mod exec;
 pub mod invariants;
+mod lifecycle;
 pub mod shard;
 pub mod slo;
 pub mod store;

@@ -753,3 +753,104 @@ fn bfs_heavy_mix_under_batch_faults_holds_every_invariant() {
         "no batch formed during a BFS-heavy 8-client mix"
     );
 }
+
+/// Regression: a fault plan's outcome must not depend on whether the
+/// scheduler coalesced the request. The same scheduled faults run twice —
+/// coalescing off (`batch_max: 1`) vs a stalled executor that forces the
+/// tagged BFS requests into one shared group — and every tagged request
+/// must reach the same terminal status (and digest) and leave the same
+/// cache footprint both times.
+#[test]
+fn fault_plan_replay_does_not_depend_on_coalescing() {
+    let _g = serial();
+    use graphbig_engine::Mutation;
+    const N: u32 = 3000;
+    // Tags 400..420 are BFS requests from distinct sources; four of them
+    // are scheduled for one fault each.
+    let source_of = |tag: u64| (tag as u32 - 400) * 131 % N;
+    let (pre_panic, post_panic, expired, stale) = (403u64, 407u64, 411u64, 415u64);
+    let bfs = |tag: u64| Query::Run {
+        workload: Workload::Bfs,
+        source: source_of(tag),
+    };
+    let run = |batch_max: usize| {
+        let reg = Registry::new();
+        let csr = Csr::from_graph(&Dataset::Ldbc.generate_with_vertices(N as usize));
+        let eng = Engine::with_registry(
+            EngineConfig {
+                executors: 1,
+                pool_threads: 2,
+                compact_threshold: 0,
+                batch_max,
+                ..EngineConfig::default()
+            },
+            csr,
+            &reg,
+        );
+        // A non-empty overlay the stale-read member will be denied: a new
+        // vertex hanging off that member's source.
+        eng.mutate(&[
+            Mutation::AddVertex,
+            Mutation::AddEdge {
+                u: source_of(stale),
+                v: N,
+                w: 1.0,
+            },
+        ])
+        .unwrap();
+        // Case (i) needs the `run.pre` victim's answer already cached.
+        let warm = eng.submit(bfs(pre_panic)).unwrap().wait();
+        assert!(matches!(warm.status, QueryStatus::Completed(_)));
+        chaos::arm(&scheduled_plan(vec![
+            ("engine.run.pre", FaultAction::Panic, vec![pre_panic]),
+            ("engine.run.post", FaultAction::Panic, vec![post_panic]),
+            ("engine.dequeue", FaultAction::DeadlineExpire, vec![expired]),
+            ("engine.overlay.read", FaultAction::StaleRead, vec![stale]),
+        ]));
+        let blocker = stall(&eng);
+        let tickets: Vec<(u64, graphbig_engine::Ticket)> = (400u64..420)
+            .map(|tag| {
+                (
+                    tag,
+                    eng.submit_tagged(bfs(tag), None, tag).expect("admitted"),
+                )
+            })
+            .collect();
+        let _ = blocker.wait();
+        let outcomes: Vec<(u64, u64, u64)> = tickets
+            .into_iter()
+            .map(|(tag, ticket)| match ticket.wait().status {
+                QueryStatus::Completed(output) => (tag, 0, output.digest()),
+                QueryStatus::DeadlineExceeded => (tag, 1, 0),
+                QueryStatus::Cancelled => (tag, 2, 0),
+                QueryStatus::Unsupported(_) => (tag, 3, 0),
+                QueryStatus::Failed(_) => (tag, 4, 0),
+            })
+            .collect();
+        chaos::disarm();
+        let groups = reg.histogram("engine.batch.size").snapshot().count;
+        (outcomes, eng.cache_len(), groups)
+    };
+    let (solo, solo_cache, solo_groups) = run(1);
+    let (grouped, grouped_cache, grouped_groups) = run(64);
+    assert_eq!(solo_groups, 0, "batch_max: 1 must never coalesce");
+    assert!(grouped_groups >= 1, "the stalled executor must coalesce");
+    let code_of = |outcomes: &[(u64, u64, u64)], tag: u64| {
+        outcomes.iter().find(|o| o.0 == tag).expect("tag ran").1
+    };
+    for outcomes in [&solo, &grouped] {
+        assert_eq!(
+            code_of(outcomes, pre_panic),
+            4,
+            "(i) run.pre fails a cached hit"
+        );
+        assert_eq!(code_of(outcomes, post_panic), 4, "(ii) run.post fails");
+        assert_eq!(code_of(outcomes, expired), 1, "(iii) dequeue expiry");
+        assert_eq!(code_of(outcomes, stale), 0, "(iv) stale read completes");
+    }
+    assert_eq!(solo, grouped, "statuses and digests diverged by grouping");
+    assert_eq!(
+        solo_cache, grouped_cache,
+        "(ii) cache footprint diverged by grouping"
+    );
+}

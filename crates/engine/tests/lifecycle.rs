@@ -258,6 +258,163 @@ fn rejected_requests_log_admit_and_reject_and_nothing_else() {
     );
 }
 
+/// The per-request story with the group-shape markers (`batch_start` /
+/// `batch_join`) and kernel-internal steps dropped: the lifecycle kinds in
+/// causal order. Events that share a microsecond across threads are put in
+/// canonical stage order, so the comparison below is about *which* stages
+/// a request passed, not about clock resolution.
+fn lifecycle_kinds(rid: u64) -> Vec<&'static str> {
+    const ORDER: [EventKind; 7] = [
+        EventKind::Admit,
+        EventKind::Enqueue,
+        EventKind::Dequeue,
+        EventKind::CacheHit,
+        EventKind::KernelStart,
+        EventKind::Run,
+        EventKind::Resolve,
+    ];
+    let mut evs: Vec<(u64, usize)> = events_for(rid)
+        .iter()
+        .filter_map(|e| Some((e.ts_us, ORDER.iter().position(|k| *k == e.kind)?)))
+        .collect();
+    evs.sort();
+    evs.into_iter()
+        .map(|(_, rank)| ORDER[rank].name())
+        .collect()
+}
+
+/// There is one lifecycle: the same query leaves the same event-kind
+/// sequence whether it ran alone or rode a coalesced group, as a cache
+/// miss and as a cache hit, leader and follower alike — only the
+/// `batch_*` markers tell the two runs apart.
+#[test]
+fn solo_and_coalesced_runs_log_the_same_lifecycle() {
+    let _g = gate();
+    let bfs = |source: u32| Query::Run {
+        workload: Workload::Bfs,
+        source,
+    };
+    let cfg = EngineConfig {
+        executors: 1,
+        ..quiet_cfg()
+    };
+    // Solo: each submission is waited on before the next, so nothing can
+    // coalesce. BFS(9) misses, BFS(5) misses and then hits.
+    let solo = engine(2000, cfg.clone(), &Registry::new());
+    let run_alone = |q: Query| {
+        let t = solo.submit(q).unwrap();
+        let rid = t.request_id();
+        assert!(matches!(t.wait().status, QueryStatus::Completed(_)));
+        rid
+    };
+    let solo_miss = lifecycle_kinds(run_alone(bfs(9)));
+    run_alone(bfs(5));
+    let solo_hit = lifecycle_kinds(run_alone(bfs(5)));
+    assert_eq!(
+        solo_miss,
+        [
+            "admit",
+            "enqueue",
+            "dequeue",
+            "kernel_start",
+            "run",
+            "resolve"
+        ]
+    );
+    assert_eq!(
+        solo_hit,
+        ["admit", "enqueue", "dequeue", "cache_hit", "run", "resolve"]
+    );
+
+    // Coalesced: warm BFS(5), then park the single executor behind a heavy
+    // query so the next three requests are dequeued as one group.
+    let reg = Registry::new();
+    let grouped = engine(2000, cfg, &reg);
+    assert!(matches!(
+        grouped.submit(bfs(5)).unwrap().wait().status,
+        QueryStatus::Completed(_)
+    ));
+    let blocker = grouped
+        .submit(Query::Run {
+            workload: Workload::KCore,
+            source: 0,
+        })
+        .unwrap();
+    let tickets: Vec<_> = [bfs(5), bfs(9), bfs(5)]
+        .into_iter()
+        .map(|q| grouped.submit(q).unwrap())
+        .collect();
+    let rids: Vec<u64> = tickets.iter().map(|t| t.request_id()).collect();
+    let _ = blocker.wait();
+    for t in tickets {
+        assert!(matches!(t.wait().status, QueryStatus::Completed(_)));
+    }
+    assert_eq!(
+        count(&events_for(rids[0]), EventKind::BatchStart),
+        1,
+        "the stalled executor must have coalesced the three requests"
+    );
+    for follower in &rids[1..] {
+        assert_eq!(
+            arg_of(&events_for(*follower), EventKind::BatchJoin),
+            rids[0]
+        );
+    }
+    assert_eq!(lifecycle_kinds(rids[0]), solo_hit, "leader, cache hit");
+    assert_eq!(lifecycle_kinds(rids[1]), solo_miss, "follower, cache miss");
+    assert_eq!(lifecycle_kinds(rids[2]), solo_hit, "follower, cache hit");
+}
+
+/// Queries still queued when the engine shuts down are shed by the
+/// executors through the same draining dequeue: full lifecycle, status
+/// `cancelled`, and a queue-stage sample per shed job.
+#[test]
+fn shutdown_shed_requests_log_the_full_lifecycle() {
+    let _g = gate();
+    let reg = Registry::new();
+    let eng = engine(
+        3000,
+        EngineConfig {
+            executors: 1,
+            pool_threads: 1,
+            ..EngineConfig::default()
+        },
+        &reg,
+    );
+    let tickets: Vec<_> = (0..6)
+        .map(|_| {
+            eng.submit(Query::Run {
+                workload: Workload::KCore,
+                source: 0,
+            })
+            .unwrap()
+        })
+        .collect();
+    drop(eng);
+    let mut shed = 0;
+    for t in tickets {
+        let rid = t.request_id();
+        match t.wait().status {
+            QueryStatus::Cancelled => {
+                shed += 1;
+                assert_full_lifecycle(rid, 2);
+            }
+            QueryStatus::Completed(_) => {
+                assert_full_lifecycle(rid, 0);
+            }
+            other => panic!("shutdown must complete or shed, got {other:?}"),
+        }
+    }
+    assert!(shed > 0, "dropping a backlogged engine must shed something");
+    assert_eq!(
+        reg.histogram("engine.stage_us.queue.analytics")
+            .snapshot()
+            .count,
+        6,
+        "shed jobs record the queue stage like every other dequeue"
+    );
+}
+
 #[cfg(feature = "chaos")]
 mod chaos_paths {
     use super::*;

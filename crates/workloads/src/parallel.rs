@@ -96,35 +96,6 @@ impl DirOptReport {
     }
 }
 
-/// Reusable per-traversal state: one atomic level array sized once and
-/// reset between runs, so repeated traversals (benches, betweenness-style
-/// multi-source loops) allocate nothing after the first.
-pub struct BfsState {
-    levels: Vec<AtomicI64>,
-}
-
-impl BfsState {
-    /// State for an `n`-vertex graph, all levels unreached.
-    pub fn new(n: usize) -> Self {
-        BfsState {
-            levels: (0..n).map(|_| AtomicI64::new(-1)).collect(),
-        }
-    }
-
-    /// Reset every level to unreached (parallel, cheap relative to a level).
-    fn reset(&mut self, pool: &ThreadPool) {
-        let levels = &self.levels;
-        parfor::parallel_for(pool, 0..levels.len(), 4096, |i| {
-            levels[i].store(-1, Ordering::Relaxed);
-        });
-    }
-
-    /// Extract the level array, consuming the state.
-    fn into_levels(self) -> Vec<i64> {
-        self.levels.into_iter().map(|a| a.into_inner()).collect()
-    }
-}
-
 /// One top-down expansion: relax out-edges of `frontier` (a queue), CAS
 /// unreached vertices to `level + 1`, and gather discoveries in
 /// deterministic chunk order into `next`. Returns the sum of out-degrees of
@@ -202,31 +173,7 @@ pub fn bfs(pool: &ThreadPool, csr: &Csr, source: u32) -> (Vec<i64>, u64) {
     if n == 0 || source as usize >= n {
         return (Vec::new(), 0);
     }
-    let mut state = BfsState::new(n);
-    let visited = bfs_with_state(pool, csr, source, &mut state);
-    (state.into_levels(), visited)
-}
-
-/// [`bfs`] against caller-owned [`BfsState`]; reuses the level allocation
-/// across calls. Returns the visited count; levels stay in `state`.
-pub fn bfs_with_state(pool: &ThreadPool, csr: &Csr, source: u32, state: &mut BfsState) -> u64 {
-    bfs_with_state_cancellable(pool, csr, source, state, &CancelToken::never())
-        .expect("never token cannot cancel")
-}
-
-/// [`bfs_with_state`] with cooperative cancellation: the token is polled
-/// once per frontier level, so a fired token abandons at most one level of
-/// work. `state` is left partially written on cancellation and must be
-/// reset by the next run (which [`bfs_with_state`] does unconditionally).
-pub fn bfs_with_state_cancellable(
-    pool: &ThreadPool,
-    csr: &Csr,
-    source: u32,
-    state: &mut BfsState,
-    cancel: &CancelToken,
-) -> Result<u64, Cancelled> {
-    state.reset(pool);
-    let levels = &state.levels;
+    let levels: Vec<AtomicI64> = (0..n).map(|_| AtomicI64::new(-1)).collect();
     levels[source as usize].store(0, Ordering::Relaxed);
     let sink = ChunkedSink::new(pool.threads());
     let mut frontier = vec![source];
@@ -234,14 +181,14 @@ pub fn bfs_with_state_cancellable(
     let mut level = 0i64;
     let mut visited = 1u64;
     while !frontier.is_empty() {
-        cancel.check()?;
         let _lvl = graphbig_telemetry::span!("bfs.level", depth = level, frontier = frontier.len());
-        top_down_step(pool, csr, levels, &frontier, level, &sink, &mut next);
+        top_down_step(pool, csr, &levels, &frontier, level, &sink, &mut next);
         visited += next.len() as u64;
         std::mem::swap(&mut frontier, &mut next);
         level += 1;
     }
-    Ok(visited)
+    let levels = levels.into_iter().map(|a| a.into_inner()).collect();
+    (levels, visited)
 }
 
 /// One bottom-up step: every unreached vertex scans its *in*-edges for a
@@ -285,25 +232,18 @@ fn bottom_up_step(
 /// when the frontier collapses. Returns per-vertex levels (`-1` =
 /// unreached) and the visited count — identical output to [`bfs`].
 pub fn bfs_dir_opt(pool: &ThreadPool, bi: &BiCsr, source: u32) -> (Vec<i64>, u64) {
-    let (levels, visited, report) = bfs_dir_opt_reported(pool, bi, source);
+    let (levels, visited, report) =
+        bfs_dir_opt_cancellable(pool, bi, source, &CancelToken::never())
+            .expect("never token cannot cancel");
     report.publish(graphbig_telemetry::metrics::global());
     (levels, visited)
 }
 
-/// [`bfs_dir_opt`] returning the full [`DirOptReport`] trajectory alongside
-/// the result, without touching the global metric registry — the variant
-/// tests and diagnostics use to inspect the heuristic in isolation.
-pub fn bfs_dir_opt_reported(
-    pool: &ThreadPool,
-    bi: &BiCsr,
-    source: u32,
-) -> (Vec<i64>, u64, DirOptReport) {
-    bfs_dir_opt_cancellable(pool, bi, source, &CancelToken::never())
-        .expect("never token cannot cancel")
-}
-
-/// [`bfs_dir_opt_reported`] with cooperative cancellation, polled at every
-/// level boundary in both traversal directions.
+/// [`bfs_dir_opt`] with cooperative cancellation, polled at every level
+/// boundary in both traversal directions. Returns the full
+/// [`DirOptReport`] trajectory alongside the result and does not touch the
+/// global metric registry — which also makes it the entry point tests and
+/// diagnostics use to inspect the heuristic in isolation.
 pub fn bfs_dir_opt_cancellable(
     pool: &ThreadPool,
     bi: &BiCsr,
@@ -930,57 +870,11 @@ mod tests {
     }
 
     #[test]
-    fn bfs_state_reuse_matches_fresh_runs() {
-        let (_, csr) = ldbc(200);
-        let p = pool();
-        let mut state = BfsState::new(csr.num_vertices());
-        let v0 = bfs_with_state(&p, &csr, 0, &mut state);
-        let first: Vec<i64> = state
-            .levels
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .collect();
-        // Run from another source, then back: state must fully reset.
-        bfs_with_state(&p, &csr, 5, &mut state);
-        let v2 = bfs_with_state(&p, &csr, 0, &mut state);
-        let again: Vec<i64> = state
-            .levels
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .collect();
-        assert_eq!(v0, v2);
-        assert_eq!(first, again);
-        assert_eq!((first, v0), bfs(&p, &csr, 0));
-    }
-
-    #[test]
-    fn repeated_queries_reuse_allocations() {
-        let (_, csr) = ldbc(200);
-        let p = pool();
-        let mut state = BfsState::new(csr.num_vertices());
-        bfs_with_state(&p, &csr, 0, &mut state);
-        let levels_ptr = state.levels.as_ptr();
-        for source in [3u32, 7, 0, 11] {
-            bfs_with_state(&p, &csr, source, &mut state);
-            assert_eq!(
-                state.levels.as_ptr(),
-                levels_ptr,
-                "BfsState must reuse its level array across queries"
-            );
-        }
-    }
-
-    #[test]
     fn cancellable_kernels_bail_on_fired_token() {
         let (_, csr) = ldbc(200);
         let p = pool();
         let token = CancelToken::new();
         token.cancel();
-        let mut state = BfsState::new(csr.num_vertices());
-        assert_eq!(
-            bfs_with_state_cancellable(&p, &csr, 0, &mut state, &token),
-            Err(Cancelled)
-        );
         let bi = BiCsr::directed(csr.clone());
         assert!(bfs_dir_opt_cancellable(&p, &bi, 0, &token).is_err());
         let sym = csr.symmetrize();
@@ -1127,13 +1021,15 @@ mod tests {
     #[test]
     fn dir_opt_report_trivial_inputs_are_empty() {
         let empty = BiCsr::directed(Csr::from_edges(0, &[]));
-        let (_, visited, report) = bfs_dir_opt_reported(&pool(), &empty, 0);
+        let (_, visited, report) =
+            bfs_dir_opt_cancellable(&pool(), &empty, 0, &CancelToken::never()).unwrap();
         assert_eq!(visited, 0);
         assert_eq!(report, DirOptReport::default());
         // Out-of-range source: no traversal, no trajectory.
         let (_, csr) = ldbc(50);
         let bi = BiCsr::directed(csr);
-        let (_, visited, report) = bfs_dir_opt_reported(&pool(), &bi, 9999);
+        let (_, visited, report) =
+            bfs_dir_opt_cancellable(&pool(), &bi, 9999, &CancelToken::never()).unwrap();
         assert_eq!(visited, 0);
         assert!(report.levels.is_empty());
     }
@@ -1142,7 +1038,8 @@ mod tests {
     fn dir_opt_report_single_vertex_graph() {
         // One vertex, no edges: exactly one top-down level, no switches.
         let bi = BiCsr::directed(Csr::from_edges(1, &[]));
-        let (levels, visited, report) = bfs_dir_opt_reported(&pool(), &bi, 0);
+        let (levels, visited, report) =
+            bfs_dir_opt_cancellable(&pool(), &bi, 0, &CancelToken::never()).unwrap();
         assert_eq!(levels, vec![0]);
         assert_eq!(visited, 1);
         assert_eq!(report.levels.len(), 1);
@@ -1159,7 +1056,8 @@ mod tests {
         // at level 0: the run records that single level and stops.
         let edges = [(1u32, 2u32, 1.0f32), (2, 3, 1.0), (3, 1, 1.0)];
         let bi = BiCsr::directed(Csr::from_edges(4, &edges));
-        let (levels, visited, report) = bfs_dir_opt_reported(&pool(), &bi, 0);
+        let (levels, visited, report) =
+            bfs_dir_opt_cancellable(&pool(), &bi, 0, &CancelToken::never()).unwrap();
         assert_eq!(visited, 1);
         assert_eq!(levels, vec![0, -1, -1, -1]);
         assert_eq!(report.levels.len(), 1);
@@ -1183,7 +1081,8 @@ mod tests {
             for bi in [BiCsr::directed(csr), BiCsr::symmetric(sym)] {
                 let (seq_levels, _) = bfs(&one, bi.out(), 0);
                 let expected = simulate_trajectory(&bi, &seq_levels);
-                let (_, _, report) = bfs_dir_opt_reported(&pool(), &bi, 0);
+                let (_, _, report) =
+                    bfs_dir_opt_cancellable(&pool(), &bi, 0, &CancelToken::never()).unwrap();
                 assert_eq!(report, expected, "n={n}");
                 saw_bottom_up |= report.switches_to_bottom_up > 0;
                 saw_switch_back |= report.switches_to_top_down > 0;
@@ -1208,8 +1107,8 @@ mod tests {
         let bi = BiCsr::directed(csr);
         let one = ThreadPool::new(1);
         let eight = ThreadPool::new(8);
-        let (_, _, a) = bfs_dir_opt_reported(&one, &bi, 0);
-        let (_, _, b) = bfs_dir_opt_reported(&eight, &bi, 0);
+        let (_, _, a) = bfs_dir_opt_cancellable(&one, &bi, 0, &CancelToken::never()).unwrap();
+        let (_, _, b) = bfs_dir_opt_cancellable(&eight, &bi, 0, &CancelToken::never()).unwrap();
         assert_eq!(a, b);
     }
 
@@ -1217,7 +1116,8 @@ mod tests {
     fn dir_opt_publish_exports_bfs_schema() {
         let (_, csr) = ldbc(300);
         let bi = BiCsr::directed(csr);
-        let (_, _, report) = bfs_dir_opt_reported(&pool(), &bi, 0);
+        let (_, _, report) =
+            bfs_dir_opt_cancellable(&pool(), &bi, 0, &CancelToken::never()).unwrap();
         let reg = graphbig_telemetry::Registry::new();
         report.publish(&reg);
         let snap = reg.snapshot();

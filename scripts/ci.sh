@@ -25,6 +25,15 @@ cargo fmt --all --check
 echo "==> hermetic dependency check"
 scripts/check_hermetic.sh --fast
 
+echo "==> one request path (each lifecycle failpoint site written exactly once)"
+for site in engine.dequeue engine.run.pre engine.run.post engine.overlay.read engine.cache.insert; do
+  n=$(grep -ho "failpoint!(\"$site\"" crates/engine/src/*.rs | wc -l)
+  [ "$n" -eq 1 ] || { echo "failpoint $site appears $n times under crates/engine/src"; exit 1; }
+done
+
+echo "==> benchmark package (frozen surface: builds standalone, smoke-runs every workload)"
+benchmark/check.sh
+
 echo "==> engine serving smoke (LDBC-4k, 200-request mix, sequential oracle)"
 cargo run "${CARGO_FLAGS[@]}" --release -p graphbig-engine --bin graphbig-serve -- \
   --vertices 4096 --mix traffic/smoke_200.json --oracle --quiet --emit /tmp/engine_smoke.json
