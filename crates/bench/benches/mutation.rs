@@ -1,5 +1,6 @@
 //! Write-path benchmarks on LDBC-64k: mutation-apply cost, overlay-read
-//! overhead vs the base CSR, compaction fold cost and publish pause, and
+//! overhead vs the base CSR (point reads and BFS, the latter asserted
+//! within 2x), compaction fold cost and publish pause, and
 //! the incremental connected-components kernel against its full-recompute
 //! fallback (the `results/BENCH_mutation.json` artifact).
 //!
@@ -13,13 +14,15 @@
 use graphbig::engine::traffic::{
     generate_ops, live_engine_digest, mutation_oracle_digest, resolve_write, run_mix, WriteOp,
 };
-use graphbig::engine::{Engine, EngineConfig, IncrementalCComp, MixSpec, MutationBuffer};
+use graphbig::engine::{
+    Engine, EngineConfig, IncrementalCComp, MixSpec, MutationBuffer, OverlayView,
+};
 use graphbig::framework::csr::Csr;
 use graphbig::prelude::*;
 use graphbig::runtime::CancelToken;
 use graphbig::telemetry::metrics::{MetricValue, Registry};
 use graphbig::workloads::service::{self, ServiceOutput};
-use graphbig::workloads::Workload;
+use graphbig::workloads::{parallel, Workload};
 use graphbig_bench::timing::{black_box, Runner};
 use graphbig_json::ToJson;
 
@@ -134,14 +137,34 @@ fn main() {
         black_box(overlay1k.k_hop(g, 4_321, 2));
     });
 
-    // The fold: materializing base + 1k delta into a fresh sharded CSR.
+    // The same traversals over the base `BiCsr` and over the overlay view
+    // (built inside the timed region, once for the source set — what one
+    // executed group pays). The fold below is what this path used to cost.
+    let never = CancelToken::never();
+    let sources = [0u32, 4_321, 12_345, 54_321];
+    r.bench("read/bfs_base", || {
+        for &s in &sources {
+            black_box(
+                parallel::bfs_dir_opt_cancellable(engine.pool(), g.service().bi(), s, &never)
+                    .unwrap(),
+            );
+        }
+    });
+    r.bench("read/bfs_overlay1k", || {
+        let view = OverlayView::new(g, &overlay1k);
+        for &s in &sources {
+            black_box(parallel::bfs_dir_opt_cancellable(engine.pool(), &view, s, &never).unwrap());
+        }
+    });
+
+    // The fold: materializing base + 1k delta into a fresh sharded CSR
+    // (what compaction pays, and the kernels that still need a real CSR).
     r.bench("compact/fold_1k_delta", || {
         black_box(overlay1k.materialize(g, 8));
     });
 
     // Incremental connected components over a small insert batch vs the
     // recompute fallback (materialize + full kernel) it replaces.
-    let never = CancelToken::never();
     let ServiceOutput::Labels(labels) =
         service::run_service(Workload::CComp, engine.pool(), g.service(), 0, &never).unwrap()
     else {
@@ -175,6 +198,16 @@ fn main() {
             .map(|b| b.median_ns)
             .unwrap_or(0.0)
     };
+    let base_ns = median(r.results(), "read/bfs_base");
+    let overlay_ns = median(r.results(), "read/bfs_overlay1k");
+    if base_ns > 0.0 && overlay_ns > 0.0 {
+        let ratio = overlay_ns / base_ns;
+        eprintln!("overlay BFS over base BFS: {ratio:.2}x");
+        assert!(
+            ratio <= 2.0,
+            "BFS through a 1k-edge overlay must stay within 2x of the base, got {ratio:.2}x"
+        );
+    }
     let inc_ns = median(r.results(), "ccomp/incremental_64_inserts");
     let re_ns = median(r.results(), "ccomp/recompute_64_inserts");
     if inc_ns > 0.0 && re_ns > 0.0 {

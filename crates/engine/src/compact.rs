@@ -4,10 +4,13 @@
 //! [`compact_inner`] folds base + overlay into a fresh sharded CSR and
 //! publishes it as a new epoch ([`crate::Engine::compact`] calls it
 //! directly, [`compactor_loop`] when the write path rings the doorbell).
-//! [`materialized_for`] is the memoized fold that workload queries over a
-//! non-empty overlay and the compactor both read, and
-//! [`incremental_ccomp`] the per-epoch union-find state that spares
-//! connected-components queries that fold entirely.
+//! [`materialized_for`] is the memoized fold the compactor shares with the
+//! workload queries whose kernels still need a real CSR over a non-empty
+//! overlay — BFS is not one of them, it traverses a
+//! [`crate::delta::OverlayView`] — and [`incremental_ccomp`] the per-epoch
+//! union-find state that spares connected-components queries that fold
+//! entirely. [`rebase_overlay`] is the one place the write path moves to a
+//! new epoch, so the memo never outlives the graph it was folded from.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -53,8 +56,12 @@ pub(crate) fn incremental_ccomp(
 }
 
 /// The memoized materialization of `(epoch, delta-seq)` — base + overlay
-/// folded into a real sharded CSR, shared by every workload query and by
-/// the compactor so one overlay version pays the fold exactly once.
+/// folded into a real sharded CSR, so one overlay version pays the fold
+/// exactly once. Two callers: [`compact_inner`], and `run_overlay_service`
+/// for the kernels not yet written against an adjacency view (SPath, KCore,
+/// dirty CComp, DCentr, TC, GColor). BFS does not call it. Once those
+/// kernels read through a view too, the query side goes away and the memo
+/// and its mutex with it.
 pub(crate) fn materialized_for(
     sh: &Shared,
     snap: &EpochSnapshot,
@@ -69,6 +76,16 @@ pub(crate) fn materialized_for(
     let g = Arc::new(ov.materialize(snap.graph(), sh.cfg.shards));
     *memo = Some((ov.epoch(), ov.seq(), Arc::clone(&g)));
     g
+}
+
+/// Point the write path at the freshly published `epoch`: an empty overlay
+/// over its `base_n` vertices (sequence counter preserved), and the
+/// materialization memo dropped, since it is a fold of the epoch just
+/// retired and would otherwise pin that graph until some later overlay
+/// query happened to replace it. The caller holds the write lock.
+pub(crate) fn rebase_overlay(sh: &Shared, epoch: u64, base_n: u32) {
+    *lock(&sh.materialized) = None;
+    sh.buffer.reset(epoch, base_n);
 }
 
 /// Background compaction worker: waits on the doorbell the write path
@@ -158,7 +175,7 @@ pub(crate) fn compact_inner(sh: &Shared) -> u64 {
 fn publish_folded(sh: &Shared, graph: Arc<ShardedGraph>, pause: Instant) -> u64 {
     let n_total = graph.num_vertices() as u32;
     let epoch = sh.store.publish_shared(graph);
-    sh.buffer.reset(epoch, n_total);
+    rebase_overlay(sh, epoch, n_total);
     sh.cache.invalidate();
     sh.metrics
         .compact_pause_us
@@ -168,11 +185,83 @@ fn publish_folded(sh: &Shared, graph: Arc<ShardedGraph>, pause: Instant) -> u64 
 
 #[cfg(test)]
 mod tests {
+    use super::lock;
     use crate::engine::tests::{csr, manual_compaction_cfg, quiet_cfg};
     use crate::{Engine, EngineConfig, Mutation, Query, QueryOutput, QueryStatus};
     use graphbig_telemetry::metrics::{MetricValue, Registry};
     use graphbig_workloads::Workload;
+    use std::sync::Arc;
     use std::time::{Duration, Instant};
+
+    /// An engine over `csr(n)` with no cache and no background compactor,
+    /// carrying an overlay of every shape: a new vertex wired both ways, a
+    /// tombstoned base edge and a removed vertex.
+    fn engine_with_overlay(n: u32) -> Engine {
+        let base = csr(n as usize);
+        let gone = base.neighbors(0)[0];
+        let cfg = EngineConfig {
+            cache_capacity: 0,
+            ..manual_compaction_cfg()
+        };
+        let engine = Engine::with_registry(cfg, base, &Registry::new());
+        engine
+            .mutate(&[
+                Mutation::AddVertex,
+                Mutation::AddEdge { u: 0, v: n, w: 1.0 },
+                Mutation::AddEdge { u: n, v: 7, w: 1.0 },
+                Mutation::RemoveEdge { u: 0, v: gone },
+                Mutation::RemoveVertex { v: 5 },
+            ])
+            .unwrap();
+        engine
+    }
+
+    fn digest_of(engine: &Engine, workload: Workload) -> u64 {
+        let r = engine
+            .submit(Query::Run {
+                workload,
+                source: 0,
+            })
+            .unwrap()
+            .wait();
+        match r.status {
+            QueryStatus::Completed(output) => output.digest(),
+            other => panic!("{workload:?}: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn overlay_bfs_reads_through_the_view_and_only_other_kernels_fold() {
+        let engine = engine_with_overlay(300);
+        let memo = || lock(&engine.shared.materialized).clone();
+        let bfs = digest_of(&engine, Workload::Bfs);
+        assert!(memo().is_none(), "a BFS over an overlay must not fold it");
+        let kcore = digest_of(&engine, Workload::KCore);
+        let (epoch, seq, _) = memo().expect("KCore still runs on the folded graph");
+        assert_eq!((epoch, seq), (1, 1));
+        // The compacted CSR answers both exactly as the overlay reads did.
+        assert_eq!(engine.compact(), 2);
+        assert!(memo().is_none(), "the fold became the store's graph");
+        assert_eq!(digest_of(&engine, Workload::Bfs), bfs);
+        assert_eq!(digest_of(&engine, Workload::KCore), kcore);
+    }
+
+    #[test]
+    fn publish_releases_the_fold_of_the_retired_epoch() {
+        let engine = engine_with_overlay(200);
+        digest_of(&engine, Workload::KCore);
+        let (_, _, folded) = lock(&engine.shared.materialized)
+            .clone()
+            .expect("KCore folded the overlay");
+        assert_eq!(Arc::strong_count(&folded), 2, "the memo's and ours");
+        engine.publish(csr(100));
+        assert!(lock(&engine.shared.materialized).is_none());
+        assert_eq!(
+            Arc::strong_count(&folded),
+            1,
+            "nothing in the engine may pin a fold of the replaced graph"
+        );
+    }
 
     #[test]
     fn mutations_read_through_the_overlay_and_compaction_preserves_them() {

@@ -5,11 +5,16 @@
 //! [`MutationBuffer`] accepts batches of [`Mutation`]s and folds each batch
 //! into a fresh copy-on-write [`DeltaOverlay`] stamped with a globally
 //! monotone delta-sequence number. Readers grab the current overlay `Arc`
-//! (wait-free apart from one short mutex) and evaluate point queries —
-//! degree, k-hop — against *base CSR + overlay* without ever blocking a
-//! writer; whole-graph kernels run against a materialized CSR built by
+//! (wait-free apart from one short mutex) and evaluate reads against
+//! *base CSR + overlay* without ever blocking a writer. Point queries —
+//! degree, k-hop — walk the overlay's live rows directly; BFS traversals
+//! (single-source, direction-optimized and the shared multi-source pass)
+//! run the generic kernels over an [`OverlayView`], which sends only the
+//! rows the overlay touched through it. The kernels not yet written
+//! against an adjacency view — SPath, KCore, TC, GColor, DCentr, and CComp
+//! once a delete has landed — still run on a CSR folded by
 //! [`DeltaOverlay::materialize`] (the engine memoizes that per
-//! `(epoch, seq)`).
+//! `(epoch, seq)`), as does compaction.
 //!
 //! Semantics are set-based and tombstone-wins, chosen so a mutation stream
 //! is confluent — the live edge set is always
@@ -37,7 +42,8 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
-use graphbig_framework::csr::Csr;
+use graphbig_framework::bitmap::AtomicBitmap;
+use graphbig_framework::csr::{Adjacency, Csr, InAdjacency};
 
 use crate::shard::ShardedGraph;
 
@@ -330,6 +336,26 @@ impl DeltaOverlay {
         }
     }
 
+    /// Visit the source of every live in-edge of `v` — base in-neighbours
+    /// minus removed sources and tombstoned pairs, then overlay inserts.
+    /// The mirror of [`DeltaOverlay::for_each_live_out`]: the two walk the
+    /// same live edge set from either end.
+    pub fn for_each_live_in(&self, base: &ShardedGraph, v: u32, mut f: impl FnMut(u32)) {
+        if !self.alive(v) {
+            return;
+        }
+        if v < self.base_n {
+            for &s in base.service().bi().inc().neighbors(v) {
+                if !self.removed.contains(&s) && !self.deleted.contains(&(s, v)) {
+                    f(s);
+                }
+            }
+        }
+        if let Some(sources) = self.in_adds.get(&v) {
+            sources.iter().copied().for_each(f);
+        }
+    }
+
     /// Point query: `(out, in)` degree of `v` through the overlay —
     /// identical to `materialize(..).degree(v)`, but O(degree) instead of
     /// O(n + m). `None` when `v` is outside the overlay vertex range.
@@ -340,20 +366,9 @@ impl DeltaOverlay {
         if self.is_empty() {
             return base.degree(v);
         }
-        if self.removed.contains(&v) {
-            return Some((0, 0));
-        }
-        let mut out = 0u32;
+        let (mut out, mut inc) = (0u32, 0u32);
         self.for_each_live_out(base, v, |_, _| out += 1);
-        let mut inc = 0u32;
-        if v < self.base_n {
-            for &s in base.service().bi().inc().neighbors(v) {
-                if !self.removed.contains(&s) && !self.deleted.contains(&(s, v)) {
-                    inc += 1;
-                }
-            }
-        }
-        inc += self.in_adds.get(&v).map_or(0, |s| s.len() as u32);
+        self.for_each_live_in(base, v, |_| inc += 1);
         Some((out, inc))
     }
 
@@ -412,6 +427,133 @@ impl DeltaOverlay {
         digest_rows(self.n_total(), |u, row| {
             self.for_each_live_out(base, u, |t, w| row.push((t, w)))
         })
+    }
+}
+
+/// The current graph — one epoch's base CSR read through a
+/// [`DeltaOverlay`] — as an adjacency view traversal kernels run on
+/// directly, with no fold into a fresh CSR.
+///
+/// Building it costs O(n/64 + |overlay|): two bitmaps mark the rows whose
+/// live out- / in-adjacency differs from the base. A traversal walks an
+/// unmarked row as the plain base slice and sends only a marked one through
+/// [`DeltaOverlay::for_each_live_out`] / [`DeltaOverlay::for_each_live_in`],
+/// so the hash probes those pay per edge stay off all but the handful of
+/// rows a small overlay touches. The marks live here, not in the overlay:
+/// [`MutationBuffer::apply`] clones the overlay per write and must not pay
+/// for them. Weights are not part of the view (patches mark nothing).
+pub struct OverlayView<'a> {
+    base: &'a ShardedGraph,
+    overlay: &'a DeltaOverlay,
+    out_touched: AtomicBitmap,
+    in_touched: AtomicBitmap,
+}
+
+impl<'a> OverlayView<'a> {
+    /// View `base` (the graph of the overlay's epoch) through `overlay`.
+    pub fn new(base: &'a ShardedGraph, overlay: &'a DeltaOverlay) -> Self {
+        let bi = base.service().bi();
+        let out_touched = AtomicBitmap::new(overlay.n_total() as usize);
+        let in_touched = AtomicBitmap::new(overlay.n_total() as usize);
+        let touch_out = |&u: &u32| {
+            out_touched.set(u as usize);
+        };
+        let touch_in = |&v: &u32| {
+            in_touched.set(v as usize);
+        };
+        for v in overlay.base_n..overlay.n_total() {
+            touch_out(&v);
+            touch_in(&v);
+        }
+        for (u, v) in &overlay.deleted {
+            touch_out(u);
+            touch_in(v);
+        }
+        overlay.adds.keys().for_each(touch_out);
+        overlay.in_adds.keys().for_each(touch_in);
+        // A removed vertex empties its own rows and drops out of every
+        // base neighbour's row on the other side.
+        for v in &overlay.removed {
+            touch_out(v);
+            touch_in(v);
+            if *v < overlay.base_n {
+                bi.inc().neighbors(*v).iter().for_each(touch_out);
+                bi.out().neighbors(*v).iter().for_each(touch_in);
+            }
+        }
+        OverlayView {
+            base,
+            overlay,
+            out_touched,
+            in_touched,
+        }
+    }
+}
+
+impl Adjacency for OverlayView<'_> {
+    fn num_vertices(&self) -> usize {
+        self.overlay.n_total() as usize
+    }
+
+    /// An upper bound: tombstoned base edges are not subtracted.
+    fn num_edges(&self) -> usize {
+        self.base.num_edges() + self.overlay.overlay_edges()
+    }
+
+    /// Exact on an untouched row; on a touched one an O(1) upper bound
+    /// (base edges the overlay killed still count). Counting the live row
+    /// instead costs its hash probes again on every call, and the kernels
+    /// call this once per discovered vertex.
+    fn out_degree(&self, u: u32) -> u32 {
+        let mut d = 0;
+        if u < self.overlay.base_n {
+            d = self.base.service().out().degree(u);
+        }
+        if self.out_touched.get(u as usize) {
+            d += self.overlay.adds.get(&u).map_or(0, |row| row.len() as u32);
+        }
+        d
+    }
+
+    #[inline]
+    fn for_each_out(&self, u: u32, mut f: impl FnMut(u32)) {
+        if self.out_touched.get(u as usize) {
+            self.overlay.for_each_live_out(self.base, u, |t, _| f(t));
+        } else {
+            self.base.service().out().for_each_out(u, f);
+        }
+    }
+}
+
+impl InAdjacency for OverlayView<'_> {
+    /// Like [`OverlayView::out_degree`]: an upper bound on a touched row.
+    fn in_degree(&self, v: u32) -> u32 {
+        let mut d = 0;
+        if v < self.overlay.base_n {
+            d = self.base.service().bi().in_degree(v);
+        }
+        if self.in_touched.get(v as usize) {
+            d += self
+                .overlay
+                .in_adds
+                .get(&v)
+                .map_or(0, |row| row.len() as u32);
+        }
+        d
+    }
+
+    #[inline]
+    fn any_in(&self, v: u32, mut f: impl FnMut(u32) -> bool) -> bool {
+        if self.in_touched.get(v as usize) {
+            // Touched rows are few: walk the row out rather than give the
+            // overlay's definition of a live in-edge a second, breakable form.
+            let mut hit = false;
+            self.overlay
+                .for_each_live_in(self.base, v, |s| hit = hit || f(s));
+            hit
+        } else {
+            self.base.service().bi().any_in(v, f)
+        }
     }
 }
 

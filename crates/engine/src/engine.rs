@@ -40,7 +40,7 @@ use graphbig_workloads::{CostClass, Workload};
 
 use crate::admission::{AdmissionController, RejectReason};
 use crate::cache::ResultCache;
-use crate::compact::{compact_inner, compactor_loop};
+use crate::compact::{compact_inner, compactor_loop, rebase_overlay};
 use crate::delta::{DeltaOverlay, Mutation, MutationBuffer, MutationReceipt};
 use crate::exec::{executor_loop, run_group};
 use crate::lifecycle::{
@@ -255,7 +255,7 @@ impl Ticket {
 
 /// The serving engine: graph store + admission + executors + write path.
 pub struct Engine {
-    shared: Arc<Shared>,
+    pub(crate) shared: Arc<Shared>,
     auto_tag: AtomicU64,
     executors: Vec<std::thread::JoinHandle<()>>,
     compactor: Option<std::thread::JoinHandle<()>>,
@@ -409,7 +409,7 @@ impl Engine {
         let base_n = graph.num_vertices() as u32;
         let _w = lock(&sh.write_lock);
         let epoch = sh.store.publish(graph);
-        sh.buffer.reset(epoch, base_n);
+        rebase_overlay(sh, epoch, base_n);
         // Epoch keying already makes old entries unreachable; the sweep
         // reclaims their memory promptly.
         sh.cache.invalidate();
@@ -465,8 +465,7 @@ impl Engine {
             // orphans the overlay; rebase on the live epoch rather than
             // feeding a future compaction a stale base.
             if sh.buffer.current().epoch() != snap.epoch() {
-                sh.buffer
-                    .reset(snap.epoch(), snap.graph().num_vertices() as u32);
+                rebase_overlay(sh, snap.epoch(), snap.graph().num_vertices() as u32);
             }
             sh.buffer.apply(snap.graph(), batch)
         };

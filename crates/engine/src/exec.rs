@@ -27,7 +27,7 @@ use graphbig_workloads::{msbfs, Workload};
 
 use crate::batch::{self, BatchKind};
 use crate::compact::{incremental_ccomp, materialized_for};
-use crate::delta::DeltaOverlay;
+use crate::delta::{DeltaOverlay, OverlayView};
 use crate::engine::{Query, QueryOutput, QueryStatus};
 use crate::lifecycle::{dequeue, finish_job, lane, lock, terminal_status, Job, Pending, Shared};
 
@@ -228,18 +228,12 @@ pub(crate) fn run_group(sh: &Shared, leader: Pending, mut mates: Vec<Pending>) {
 /// of one costs one single-source BFS). Per-lane output is bit-identical to
 /// the single-source kernel, so fanned-out results — and the cache entries
 /// they leave behind — match what each member would have produced alone.
+///
+/// The pass never folds a graph: over a live overlay the kernel traverses
+/// one [`OverlayView`] built here for the whole group, otherwise the pinned
+/// base's `BiCsr` — two instantiations of the same generic kernel.
 fn run_shared_pass(sh: &Shared, pass: Vec<Pending>, view: &View<'_>) {
-    // One graph for the whole pass: the memoized base+overlay
-    // materialization when an overlay is live, the pinned base otherwise.
     let snapshot = Arc::clone(&pass[0].job.snapshot);
-    let materialized;
-    let service = match view.overlay {
-        Some(ov) => {
-            materialized = materialized_for(sh, &snapshot, ov);
-            materialized.service()
-        }
-        None => snapshot.graph().service(),
-    };
     // Traced members get the same `KernelStart` marker `run_service`
     // records (arg = Bfs's index in the workload registry).
     let bfs_index = Workload::ALL
@@ -257,8 +251,16 @@ fn run_shared_pass(sh: &Shared, pass: Vec<Pending>, view: &View<'_>) {
         .collect();
     let tokens: Vec<&CancelToken> = pass.iter().map(|p| &p.job.token).collect();
     let started = Instant::now();
-    let kernel =
-        guard(|| msbfs::msbfs_dir_opt_cancellable(&sh.pool, service.bi(), &sources, &tokens));
+    let kernel = guard(|| match view.overlay {
+        Some(ov) => {
+            let live = OverlayView::new(snapshot.graph(), ov);
+            msbfs::msbfs_dir_opt_cancellable(&sh.pool, &live, &sources, &tokens)
+        }
+        None => {
+            let bi = snapshot.graph().service().bi();
+            msbfs::msbfs_dir_opt_cancellable(&sh.pool, bi, &sources, &tokens)
+        }
+    });
     let exec_us = started.elapsed().as_micros() as u64;
     let mut kernel = kernel.map(Vec::into_iter);
     for p in pass {
@@ -406,10 +408,11 @@ fn run_query_uncached(sh: &Shared, job: &Job, overlay: Option<&DeltaOverlay>) ->
     }
 }
 
-/// Serve a workload query against base + overlay. Connected components on
-/// an insert-only ("clean") overlay goes through the incremental
-/// union-find kernel; everything else recomputes on the memoized
-/// materialized graph.
+/// Serve a workload query against base + overlay, for a member running on
+/// its own (a BFS that reads the group's graph state never gets here — it
+/// rides [`run_shared_pass`]). Connected components on an insert-only
+/// ("clean") overlay goes through the incremental union-find kernel;
+/// everything else recomputes on the memoized materialized graph.
 fn run_overlay_service(
     sh: &Shared,
     job: &Job,

@@ -20,9 +20,10 @@
 //!   unreachable by construction.
 //! - [`delta`]: the live write path — a concurrent [`MutationBuffer`]
 //!   folding batches into copy-on-write [`DeltaOverlay`]s that point
-//!   queries read alongside the base CSR, plus the incremental
-//!   connected-components kernel and the materialization step background
-//!   compaction publishes as a new epoch.
+//!   queries and — through an [`OverlayView`] — BFS traversals read
+//!   alongside the base CSR, plus the incremental connected-components
+//!   kernel and the materialization step background compaction publishes
+//!   as a new epoch.
 //! - [`engine`]: the [`Engine`] itself — priority lanes (point queries
 //!   never queue behind analytics), executor threads over one shared
 //!   kernel pool, cooperative deadlines/cancellation, per-class latency
@@ -66,6 +67,7 @@ pub use admission::{AdmissionController, RejectReason};
 pub use cache::ResultCache;
 pub use delta::{
     structural_digest, DeltaOverlay, IncrementalCComp, Mutation, MutationBuffer, MutationReceipt,
+    OverlayView,
 };
 pub use engine::{Engine, EngineConfig, Query, QueryOutput, QueryResponse, QueryStatus, Ticket};
 pub use invariants::{check_chaos_invariants, InvariantCheck, InvariantReport};

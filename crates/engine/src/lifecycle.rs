@@ -52,7 +52,8 @@ pub(crate) struct Shared {
     pub(crate) write_lock: Mutex<()>,
     /// Memoized materialization of one `(epoch, delta-seq)` overlay: a
     /// burst of workload queries (or the compactor) against the same
-    /// overlay version pays the base+overlay fold exactly once.
+    /// overlay version pays the base+overlay fold exactly once. A leaf
+    /// lock; emptied whenever the overlay moves to a new epoch.
     pub(crate) materialized: Mutex<Option<(u64, u64, Arc<ShardedGraph>)>>,
     /// Incremental connected-components state, seeded once per epoch.
     pub(crate) inc_ccomp: Mutex<Option<(u64, IncrementalCComp)>>,

@@ -18,7 +18,8 @@
 use graphbig_datagen::prop::{self, Config};
 use graphbig_datagen::rng::Rng;
 use graphbig_datagen::Dataset;
-use graphbig_engine::{Engine, EngineConfig, Query, QueryOutput, QueryStatus, Ticket};
+use graphbig_engine::traffic::sequential_digests;
+use graphbig_engine::{Engine, EngineConfig, Mutation, Query, QueryOutput, QueryStatus, Ticket};
 use graphbig_framework::csr::Csr;
 use graphbig_runtime::{CancelToken, ThreadPool};
 use graphbig_telemetry::metrics::Registry;
@@ -248,6 +249,79 @@ fn engine_fans_batched_results_back_to_tickets_bit_identical() {
             assert_eq!(n, 1, "request {rid}: {} seen {n} times", kind.name());
         }
     }
+}
+
+/// A burst over a *non-empty overlay* coalesces like any other and rides
+/// the shared pass over the overlay view: every ticket must equal the
+/// sequential oracle run on the materialized graph.
+#[test]
+fn a_burst_over_a_live_overlay_shares_one_pass_and_matches_the_folded_graph() {
+    const N: u32 = 1500;
+    const LANES: usize = 24; // past the kernel's shared-pass crossover
+    let reg = Registry::new();
+    let csr = Csr::from_graph(&Dataset::Ldbc.generate_with_vertices(N as usize));
+    let cut = csr.neighbors(3)[0];
+    let engine = Engine::with_registry(
+        EngineConfig {
+            executors: 1,
+            pool_threads: 2,
+            cache_capacity: 0,
+            compact_threshold: 0,
+            // The leader holds the group open until the whole burst has
+            // arrived (the window only bounds a lost race).
+            batch_max: LANES,
+            batch_window_us: 5_000_000,
+            ..EngineConfig::default()
+        },
+        csr,
+        &reg,
+    );
+    engine
+        .mutate(&[
+            Mutation::AddVertex,
+            Mutation::AddEdge { u: 3, v: N, w: 1.0 },
+            Mutation::AddEdge {
+                u: N,
+                v: 11,
+                w: 1.0,
+            },
+            Mutation::RemoveEdge { u: 3, v: cut },
+            Mutation::RemoveVertex { v: 20 },
+        ])
+        .unwrap();
+    // Sources include the added vertex, the removed one, a duplicate and
+    // one out of range.
+    let mut sources: Vec<u32> = (0..LANES as u32).map(|i| i * 61 % N).collect();
+    sources[1] = N;
+    sources[2] = 20;
+    sources[4] = sources[5];
+    sources[6] = N + 9;
+    let queries: Vec<Query> = sources
+        .iter()
+        .map(|&source| Query::Run {
+            workload: Workload::Bfs,
+            source,
+        })
+        .collect();
+    let tickets: Vec<Ticket> = queries
+        .iter()
+        .map(|&q| engine.submit(q).expect("admitted"))
+        .collect();
+    let base = engine.store().snapshot();
+    let folded = engine.overlay().materialize(base.graph(), 2);
+    let oracle = sequential_digests(&folded, engine.pool(), &queries);
+    for ((ticket, want), source) in tickets.into_iter().zip(oracle).zip(sources) {
+        let QueryStatus::Completed(output) = ticket.wait().status else {
+            panic!("BFS from {source} did not complete");
+        };
+        assert_eq!(Some(output.digest()), want, "BFS from {source}");
+    }
+    let sizes = reg.histogram("engine.batch.size").snapshot();
+    assert_eq!(
+        (sizes.count, sizes.sum),
+        (1, LANES as u64),
+        "one group of {LANES}"
+    );
 }
 
 /// `batch_max: 1` disables coalescing outright — same results, no batch

@@ -527,7 +527,18 @@ fn stale_read_injection_is_caught_by_the_rebuild_oracle() {
             other => panic!("degree query failed: {other:?}"),
         }
     };
+    // The same drill over a traversal, which reads the overlay through an
+    // adjacency view rather than a point lookup.
+    let bfs = Query::Run {
+        workload: Workload::Bfs,
+        source: 0,
+    };
+    let bfs_of = |eng: &Engine| match eng.submit(bfs).unwrap().wait().status {
+        QueryStatus::Completed(output) => output.digest(),
+        other => panic!("BFS failed: {other:?}"),
+    };
     let before = degree_of(&eng);
+    let bfs_before = bfs_of(&eng);
     // A guaranteed-fresh edge out of vertex 0, via the same resolution the
     // traffic driver uses.
     let batch = resolve_write(base.graph(), WriteOp::Insert { u: 0, salt: 0 });
@@ -535,6 +546,8 @@ fn stale_read_injection_is_caught_by_the_rebuild_oracle() {
     eng.mutate(&batch).unwrap();
     let overlay_view = degree_of(&eng);
     assert_eq!(overlay_view, before + 1, "overlay read sees the insert");
+    let bfs_overlay = bfs_of(&eng);
+    assert_ne!(bfs_overlay, bfs_before, "overlay BFS sees the insert");
 
     // Inject StaleRead at every overlay read: the engine silently serves
     // the pinned base instead of the overlay.
@@ -545,6 +558,7 @@ fn stale_read_injection_is_caught_by_the_rebuild_oracle() {
     );
     chaos::arm(&plan(51, vec![drop_overlay]));
     let stale_view = degree_of(&eng);
+    let bfs_stale = bfs_of(&eng);
     let fired = chaos::fired_counts();
     chaos::disarm();
     assert!(
@@ -554,6 +568,7 @@ fn stale_read_injection_is_caught_by_the_rebuild_oracle() {
         "the stale-read fault must have fired: {fired:?}"
     );
     assert_eq!(stale_view, before, "injection served the stale base");
+    assert_eq!(bfs_stale, bfs_before, "and traversed the stale base");
 
     // The rebuild oracle catches it: a graph rebuilt from scratch with the
     // same mutation disagrees with the injected answer — exactly the
@@ -565,8 +580,12 @@ fn stale_read_injection_is_caught_by_the_rebuild_oracle() {
         stale_view, rebuilt_out,
         "stale read diverges from the rebuild oracle"
     );
+    let rebuilt_bfs = sequential_digests(&rebuilt, eng.pool(), &[bfs])[0];
+    assert_eq!(rebuilt_bfs, Some(bfs_overlay));
+    assert_ne!(Some(bfs_stale), rebuilt_bfs, "so does the stale traversal");
     // With the fault disarmed the engine agrees with the oracle again.
     assert_eq!(degree_of(&eng), rebuilt_out);
+    assert_eq!(Some(bfs_of(&eng)), rebuilt_bfs);
 }
 
 /// A plan with `Trigger::Schedule` faults keyed to explicit chaos tags.

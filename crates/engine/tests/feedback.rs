@@ -23,6 +23,15 @@ fn csr(n: usize) -> Csr {
     Csr::from_graph(&Dataset::Ldbc.generate_with_vertices(n))
 }
 
+/// Chaos arming is process-global: every test that runs an engine takes
+/// this gate, so a fault plan armed by a `chaos_paths` test cannot poison a
+/// mix running beside it on another test thread.
+static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn gate() -> std::sync::MutexGuard<'static, ()> {
+    GATE.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 const KEYS: [&str; 4] = ["degree", "khop", "bfs", "kcore"];
 
 #[test]
@@ -126,6 +135,7 @@ fn adaptive_costs_never_overcommit_a_busy_controller() {
 
 #[test]
 fn cached_hot_mixes_stay_bit_identical_to_the_oracle() {
+    let _g = gate();
     prop::check(
         "feedback_cache_oracle",
         Config::with_cases(5),
@@ -173,6 +183,7 @@ fn cached_hot_mixes_stay_bit_identical_to_the_oracle() {
 
 #[test]
 fn publish_invalidates_the_cache_for_correctness_not_just_memory() {
+    let _g = gate();
     // Warm the cache on one graph, publish a different one, and demand
     // the same queries now match the *new* graph's sequential oracle —
     // a stale-cache bug would serve old-epoch answers bit-identically
@@ -210,6 +221,7 @@ fn publish_invalidates_the_cache_for_correctness_not_just_memory() {
 
 #[test]
 fn cache_on_and_cache_off_answers_are_bit_identical() {
+    let _g = gate();
     // The acceptance bar for the cache: responses with caching enabled
     // are indistinguishable from responses without it.
     let spec = MixSpec {
@@ -249,14 +261,13 @@ mod chaos_paths {
     use super::*;
     use graphbig_chaos::{self as chaos, FaultAction, FaultPlan, FaultSpec, Trigger};
     use graphbig_engine::traffic::run_chaos_mix;
-    use std::sync::{Mutex, MutexGuard, Once};
+    use std::sync::{MutexGuard, Once};
 
-    static SERIAL: Mutex<()> = Mutex::new(());
     static QUIET: Once = Once::new();
 
     fn serial() -> MutexGuard<'static, ()> {
         QUIET.call_once(chaos::install_quiet_panic_hook);
-        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+        gate()
     }
 
     fn fault(site: &str, trigger: Trigger, action: FaultAction) -> FaultSpec {

@@ -327,8 +327,15 @@ fn solo_and_coalesced_runs_log_the_same_lifecycle() {
     );
 
     // Coalesced: warm BFS(5), then park the single executor behind a heavy
-    // query so the next three requests are dequeued as one group.
+    // query so the next three requests are dequeued as one group. Should
+    // the executor come back before all three are queued, the leader holds
+    // the group open until they are (the window only bounds a lost race).
     let reg = Registry::new();
+    let cfg = EngineConfig {
+        batch_max: 3,
+        batch_window_us: 500_000,
+        ..cfg
+    };
     let grouped = engine(2000, cfg, &reg);
     assert!(matches!(
         grouped.submit(bfs(5)).unwrap().wait().status,

@@ -1,0 +1,198 @@
+//! Equivalence suite for overlay-native traversal.
+//!
+//! [`OverlayView`] lets the BFS kernels run on base CSR + [`DeltaOverlay`]
+//! without folding the two into a fresh graph. Its whole contract is that
+//! nobody can tell: for any base graph and any mutation stream, every
+//! traversal of the view must be bit-identical to the same traversal of
+//! [`DeltaOverlay::materialize`]'s CSR — in both directions of the
+//! direction-optimizing kernel, on both sides of the MS-BFS lane crossover
+//! (below it lanes run single-source, at and above it they share one pass
+//! whose pull step walks `any_in`), at one pool thread and at several.
+
+use graphbig_datagen::prop::{self, Config};
+use graphbig_datagen::rng::Rng;
+use graphbig_engine::{DeltaOverlay, Mutation, MutationBuffer, OverlayView, ShardedGraph};
+use graphbig_framework::csr::Csr;
+use graphbig_runtime::{CancelToken, ThreadPool};
+use graphbig_workloads::msbfs::msbfs_dir_opt;
+use graphbig_workloads::parallel::{self, LevelDir};
+use std::sync::Arc;
+
+/// A seeded random directed base graph: `n` vertices, ~`2n` non-loop edges,
+/// roughly one in ten stored twice (parallel base copies).
+fn random_base(rng: &mut Rng) -> ShardedGraph {
+    let n = 8 + rng.u64_below(90) as usize;
+    let mut edges = Vec::new();
+    while edges.len() < 2 * n {
+        let u = rng.u64_below(n as u64) as u32;
+        let v = rng.u64_below(n as u64) as u32;
+        if u == v {
+            continue;
+        }
+        edges.push((u, v, 1.0));
+        if rng.u64_below(10) == 0 {
+            edges.push((u, v, 2.0));
+        }
+    }
+    ShardedGraph::build(Csr::from_edges(n, &edges), 2)
+}
+
+/// A mutation stream over all five kinds: the shapes that stress the view
+/// first (a fresh vertex wired both ways, the base's biggest hub removed, a
+/// tombstoned pair re-added, weight patches), then random ops whose ids
+/// also reach the added vertices and a little past them.
+fn random_mutations(rng: &mut Rng, base: &ShardedGraph) -> Vec<Mutation> {
+    let n = base.num_vertices() as u32;
+    let out = base.service().out();
+    let hub = (0..n).max_by_key(|&v| out.degree(v)).expect("n >= 8");
+    let with_edge = (0..n).find(|&u| u != hub && out.degree(u) > 0);
+    let any = |rng: &mut Rng| rng.u64_below(n as u64 + 4) as u32;
+    let mut muts = vec![
+        Mutation::AddVertex, // id n
+        Mutation::AddEdge {
+            u: any(rng) % n,
+            v: n,
+            w: 1.0,
+        },
+        Mutation::AddEdge {
+            u: n,
+            v: any(rng) % n,
+            w: 1.0,
+        },
+        Mutation::RemoveVertex { v: hub },
+    ];
+    if let Some(u) = with_edge {
+        let v = out.neighbors(u)[0];
+        muts.push(Mutation::SetWeight { u, v, w: 7.0 });
+        muts.push(Mutation::RemoveEdge { u, v });
+        muts.push(Mutation::AddEdge { u, v, w: 3.0 }); // tombstone wins
+    }
+    for _ in 0..rng.u64_below(40) {
+        let (u, v) = (any(rng), any(rng));
+        muts.push(match rng.u64_below(10) {
+            0 => Mutation::AddVertex,
+            1 => Mutation::RemoveVertex { v },
+            2 | 3 => match out.neighbors(u % n).first() {
+                // Half the deletes aim at an edge that exists.
+                Some(&t) if rng.gen_bool(0.5) => Mutation::RemoveEdge { u: u % n, v: t },
+                _ => Mutation::RemoveEdge { u, v },
+            },
+            4 => Mutation::SetWeight { u, v, w: 9.0 },
+            _ => Mutation::AddEdge { u, v, w: 1.5 },
+        });
+    }
+    muts
+}
+
+fn overlay_of(base: &ShardedGraph, muts: &[Mutation]) -> Arc<DeltaOverlay> {
+    let buf = MutationBuffer::new(1, base.num_vertices() as u32);
+    // Several batches, so later ones land on a non-empty overlay.
+    for batch in muts.chunks(8) {
+        buf.apply(base, batch);
+    }
+    buf.current()
+}
+
+#[test]
+fn traversals_of_the_view_match_the_materialized_graph() {
+    let pools = [ThreadPool::new(1), ThreadPool::new(4)];
+    prop::check(
+        "overlay_view_equivalence",
+        Config::with_cases(12),
+        |rng: &mut Rng| rng.next_u64(),
+        |&seed: &u64| {
+            let mut rng = Rng::seed_from_u64(seed);
+            let base = random_base(&mut rng);
+            let ov = overlay_of(&base, &random_mutations(&mut rng, &base));
+            let view = OverlayView::new(&base, &ov);
+            let folded = ov.materialize(&base, 2);
+            let bi = folded.service().bi();
+            // Every id — removed and added vertices included — plus two
+            // past the end.
+            let n = ov.n_total();
+            for pool in &pools {
+                for source in 0..n + 2 {
+                    let want = parallel::bfs_dir_opt(pool, bi, source);
+                    assert_eq!(
+                        parallel::bfs_dir_opt(pool, &view, source),
+                        want,
+                        "dir-opt over the view, source {source}"
+                    );
+                    assert_eq!(
+                        parallel::bfs(pool, &view, source),
+                        want,
+                        "top-down over the view, source {source}"
+                    );
+                }
+                // Both sides of MIN_SHARED_LANES (16), and a full pass.
+                for lanes in [1usize, 15, 16, 17, 64] {
+                    let mut sources: Vec<u32> = (0..lanes)
+                        .map(|_| rng.u64_below(n as u64 + 2) as u32)
+                        .collect();
+                    if lanes >= 2 {
+                        sources[1] = sources[0];
+                    }
+                    assert_eq!(
+                        msbfs_dir_opt(pool, &view, &sources),
+                        msbfs_dir_opt(pool, bi, &sources),
+                        "{lanes}-lane pass over the view, sources {sources:?}"
+                    );
+                }
+            }
+        },
+    );
+}
+
+/// A hub whose out-edges swamp the graph sends the very first level
+/// bottom-up, so the rows the overlay touched are decided by the pull
+/// step's in-edge walk, not by a push from the frontier.
+#[test]
+fn bottom_up_steps_read_touched_rows_through_the_overlay() {
+    // 0 -> 1..=40; 0 -> 42 and 0 -> 43 are the only ways into 42 and 43;
+    // 41 has no way in at all.
+    let mut edges: Vec<(u32, u32, f32)> = (1..=40).map(|v| (0, v, 1.0)).collect();
+    edges.extend([(0, 42, 1.0), (0, 43, 1.0)]);
+    let base = ShardedGraph::build(Csr::from_edges(44, &edges), 2);
+    let ov = overlay_of(
+        &base,
+        &[
+            // 41's only live parent is an overlay insert.
+            Mutation::AddEdge {
+                u: 0,
+                v: 41,
+                w: 1.0,
+            },
+            // 42's only base parent is tombstoned; an overlay insert lets
+            // it back in one level later.
+            Mutation::RemoveEdge { u: 0, v: 42 },
+            Mutation::AddEdge {
+                u: 1,
+                v: 42,
+                w: 1.0,
+            },
+            // 43's only base parent is tombstoned, and that is that.
+            Mutation::RemoveEdge { u: 0, v: 43 },
+        ],
+    );
+    let view = OverlayView::new(&base, &ov);
+    let folded = ov.materialize(&base, 2);
+    for threads in [1, 4] {
+        let pool = ThreadPool::new(threads);
+        let (levels, visited, report) =
+            parallel::bfs_dir_opt_cancellable(&pool, &view, 0, &CancelToken::never()).unwrap();
+        assert_eq!(report.levels[0].dir, LevelDir::BottomUp);
+        assert_eq!(report.levels[1].dir, LevelDir::BottomUp);
+        assert_eq!(levels[41], 1, "found through its in_adds parent");
+        assert_eq!(levels[42], 2, "not through the tombstoned pair");
+        assert_eq!(levels[43], -1);
+        assert_eq!(
+            (levels, visited),
+            parallel::bfs_dir_opt(&pool, folded.service().bi(), 0)
+        );
+        // The shared pass pulls over the same rows: 16 lanes from the hub.
+        let sources = [0u32; 16];
+        let lanes = msbfs_dir_opt(&pool, &view, &sources);
+        assert_eq!(lanes, msbfs_dir_opt(&pool, folded.service().bi(), &sources));
+        assert_eq!((lanes[15][41], lanes[15][42], lanes[15][43]), (1, 2, -1));
+    }
+}

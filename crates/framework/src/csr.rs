@@ -443,6 +443,105 @@ impl BiCsr {
     }
 }
 
+/// The out-neighbourhood interface traversal kernels are written against,
+/// so one kernel body serves a plain [`Csr`] and any view layered over one
+/// (the serving engine's base + delta-overlay view is such an
+/// implementation). Kernels take it as a type parameter: each
+/// implementation is monomorphized, and the [`Csr`] one inlines to the
+/// slice loops the kernels used to spell out.
+///
+/// Iteration is *internal* (the view drives the loop and calls back) rather
+/// than an `Iterator`: a layered view decides once per row which
+/// representation to walk and then runs a tight loop over it, where an
+/// external iterator would re-dispatch on every `next()`.
+///
+/// Unweighted by design — weighted and undirected iteration belong to the
+/// same family of views and are added when a kernel needs them.
+pub trait Adjacency: Sync {
+    /// Number of vertices; valid ids are `0..num_vertices()`.
+    fn num_vertices(&self) -> usize;
+
+    /// Number of arcs, or an upper bound on it: traversals only weigh
+    /// frontier edge counts against it to pick a direction.
+    fn num_edges(&self) -> usize;
+
+    /// Out-degree of `u`, or an upper bound on it — a scheduling weight and
+    /// the other side of the direction heuristic, never an index. A view
+    /// for which the exact count means walking the row may answer in O(1).
+    fn out_degree(&self, u: u32) -> u32;
+
+    /// Call `f` with the target of every out-arc of `u`.
+    fn for_each_out(&self, u: u32, f: impl FnMut(u32));
+}
+
+/// [`Adjacency`] that can also be walked against the arcs — what the
+/// bottom-up half of a direction-optimizing traversal needs.
+pub trait InAdjacency: Adjacency {
+    /// In-degree of `v`, or an upper bound on it (a scheduling weight only).
+    fn in_degree(&self, v: u32) -> u32;
+
+    /// Call `f` with the source of each in-arc of `v` until it returns
+    /// true; returns whether it did. The early exit is the point: a
+    /// bottom-up step stops scanning at the first parent it finds.
+    fn any_in(&self, v: u32, f: impl FnMut(u32) -> bool) -> bool;
+}
+
+impl Adjacency for Csr {
+    #[inline]
+    fn num_vertices(&self) -> usize {
+        Csr::num_vertices(self)
+    }
+
+    #[inline]
+    fn num_edges(&self) -> usize {
+        Csr::num_edges(self)
+    }
+
+    #[inline]
+    fn out_degree(&self, u: u32) -> u32 {
+        self.degree(u)
+    }
+
+    #[inline]
+    fn for_each_out(&self, u: u32, f: impl FnMut(u32)) {
+        self.neighbors(u).iter().copied().for_each(f)
+    }
+}
+
+impl Adjacency for BiCsr {
+    #[inline]
+    fn num_vertices(&self) -> usize {
+        BiCsr::num_vertices(self)
+    }
+
+    #[inline]
+    fn num_edges(&self) -> usize {
+        BiCsr::num_edges(self)
+    }
+
+    #[inline]
+    fn out_degree(&self, u: u32) -> u32 {
+        self.out.degree(u)
+    }
+
+    #[inline]
+    fn for_each_out(&self, u: u32, f: impl FnMut(u32)) {
+        self.out.for_each_out(u, f)
+    }
+}
+
+impl InAdjacency for BiCsr {
+    #[inline]
+    fn in_degree(&self, v: u32) -> u32 {
+        self.inc().degree(v)
+    }
+
+    #[inline]
+    fn any_in(&self, v: u32, f: impl FnMut(u32) -> bool) -> bool {
+        self.inc().neighbors(v).iter().copied().any(f)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -640,6 +739,33 @@ mod tests {
         let bi = BiCsr::symmetric(s.clone());
         assert_eq!(bi.out(), &s);
         assert_eq!(bi.inc(), &s);
+    }
+
+    #[test]
+    fn adjacency_views_walk_the_same_arcs_as_the_slices() {
+        fn outs(g: &impl Adjacency, u: u32) -> Vec<u32> {
+            let mut row = Vec::new();
+            g.for_each_out(u, |v| row.push(v));
+            assert_eq!(row.len(), g.out_degree(u) as usize);
+            row
+        }
+        let bi = BiCsr::directed(Csr::from_graph(&diamond_graph()));
+        assert_eq!(Adjacency::num_vertices(&bi), 4);
+        assert_eq!(Adjacency::num_edges(&bi), 4);
+        for u in 0..4 {
+            assert_eq!(outs(bi.out(), u), bi.out().neighbors(u));
+            assert_eq!(outs(&bi, u), bi.out().neighbors(u));
+            assert_eq!(bi.in_degree(u), bi.inc().degree(u));
+        }
+        // `any_in` stops at the first hit and reports a miss as false.
+        let mut seen = Vec::new();
+        assert!(bi.any_in(3, |u| {
+            seen.push(u);
+            true
+        }));
+        assert_eq!(seen, [bi.inc().neighbors(3)[0]]);
+        assert!(!bi.any_in(3, |_| false));
+        assert!(!bi.any_in(0, |_| true), "no in-arcs, nothing to hit");
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub use types::{ComputationType, DataSource, VertexId};
 pub mod prelude {
     pub use crate::bitmap::AtomicBitmap;
     pub use crate::coo::Coo;
-    pub use crate::csr::{BiCsr, Csr};
+    pub use crate::csr::{Adjacency, BiCsr, Csr, InAdjacency};
     pub use crate::error::GraphError;
     pub use crate::graph::PropertyGraph;
     pub use crate::property::{Property, PropertyKey, PropertyMap};

@@ -24,7 +24,7 @@
 
 use std::sync::atomic::{AtomicI32, AtomicU16, AtomicU64, Ordering};
 
-use graphbig_framework::csr::{BiCsr, Csr};
+use graphbig_framework::csr::{Adjacency, BiCsr, InAdjacency};
 use graphbig_runtime::frontier::ChunkedSink;
 use graphbig_runtime::{parfor, CancelToken, Cancelled, ThreadPool};
 
@@ -64,9 +64,9 @@ const MIN_SHARED_LANES: usize = 16;
 /// `(lane, v)` cells). Returns the OR of all newly-discovered lane masks —
 /// a zero bit means that lane's next frontier is empty and it retires.
 #[allow(clippy::too_many_arguments)]
-fn ms_step<C: LevelCell>(
+fn ms_step<C: LevelCell, G: Adjacency>(
     pool: &ThreadPool,
-    csr: &Csr,
+    g: &G,
     live: u64,
     seen: &[AtomicU64],
     visit: &[AtomicU64],
@@ -86,15 +86,15 @@ fn ms_step<C: LevelCell>(
             return 0;
         }
         let mut produced = 0u64;
-        for &v in csr.neighbors(u) {
+        g.for_each_out(u, |v| {
             let vi = v as usize;
             let cand = mask & !seen[vi].load(Ordering::Relaxed);
             if cand == 0 {
-                continue;
+                return;
             }
             let newly = cand & !seen[vi].fetch_or(cand, Ordering::Relaxed);
             if newly == 0 {
-                continue;
+                return;
             }
             let mut bits = newly;
             while bits != 0 {
@@ -106,7 +106,7 @@ fn ms_step<C: LevelCell>(
             if visit_next[vi].fetch_or(newly, Ordering::Relaxed) == 0 {
                 buf.push(v);
             }
-        }
+        });
         produced
     };
     // Serial fast path mirrors `top_down_step`: one worker or one chunk
@@ -116,7 +116,7 @@ fn ms_step<C: LevelCell>(
         Vec::new()
     } else {
         parfor::weighted_chunks(frontier.len(), CHUNK_WEIGHT, |i| {
-            csr.degree(frontier[i]) as u64 + 1
+            g.out_degree(frontier[i]) as u64 + 1
         })
     };
     if serial || chunks.len() == 1 {
@@ -150,9 +150,9 @@ fn ms_step<C: LevelCell>(
 /// newly-discovered lane masks, exactly like [`ms_step`]; the caller
 /// rebuilds the sparse frontier from the non-zero `visit_next` words.
 #[allow(clippy::too_many_arguments)]
-fn ms_pull_step<C: LevelCell>(
+fn ms_pull_step<C: LevelCell, G: InAdjacency>(
     pool: &ThreadPool,
-    inc: &Csr,
+    g: &G,
     live: u64,
     seen: &[AtomicU64],
     visit: &[AtomicU64],
@@ -171,12 +171,10 @@ fn ms_pull_step<C: LevelCell>(
             return;
         }
         let mut gathered = 0u64;
-        for &u in inc.neighbors(vi as u32) {
+        g.any_in(vi as u32, |u| {
             gathered |= visit[u as usize].load(Ordering::Relaxed);
-            if gathered & missing == missing {
-                break; // every missing lane found a parent: stop scanning
-            }
-        }
+            gathered & missing == missing // every missing lane found a parent: stop scanning
+        });
         let newly = gathered & missing;
         if newly == 0 {
             return;
@@ -207,25 +205,26 @@ fn ms_pull_step<C: LevelCell>(
 ///
 /// # Panics
 /// If `sources.len() > MSBFS_LANES` or `cancels.len() != sources.len()`.
-pub fn msbfs_cancellable(
+pub fn msbfs_cancellable<G: Adjacency>(
     pool: &ThreadPool,
-    csr: &Csr,
+    g: &G,
     sources: &[u32],
     cancels: &[&CancelToken],
 ) -> Vec<Result<Vec<i64>, Cancelled>> {
-    drive(pool, csr, None, sources, cancels)
+    // Push-only: no in-view, so its type is never used — any will do.
+    drive(pool, g, None::<&BiCsr>, sources, cancels)
 }
 
 /// Direction-optimized [`msbfs_cancellable`]: level by level the pass
 /// picks the top-down step or — once the union frontier's out-edges pass
-/// the ALPHA threshold — the bottom-up step over `bi`'s in-edges. Levels
+/// the ALPHA threshold — the bottom-up step over `g`'s in-edges. Levels
 /// are shortest hop distances either way, so per-lane output is still
 /// bit-identical to the single-source oracle; the pull phase only changes
 /// how fast the pass gets there. This is the variant the engine's batcher
 /// runs, because its sequential comparator is itself direction-optimized.
-pub fn msbfs_dir_opt_cancellable(
+pub fn msbfs_dir_opt_cancellable<G: InAdjacency>(
     pool: &ThreadPool,
-    bi: &BiCsr,
+    g: &G,
     sources: &[u32],
     cancels: &[&CancelToken],
 ) -> Vec<Result<Vec<i64>, Cancelled>> {
@@ -241,24 +240,26 @@ pub fn msbfs_dir_opt_cancellable(
             .iter()
             .zip(cancels)
             .map(|(&s, cancel)| {
-                parallel::bfs_dir_opt_cancellable(pool, bi, s, cancel).map(|(levels, _, _)| levels)
+                parallel::bfs_dir_opt_cancellable(pool, g, s, cancel).map(|(levels, _, _)| levels)
             })
             .collect();
     }
-    drive(pool, bi.out(), Some(bi.inc()), sources, cancels)
+    drive(pool, g, Some(g), sources, cancels)
 }
 
-fn drive(
+/// One pass over `out`, pulling over `inc` (the same graph's in-view) on the
+/// levels where that is cheaper; `None` keeps every level top-down.
+fn drive<G: Adjacency, I: InAdjacency>(
     pool: &ThreadPool,
-    csr: &Csr,
-    inc: Option<&Csr>,
+    out: &G,
+    inc: Option<&I>,
     sources: &[u32],
     cancels: &[&CancelToken],
 ) -> Vec<Result<Vec<i64>, Cancelled>> {
     let lanes = sources.len();
     assert!(lanes <= MSBFS_LANES, "at most {MSBFS_LANES} lanes per pass");
     assert_eq!(lanes, cancels.len(), "one token per lane");
-    let n = csr.num_vertices();
+    let n = out.num_vertices();
     let mut active = 0u64;
     for (l, &s) in sources.iter().enumerate() {
         if (s as usize) < n {
@@ -281,11 +282,11 @@ fn drive(
         // — a 2x cost paid only on path-shaped graphs no serving mix
         // resembles.
         if let Some(results) =
-            drive_in::<AtomicU16>(scratch, pool, csr, inc, sources, cancels, lanes, n, active)
+            drive_in::<AtomicU16, G, I>(scratch, pool, out, inc, sources, cancels, lanes, n, active)
         {
             return results;
         }
-        drive_in::<AtomicI32>(scratch, pool, csr, inc, sources, cancels, lanes, n, active)
+        drive_in::<AtomicI32, G, I>(scratch, pool, out, inc, sources, cancels, lanes, n, active)
             .expect("i32 marks outlast any BFS depth")
     })
 }
@@ -419,11 +420,11 @@ thread_local! {
 }
 
 #[allow(clippy::too_many_arguments)]
-fn drive_in<C: LevelCell>(
+fn drive_in<C: LevelCell, G: Adjacency, I: InAdjacency>(
     scratch: &mut Scratch,
     pool: &ThreadPool,
-    csr: &Csr,
-    inc: Option<&Csr>,
+    out: &G,
+    inc: Option<&I>,
     sources: &[u32],
     cancels: &[&CancelToken],
     lanes: usize,
@@ -487,15 +488,15 @@ fn drive_in<C: LevelCell>(
             // Direction choice, per level: pull once the union frontier's
             // out-edges pass the ALPHA fraction of all edges.
             let pull = inc.filter(|_| {
-                let scout: u64 = frontier.iter().map(|&u| csr.degree(u) as u64).sum();
-                scout > csr.num_edges() as u64 / ALPHA
+                let scout: u64 = frontier.iter().map(|&u| out.out_degree(u) as u64).sum();
+                scout > out.num_edges() as u64 / ALPHA
             });
             let produced = match pull {
                 Some(inc) => ms_pull_step(
                     pool, inc, active, seen, visit, visit_next, levels, n, lanes, level,
                 ),
                 None => ms_step(
-                    pool, csr, active, seen, visit, visit_next, levels, lanes, &frontier, level,
+                    pool, out, active, seen, visit, visit_next, levels, lanes, &frontier, level,
                     &sink, &mut next,
                 ),
             };
@@ -596,13 +597,13 @@ fn drive_in<C: LevelCell>(
 /// Batched BFS over any number of sources: chunks into passes of
 /// [`MSBFS_LANES`] lanes, no cancellation. Returns per-source levels,
 /// index-aligned with `sources`.
-pub fn msbfs(pool: &ThreadPool, csr: &Csr, sources: &[u32]) -> Vec<Vec<i64>> {
+pub fn msbfs<G: Adjacency>(pool: &ThreadPool, g: &G, sources: &[u32]) -> Vec<Vec<i64>> {
     let never = CancelToken::never();
     sources
         .chunks(MSBFS_LANES)
         .flat_map(|chunk| {
             let cancels: Vec<&CancelToken> = chunk.iter().map(|_| &never).collect();
-            msbfs_cancellable(pool, csr, chunk, &cancels)
+            msbfs_cancellable(pool, g, chunk, &cancels)
                 .into_iter()
                 .map(|r| r.expect("never token cannot cancel"))
         })
@@ -610,14 +611,14 @@ pub fn msbfs(pool: &ThreadPool, csr: &Csr, sources: &[u32]) -> Vec<Vec<i64>> {
 }
 
 /// Direction-optimized [`msbfs`]: any number of sources, chunked into
-/// 64-lane passes over a [`BiCsr`], no cancellation.
-pub fn msbfs_dir_opt(pool: &ThreadPool, bi: &BiCsr, sources: &[u32]) -> Vec<Vec<i64>> {
+/// 64-lane passes, no cancellation.
+pub fn msbfs_dir_opt<G: InAdjacency>(pool: &ThreadPool, g: &G, sources: &[u32]) -> Vec<Vec<i64>> {
     let never = CancelToken::never();
     sources
         .chunks(MSBFS_LANES)
         .flat_map(|chunk| {
             let cancels: Vec<&CancelToken> = chunk.iter().map(|_| &never).collect();
-            msbfs_dir_opt_cancellable(pool, bi, chunk, &cancels)
+            msbfs_dir_opt_cancellable(pool, g, chunk, &cancels)
                 .into_iter()
                 .map(|r| r.expect("never token cannot cancel"))
         })
@@ -629,6 +630,7 @@ mod tests {
     use super::*;
     use crate::parallel;
     use graphbig_datagen::Dataset;
+    use graphbig_framework::csr::Csr;
 
     fn csr(n: usize) -> Csr {
         Csr::from_graph(&Dataset::Ldbc.generate_with_vertices(n))

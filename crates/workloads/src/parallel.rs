@@ -14,11 +14,15 @@
 //! thread count without sorting the frontier.
 //! [`bfs_dir_opt`] additionally switches between top-down and bottom-up
 //! traversal with the GAP alpha/beta heuristic (see DESIGN.md).
+//!
+//! The BFS kernels are written against [`Adjacency`] / [`InAdjacency`]
+//! rather than the CSR arrays, so the same body traverses a plain
+//! [`Csr`] / `BiCsr` and the serving engine's base + delta-overlay view.
 
 use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, Ordering};
 
 use graphbig_framework::bitmap::AtomicBitmap;
-use graphbig_framework::csr::{BiCsr, Csr};
+use graphbig_framework::csr::{Adjacency, Csr, InAdjacency};
 use graphbig_runtime::frontier::{should_be_dense, ChunkedSink, Frontier};
 use graphbig_runtime::{parfor, CancelToken, Cancelled, ThreadPool};
 
@@ -100,9 +104,9 @@ impl DirOptReport {
 /// unreached vertices to `level + 1`, and gather discoveries in
 /// deterministic chunk order into `next`. Returns the sum of out-degrees of
 /// the discovered vertices (the scout count for the direction heuristic).
-fn top_down_step(
+fn top_down_step<G: Adjacency>(
     pool: &ThreadPool,
-    csr: &Csr,
+    g: &G,
     levels: &[AtomicI64],
     frontier: &[u32],
     level: i64,
@@ -117,40 +121,34 @@ fn top_down_step(
         Vec::new()
     } else {
         parfor::weighted_chunks(frontier.len(), CHUNK_WEIGHT, |i| {
-            csr.degree(frontier[i]) as u64 + 1
+            g.out_degree(frontier[i]) as u64 + 1
         })
+    };
+    // Relax `u`'s out-arcs, pushing discoveries onto `buf`; returns their
+    // out-degree sum.
+    let expand = |u: u32, buf: &mut Vec<u32>| -> u64 {
+        let mut scout = 0u64;
+        g.for_each_out(u, |v| {
+            if levels[v as usize]
+                .compare_exchange(-1, level + 1, Ordering::Relaxed, Ordering::Relaxed)
+                .is_ok()
+            {
+                buf.push(v);
+                scout += g.out_degree(v) as u64;
+            }
+        });
+        scout
     };
     if serial || chunks.len() == 1 {
         next.clear();
-        let mut scout = 0u64;
-        for &u in frontier {
-            for &v in csr.neighbors(u) {
-                if levels[v as usize]
-                    .compare_exchange(-1, level + 1, Ordering::Relaxed, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    next.push(v);
-                    scout += csr.degree(v) as u64;
-                }
-            }
-        }
-        return scout;
+        return frontier.iter().map(|&u| expand(u, next)).sum();
     }
     let scout = AtomicU64::new(0);
     parfor::parallel_for_chunk_list(pool, &chunks, |worker, chunk, range| {
         let mut buf = sink.take_buffer(worker);
         let mut local_scout = 0u64;
         for i in range {
-            let u = frontier[i];
-            for &v in csr.neighbors(u) {
-                if levels[v as usize]
-                    .compare_exchange(-1, level + 1, Ordering::Relaxed, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    buf.push(v);
-                    local_scout += csr.degree(v) as u64;
-                }
-            }
+            local_scout += expand(frontier[i], &mut buf);
         }
         scout.fetch_add(local_scout, Ordering::Relaxed);
         sink.commit(worker, chunk, buf);
@@ -160,7 +158,8 @@ fn top_down_step(
     scout.into_inner()
 }
 
-/// Level-synchronous parallel BFS over a CSR (always top-down); returns
+/// Level-synchronous parallel BFS over an out-adjacency view — a [`Csr`] or
+/// anything layered over one — always top-down; returns
 /// per-vertex levels (`-1` = unreached) and the number of visited vertices.
 ///
 /// Per-level output is merged from chunk-tagged worker buffers by prefix-sum
@@ -168,8 +167,8 @@ fn top_down_step(
 /// only on which chunk discovered each vertex, never on worker timing) and
 /// the level array is bit-identical for every thread count — with no
 /// per-level sort.
-pub fn bfs(pool: &ThreadPool, csr: &Csr, source: u32) -> (Vec<i64>, u64) {
-    let n = csr.num_vertices();
+pub fn bfs<G: Adjacency>(pool: &ThreadPool, g: &G, source: u32) -> (Vec<i64>, u64) {
+    let n = g.num_vertices();
     if n == 0 || source as usize >= n {
         return (Vec::new(), 0);
     }
@@ -182,7 +181,7 @@ pub fn bfs(pool: &ThreadPool, csr: &Csr, source: u32) -> (Vec<i64>, u64) {
     let mut visited = 1u64;
     while !frontier.is_empty() {
         let _lvl = graphbig_telemetry::span!("bfs.level", depth = level, frontier = frontier.len());
-        top_down_step(pool, csr, &levels, &frontier, level, &sink, &mut next);
+        top_down_step(pool, g, &levels, &frontier, level, &sink, &mut next);
         visited += next.len() as u64;
         std::mem::swap(&mut frontier, &mut next);
         level += 1;
@@ -194,31 +193,27 @@ pub fn bfs(pool: &ThreadPool, csr: &Csr, source: u32) -> (Vec<i64>, u64) {
 /// One bottom-up step: every unreached vertex scans its *in*-edges for a
 /// parent in the (dense) frontier and adopts `level + 1` on the first hit.
 /// Returns (next-frontier bitmap, awake count).
-fn bottom_up_step(
+fn bottom_up_step<G: InAdjacency>(
     pool: &ThreadPool,
-    bi: &BiCsr,
+    g: &G,
     levels: &[AtomicI64],
     frontier: &AtomicBitmap,
     level: i64,
 ) -> (AtomicBitmap, usize) {
     let n = levels.len();
-    let inc = bi.inc();
     let next = AtomicBitmap::new(n);
     let awake = AtomicU64::new(0);
-    let chunks = parfor::weighted_chunks(n, CHUNK_WEIGHT, |v| inc.degree(v as u32) as u64 + 1);
+    let chunks = parfor::weighted_chunks(n, CHUNK_WEIGHT, |v| g.in_degree(v as u32) as u64 + 1);
     parfor::parallel_for_chunk_list(pool, &chunks, |_worker, _chunk, range| {
         let mut local_awake = 0u64;
         for v in range {
             if levels[v].load(Ordering::Relaxed) != -1 {
                 continue;
             }
-            for &u in inc.neighbors(v as u32) {
-                if frontier.get(u as usize) {
-                    levels[v].store(level + 1, Ordering::Relaxed);
-                    next.set(v);
-                    local_awake += 1;
-                    break;
-                }
+            if g.any_in(v as u32, |u| frontier.get(u as usize)) {
+                levels[v].store(level + 1, Ordering::Relaxed);
+                next.set(v);
+                local_awake += 1;
             }
         }
         awake.fetch_add(local_awake, Ordering::Relaxed);
@@ -231,10 +226,9 @@ fn bottom_up_step(
 /// the frontier's out-edges dominate the unexplored edges, back to top-down
 /// when the frontier collapses. Returns per-vertex levels (`-1` =
 /// unreached) and the visited count — identical output to [`bfs`].
-pub fn bfs_dir_opt(pool: &ThreadPool, bi: &BiCsr, source: u32) -> (Vec<i64>, u64) {
-    let (levels, visited, report) =
-        bfs_dir_opt_cancellable(pool, bi, source, &CancelToken::never())
-            .expect("never token cannot cancel");
+pub fn bfs_dir_opt<G: InAdjacency>(pool: &ThreadPool, g: &G, source: u32) -> (Vec<i64>, u64) {
+    let (levels, visited, report) = bfs_dir_opt_cancellable(pool, g, source, &CancelToken::never())
+        .expect("never token cannot cancel");
     report.publish(graphbig_telemetry::metrics::global());
     (levels, visited)
 }
@@ -244,24 +238,23 @@ pub fn bfs_dir_opt(pool: &ThreadPool, bi: &BiCsr, source: u32) -> (Vec<i64>, u64
 /// [`DirOptReport`] trajectory alongside the result and does not touch the
 /// global metric registry — which also makes it the entry point tests and
 /// diagnostics use to inspect the heuristic in isolation.
-pub fn bfs_dir_opt_cancellable(
+pub fn bfs_dir_opt_cancellable<G: InAdjacency>(
     pool: &ThreadPool,
-    bi: &BiCsr,
+    g: &G,
     source: u32,
     cancel: &CancelToken,
 ) -> Result<(Vec<i64>, u64, DirOptReport), Cancelled> {
     let mut report = DirOptReport::default();
-    let n = bi.num_vertices();
+    let n = g.num_vertices();
     if n == 0 || source as usize >= n {
         return Ok((Vec::new(), 0, report));
     }
-    let m = bi.num_edges() as u64;
-    let out = bi.out();
+    let m = g.num_edges() as u64;
     let levels: Vec<AtomicI64> = (0..n).map(|_| AtomicI64::new(-1)).collect();
     levels[source as usize].store(0, Ordering::Relaxed);
     let sink = ChunkedSink::new(pool.threads());
     let mut frontier = Frontier::singleton(source);
-    let mut scout = out.degree(source) as u64;
+    let mut scout = g.out_degree(source) as u64;
     let mut edges_to_check = m;
     let mut level = 0i64;
     let mut next_queue: Vec<u32> = Vec::new();
@@ -299,7 +292,7 @@ pub fn bfs_dir_opt_cancellable(
                 );
                 let (bits, awake) = bottom_up_step(
                     pool,
-                    bi,
+                    g,
                     &levels,
                     frontier.as_dense().expect("ensured dense"),
                     level,
@@ -313,7 +306,7 @@ pub fn bfs_dir_opt_cancellable(
             // Back to top-down: recompute the scout count for the (possibly
             // sparse) surviving frontier.
             let mut s = 0u64;
-            frontier.for_each(|v| s += out.degree(v) as u64);
+            frontier.for_each(|v| s += g.out_degree(v) as u64);
             scout = s;
             if let Frontier::Dense { bits, count } = frontier {
                 frontier = Frontier::from_bitmap(bits, count);
@@ -354,7 +347,7 @@ pub fn bfs_dir_opt_cancellable(
                     &materialized
                 }
             };
-            scout = top_down_step(pool, out, &levels, queue, level, &sink, &mut next_queue);
+            scout = top_down_step(pool, g, &levels, queue, level, &sink, &mut next_queue);
             level += 1;
             let produced = std::mem::take(&mut next_queue);
             frontier = Frontier::from_queue(produced, n);
@@ -743,6 +736,7 @@ pub fn tc(pool: &ThreadPool, csr: &Csr) -> u64 {
 mod tests {
     use super::*;
     use graphbig_datagen::Dataset;
+    use graphbig_framework::csr::BiCsr;
     use graphbig_framework::PropertyGraph;
 
     fn pool() -> ThreadPool {

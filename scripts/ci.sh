@@ -34,6 +34,23 @@ done
 echo "==> benchmark package (frozen surface: builds standalone, smoke-runs every workload)"
 benchmark/check.sh
 
+echo "==> overlay-native BFS (never folds the graph; within 2x of a BFS on the clean epoch)"
+grep -q '^fn run_shared_pass' crates/engine/src/exec.rs \
+  || { echo "run_shared_pass moved: point this gate at the BFS kernel step"; exit 1; }
+if sed -n '/^fn run_shared_pass/,/^}/p' crates/engine/src/exec.rs | grep -q 'materialized_for'; then
+  echo "run_shared_pass calls materialized_for: the BFS path must traverse the overlay view"
+  exit 1
+fi
+# Both figures come from one process and one pass of the script check.sh just built.
+"${CARGO_TARGET_DIR:-benchmark/target}/release/graphbig-benchmark" \
+  --workload live_rw --seed 7 --quick --trace 1 | tail -n 1 | python3 -c '
+import json, sys
+m = json.load(sys.stdin)["metrics"]
+overlay, clean = (m[k]["value"] for k in ("engine.bfs_overlay_us", "engine.bfs_clean_us"))
+print(f"engine.bfs_overlay_us {overlay:.1f} vs engine.bfs_clean_us {clean:.1f}")
+sys.exit(overlay > 2 * clean)
+' || { echo "a BFS over a live overlay took more than 2x a BFS on the clean epoch"; exit 1; }
+
 echo "==> engine serving smoke (LDBC-4k, 200-request mix, sequential oracle)"
 cargo run "${CARGO_FLAGS[@]}" --release -p graphbig-engine --bin graphbig-serve -- \
   --vertices 4096 --mix traffic/smoke_200.json --oracle --quiet --emit /tmp/engine_smoke.json
