@@ -1,7 +1,6 @@
 //! Failpoint overhead benchmark: the zero-cost claim for fault injection.
 //!
-//! Mirrors `telemetry_overhead.rs` for the chaos layer. Measures two
-//! levels, each in two states:
+//! Measures two levels, each in two states:
 //!
 //! * `raw_site/*` — one `failpoint!` evaluation in a tight loop:
 //!   `disarmed` is the gate everyone pays when the `chaos` feature is on

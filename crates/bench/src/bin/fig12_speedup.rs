@@ -23,7 +23,7 @@ use std::time::Instant;
 use graphbig::datagen::Dataset;
 use graphbig::framework::csr::{BiCsr, Csr};
 use graphbig::profile::Table;
-use graphbig::runtime::{ThreadPool, PAPER_CORES};
+use graphbig::runtime::{CancelToken, ThreadPool, PAPER_CORES};
 use graphbig::workloads::{parallel, Workload};
 use graphbig_bench::cpu_char::{figure_params, profile_workload};
 use graphbig_bench::gpu_char::profile_gpu_workload;
@@ -68,18 +68,18 @@ fn measured_cpu_seconds(w: Workload, d: Dataset, scale: f64, pool: &ThreadPool) 
             })
         }
         Workload::SPath => Box::new(move || {
-            parallel::spath(pool, &csr, 0);
+            parallel::spath(pool, &csr, 0, &CancelToken::never()).expect("never cancels");
         }),
         Workload::CComp => {
             let sym = csr.symmetrize();
             Box::new(move || {
-                parallel::ccomp(pool, &sym);
+                parallel::ccomp(pool, &sym, &CancelToken::never()).expect("never cancels");
             })
         }
         Workload::KCore => {
             let sym = csr.symmetrize();
             Box::new(move || {
-                parallel::kcore(pool, &sym);
+                parallel::kcore(pool, &sym, &CancelToken::never()).expect("never cancels");
             })
         }
         Workload::GColor => Box::new(move || {
@@ -92,9 +92,12 @@ fn measured_cpu_seconds(w: Workload, d: Dataset, scale: f64, pool: &ThreadPool) 
                 parallel::tc(pool, &sym);
             })
         }
-        Workload::DCentr => Box::new(move || {
-            parallel::dcentr(pool, &csr);
-        }),
+        Workload::DCentr => {
+            let bi = BiCsr::directed(csr);
+            Box::new(move || {
+                parallel::dcentr(pool, &bi);
+            })
+        }
         _ => return None,
     };
     let mut best = f64::INFINITY;

@@ -3,7 +3,7 @@
 
 use graphbig::framework::graph::PropertyGraph;
 use graphbig::profile::Table;
-use graphbig::telemetry::{self, RunManifest};
+use graphbig::telemetry::{self, recorder, RunManifest};
 
 /// Deep-copy a property graph (vertices, then arcs with weights).
 ///
@@ -58,16 +58,16 @@ pub fn has_flag(flag: &str) -> bool {
 /// Construction parses the common flags all binaries share:
 ///
 /// * `--emit <path>` — write the [`RunManifest`] JSON on [`finish`](Self::finish);
-/// * `--trace <path>` — write a Chrome `trace_event` JSON of the recorded
-///   spans (open in `chrome://tracing` or Perfetto);
+/// * `--trace <path>` — write a Chrome `trace_event` JSON of the flight
+///   recorder's events (open in `chrome://tracing` or Perfetto);
 /// * `--quiet` — suppress the stdout tables/notes (they still land in the
 ///   manifest).
 ///
 /// Tables and notes pass through [`table`](Self::table) / [`note`](Self::note)
 /// instead of ad-hoc `println!`, so stdout rendering and the manifest stay
 /// in sync. `finish` snapshots the global metric registry (populated by the
-/// runtime and workloads during the run) and folds the span trace into the
-/// manifest before writing anything.
+/// runtime and workloads during the run) and folds the flight recorder's
+/// trace into the manifest before writing anything.
 pub struct Reporter {
     manifest: RunManifest,
     emit: Option<String>,
@@ -76,13 +76,10 @@ pub struct Reporter {
 }
 
 impl Reporter {
-    /// Start reporting for binary `bin`; enables span recording.
+    /// Start reporting for binary `bin`.
     pub fn new(bin: &str) -> Reporter {
-        telemetry::enable();
-        let mut manifest = RunManifest::new(bin);
-        manifest.features = telemetry::compiled_features();
         Reporter {
-            manifest,
+            manifest: RunManifest::new(bin),
             emit: arg_value("--emit"),
             trace: arg_value("--trace"),
             quiet: has_flag("--quiet"),
@@ -155,7 +152,7 @@ impl Reporter {
         for (name, value) in telemetry::metrics::global().snapshot() {
             self.manifest.metrics.entry(name).or_insert(value);
         }
-        let trace = telemetry::take_trace();
+        let trace = recorder::to_trace(&recorder::snapshot());
         self.manifest.absorb_trace(&trace);
         if let Some(path) = &self.trace {
             if let Err(e) = telemetry::chrome::write_chrome_trace(&trace, path) {

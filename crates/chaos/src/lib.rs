@@ -9,7 +9,7 @@
 //! key**, so a chaotic run is replayable bit-for-bit from one seed and is
 //! independent of thread scheduling.
 //!
-//! Feature-gating mirrors the telemetry `spans` pattern: with the
+//! Feature-gated: with the
 //! `failpoints` feature off (the default), [`failpoint!`] expands to an
 //! inlined `None` and none of the registry machinery is compiled — zero
 //! cost in the hot path. With the feature on but no plan armed, each site

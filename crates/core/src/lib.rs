@@ -16,8 +16,7 @@
 //! * [`engine`] — sharded, admission-controlled concurrent query engine
 //! * [`gpu`] — the 8 GPU workloads
 //! * [`profile`] — reports and paper reference values
-//! * [`telemetry`] — spans, metrics, run manifests (the `telemetry`
-//!   feature compiles span recording into the runtime and workloads)
+//! * [`telemetry`] — always-on flight recorder, metrics, run manifests
 //! * [`chaos`] — deterministic fault-injection failpoints (the `chaos`
 //!   feature compiles injection sites into the runtime and engine)
 //!

@@ -3,8 +3,8 @@
 //! The executor (see `exec.rs`) pops one job under the normal lane-aging
 //! policy, then — if the job is *batchable* — drains compatible jobs from
 //! the same lane into its group and runs one shared kernel for all of them. This module holds the pure, unit-testable
-//! policy pieces: the batch-kind classification and the shard-grouped
-//! ordering for point sweeps.
+//! policy pieces: the batch-kind classification and the sort key for point
+//! sweeps.
 //!
 //! Compatibility is keyed by `(kind, epoch, delta-seq)`:
 //! * **kind** — only queries answered by the same kernel can share a pass
@@ -46,29 +46,15 @@ pub(crate) fn kind_of(query: &Query) -> Option<BatchKind> {
     }
 }
 
-/// The vertex a point query touches first — the shard-grouping sort key.
+/// The vertex a point query touches first — the sweep's sort key. Shards
+/// are contiguous ascending vertex ranges, so ascending vertex order groups
+/// a sweep by shard.
 pub(crate) fn point_vertex(query: &Query) -> u32 {
     match query {
         Query::Degree { vertex } => *vertex,
         Query::KHop { source, .. } => *source,
         Query::Run { source, .. } => *source,
     }
-}
-
-/// Stable order for a shard-grouped point sweep: group by shard index,
-/// then by vertex within the shard, so one pass walks each shard's slice
-/// of the CSR once instead of hopping between shards per request. Pure so
-/// the ordering is testable without an engine; `shard_of` maps a vertex to
-/// its shard index (out-of-range vertices sort last).
-pub(crate) fn shard_sweep_order<T>(
-    items: &mut [T],
-    vertex_of: impl Fn(&T) -> u32,
-    shard_of: impl Fn(u32) -> Option<usize>,
-) {
-    items.sort_by_key(|item| {
-        let v = vertex_of(item);
-        (shard_of(v).unwrap_or(usize::MAX), v)
-    });
 }
 
 #[cfg(test)]
@@ -104,19 +90,32 @@ mod tests {
         }
     }
 
+    /// The sweep used to sort by `(shard index, vertex)` with out-of-range
+    /// vertices last; on contiguous ascending shards that is the plain
+    /// (stable) vertex order `run_group` sorts by now.
     #[test]
     fn shard_sweep_groups_by_shard_then_vertex() {
-        // 2 shards of 50 vertices each; vertex 120 is out of range.
-        let shard_of = |v: u32| (v < 100).then_some((v / 50) as usize);
-        let mut items: Vec<u32> = vec![70, 10, 120, 55, 5, 99];
-        shard_sweep_order(&mut items, |&v| v, shard_of);
-        assert_eq!(items, vec![5, 10, 55, 70, 99, 120]);
-    }
-
-    #[test]
-    fn shard_sweep_is_stable_for_duplicate_vertices() {
-        let mut items: Vec<(u32, char)> = vec![(7, 'a'), (3, 'x'), (7, 'b')];
-        shard_sweep_order(&mut items, |&(v, _)| v, |_| Some(0));
-        assert_eq!(items, vec![(3, 'x'), (7, 'a'), (7, 'b')]);
+        use graphbig_framework::csr::Csr;
+        let n = 200u32;
+        let edges: Vec<(u32, u32, f32)> = (0..n).map(|v| (v, (v * 7 + 1) % n, 1.0)).collect();
+        let sharded = crate::ShardedGraph::build(Csr::from_edges(n as usize, &edges), 4);
+        assert_eq!(sharded.shards().len(), 4);
+        let queries: Vec<Query> = [170u32, 10, 950, 55, 10, 199, 0, 101, 49, 50]
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| match i % 2 {
+                0 => Query::Degree { vertex: v },
+                _ => Query::KHop { source: v, hops: 2 },
+            })
+            .collect();
+        let mut by_shard = queries.clone();
+        by_shard.sort_by_key(|q| {
+            let v = point_vertex(q);
+            let shard = sharded.shard_of(v).map_or(usize::MAX, |s| s.index());
+            (shard, v)
+        });
+        let mut by_vertex = queries;
+        by_vertex.sort_by_key(point_vertex);
+        assert_eq!(by_vertex, by_shard);
     }
 }

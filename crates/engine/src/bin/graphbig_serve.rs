@@ -268,7 +268,6 @@ fn render(table: &TableData) -> String {
 }
 
 fn main() -> ExitCode {
-    telemetry::enable();
     if let Some(path) = arg_value("--flight-dump") {
         recorder::set_auto_dump_path(&path);
     }
@@ -543,7 +542,6 @@ fn main() -> ExitCode {
         let mut manifest = RunManifest::new("graphbig-serve");
         manifest.dataset = Some(dataset_name.clone());
         manifest.threads = cfg.pool_threads as u64;
-        manifest.features = telemetry::compiled_features();
         if chaos::compiled() {
             manifest.features.push("chaos".into());
         }
@@ -620,7 +618,7 @@ fn main() -> ExitCode {
         for (name, value) in global_snap {
             manifest.metrics.entry(name).or_insert(value);
         }
-        manifest.absorb_trace(&telemetry::take_trace());
+        manifest.absorb_trace(&recorder::to_trace(&flight));
         manifest.tables.push(table);
         manifest.tables.push(stages);
         if let Err(e) = manifest.write_to(&path) {

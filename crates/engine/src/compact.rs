@@ -40,11 +40,7 @@ pub(crate) fn incremental_ccomp(
         // Seed once per epoch with a full pool run over the base graph;
         // every later clean-overlay CComp is a cheap union of the new
         // insert-log suffix instead of a whole-graph recompute.
-        let base = parallel::ccomp_cancellable(
-            &sh.pool,
-            job.snapshot.graph().service().sym(),
-            &job.token,
-        )?;
+        let base = parallel::ccomp(&sh.pool, job.snapshot.graph().service().sym(), &job.token)?;
         *guard = Some((ov.epoch(), IncrementalCComp::new(&base)));
     }
     let (_, inc) = guard.as_mut().expect("state seeded above");

@@ -999,7 +999,7 @@ mod tests {
         let b = base(200);
         let pool = ThreadPool::new(2);
         let never = CancelToken::never();
-        let base_labels = parallel::ccomp_cancellable(&pool, b.service().sym(), &never).unwrap();
+        let base_labels = parallel::ccomp(&pool, b.service().sym(), &never).unwrap();
         let mut inc = IncrementalCComp::new(&base_labels);
 
         let buf = MutationBuffer::new(1, 200);
@@ -1018,8 +1018,7 @@ mod tests {
             inc.advance(ov.insert_log());
             let got = inc.labels(ov.n_total() as usize);
             let full =
-                parallel::ccomp_cancellable(&pool, ov.materialize(&b, 4).service().sym(), &never)
-                    .unwrap();
+                parallel::ccomp(&pool, ov.materialize(&b, 4).service().sym(), &never).unwrap();
             assert_eq!(got, full, "round {round}: incremental labels diverged");
         }
         // A delete flips the dirty bit — the fallback signal.

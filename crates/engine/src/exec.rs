@@ -157,10 +157,11 @@ enum Probe<'a> {
 /// Run every member of a dequeued group — the leader and whatever mates
 /// were coalesced behind it, usually none — to its terminal status.
 /// Members share an epoch and a batch kind (a group of one trivially
-/// does). Point members run in shard-sweep order — group by shard index,
-/// then vertex — so a sweep walks each shard's slice of the CSR once
-/// instead of hopping between shards per request; the win is pure access
-/// locality, every result is identical to running that member alone.
+/// does). Point members run in ascending vertex order — shards are
+/// contiguous ascending vertex ranges, so that is also shard order — and a
+/// sweep walks each shard's slice of the CSR once instead of hopping
+/// between shards per request; the win is pure access locality, every
+/// result is identical to running that member alone.
 pub(crate) fn run_group(sh: &Shared, leader: Pending, mut mates: Vec<Pending>) {
     let epoch = leader.job.snapshot.epoch();
     let shares_pass = batch::kind_of(&leader.job.query) == Some(BatchKind::Bfs);
@@ -168,12 +169,7 @@ pub(crate) fn run_group(sh: &Shared, leader: Pending, mut mates: Vec<Pending>) {
     if !mates.is_empty() && !shares_pass {
         // The leader sorts with its mates, so it joins them in the `Vec`.
         mates.insert(0, leader.take().expect("leader not yet moved"));
-        let snapshot = Arc::clone(&mates[0].job.snapshot);
-        batch::shard_sweep_order(
-            &mut mates,
-            |p| batch::point_vertex(&p.job.query),
-            |v| snapshot.graph().shard_of(v).map(|s| s.index()),
-        );
+        mates.sort_by_key(|p| batch::point_vertex(&p.job.query));
     }
     let ov = sh.buffer.current();
     let key = (ov.epoch() == epoch).then(|| (epoch, ov.seq()));

@@ -34,7 +34,7 @@ use std::sync::Arc;
 
 use graphbig_json::json_struct;
 use graphbig_telemetry::metrics::Registry;
-use graphbig_telemetry::{span, Ewma, WindowedHistogram};
+use graphbig_telemetry::{recorder, Ewma, WindowedHistogram};
 use graphbig_workloads::{CostClass, Workload};
 
 use crate::engine::Query;
@@ -413,7 +413,7 @@ impl StatsSnapshot {
 
 /// Milliseconds since the process epoch, for snapshot timestamps.
 pub(crate) fn now_ms() -> u64 {
-    span::now_us() / 1000
+    recorder::now_us() / 1000
 }
 
 #[cfg(test)]

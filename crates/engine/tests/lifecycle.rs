@@ -4,7 +4,9 @@
 //! once per lifecycle stage** (admit → enqueue → dequeue → run → resolve)
 //! in the always-on flight recorder — on the completed path and on every
 //! failure path: rejected, deadline-exceeded, cancelled, unsupported, and
-//! (with the `chaos` feature) kernel-failed. The chaos-gated tests also
+//! (with the `chaos` feature) kernel-failed. What the recorder costs is
+//! gated here too, as a count: a solo request emits exactly its stages plus
+//! one `kernel_step` per superstep poll. The chaos-gated tests also
 //! prove the two correlation stories the recorder exists for: fault fires
 //! tagged with the triggering request, and an invariant violation dumping
 //! the full per-stage story of the affected request.
@@ -14,10 +16,11 @@ use std::time::Duration;
 
 use graphbig_datagen::Dataset;
 use graphbig_engine::{Engine, EngineConfig, Query, QueryStatus};
-use graphbig_framework::csr::Csr;
+use graphbig_framework::csr::{BiCsr, Csr};
+use graphbig_runtime::CancelToken;
 use graphbig_telemetry::metrics::Registry;
 use graphbig_telemetry::recorder::{self, EventKind, RecorderEvent};
-use graphbig_workloads::Workload;
+use graphbig_workloads::{parallel, Workload};
 
 /// The flight recorder is process-global (and so is chaos arming in the
 /// gated tests below), so every test in this file takes one gate and the
@@ -38,6 +41,14 @@ fn quiet_cfg() -> EngineConfig {
         pool_threads: 2,
         ..EngineConfig::default()
     }
+}
+
+/// Submit `q`, wait for it to complete, and return its request id.
+fn run_to_completion(eng: &Engine, q: Query) -> u64 {
+    let t = eng.submit(q).unwrap();
+    let rid = t.request_id();
+    assert!(matches!(t.wait().status, QueryStatus::Completed(_)));
+    rid
 }
 
 fn events_for(rid: u64) -> Vec<RecorderEvent> {
@@ -259,17 +270,18 @@ fn rejected_requests_log_admit_and_reject_and_nothing_else() {
 }
 
 /// The per-request story with the group-shape markers (`batch_start` /
-/// `batch_join`) and kernel-internal steps dropped: the lifecycle kinds in
-/// causal order. Events that share a microsecond across threads are put in
-/// canonical stage order, so the comparison below is about *which* stages
+/// `batch_join`) dropped: the lifecycle and kernel-step kinds in causal
+/// order. Events that share a microsecond across threads are put in
+/// canonical stage order, so the comparisons below are about *which* stages
 /// a request passed, not about clock resolution.
-fn lifecycle_kinds(rid: u64) -> Vec<&'static str> {
-    const ORDER: [EventKind; 7] = [
+fn event_kinds(rid: u64) -> Vec<&'static str> {
+    const ORDER: [EventKind; 8] = [
         EventKind::Admit,
         EventKind::Enqueue,
         EventKind::Dequeue,
         EventKind::CacheHit,
         EventKind::KernelStart,
+        EventKind::KernelStep,
         EventKind::Run,
         EventKind::Resolve,
     ];
@@ -281,6 +293,81 @@ fn lifecycle_kinds(rid: u64) -> Vec<&'static str> {
     evs.into_iter()
         .map(|(_, rank)| ORDER[rank].name())
         .collect()
+}
+
+/// [`event_kinds`] without the kernel-internal steps, whose number depends
+/// on whether the request rode a shared pass.
+fn lifecycle_kinds(rid: u64) -> Vec<&'static str> {
+    let mut kinds = event_kinds(rid);
+    kinds.retain(|k| *k != EventKind::KernelStep.name());
+    kinds
+}
+
+/// The recorder's cost per request, as a count: with the cache and cost
+/// feedback off, a solo BFS emits its five stages, one `kernel_start` and
+/// one `kernel_step` per superstep poll — a number the kernel's own
+/// [`parallel::DirOptReport`] fixes — and a degree read the five stages
+/// alone. The same steps come out of `to_trace` as `kernel.step` spans
+/// inside the request's `engine.exec`, on one timeline. A raw kernel call
+/// — no trace id on its token — pays a branch per poll and records nothing,
+/// on any thread.
+#[test]
+fn a_solo_request_emits_exactly_its_stages_and_one_step_per_poll() {
+    let _g = gate();
+    let csr = Csr::from_graph(&Dataset::Ldbc.generate_with_vertices(2000));
+    let cfg = EngineConfig {
+        cache_capacity: 0,
+        adaptive_costs: false,
+        ..quiet_cfg()
+    };
+    let eng = Engine::with_registry(cfg, csr.clone(), &Registry::new());
+    let source = 9;
+    let recorded = || {
+        let snap = recorder::snapshot();
+        snap.events.len() as u64 + snap.evicted
+    };
+    let (bi, before) = (BiCsr::directed(csr), recorded());
+    let (_, _, report) =
+        parallel::bfs_dir_opt_cancellable(eng.pool(), &bi, source, &CancelToken::never()).unwrap();
+    assert_eq!(recorded(), before, "an untraced kernel records no events");
+    assert!(report.switches_to_bottom_up > 0, "both directions polled");
+    // The kernel polls once per top-down level, and in a bottom-up phase
+    // once on entry and then once per level.
+    let polls = report.levels.len() + report.switches_to_bottom_up as usize;
+
+    let bfs = run_to_completion(
+        &eng,
+        Query::Run {
+            workload: Workload::Bfs,
+            source,
+        },
+    );
+    let mut want = vec!["admit", "enqueue", "dequeue", "kernel_start"];
+    want.resize(want.len() + polls, "kernel_step");
+    want.extend(["run", "resolve"]);
+    assert_eq!(event_kinds(bfs), want);
+    let degree = run_to_completion(&eng, Query::Degree { vertex: source });
+    assert_eq!(
+        event_kinds(degree),
+        ["admit", "enqueue", "dequeue", "run", "resolve"]
+    );
+
+    let mut snap = recorder::snapshot();
+    snap.events.retain(|e| e.id == bfs);
+    let trace = recorder::to_trace(&snap);
+    let named = |name: &'static str| trace.events.iter().filter(move |e| e.name == name);
+    let exec = named("engine.exec").next().expect("the request executed");
+    let steps: Vec<_> = named("kernel.step").collect();
+    assert_eq!(steps.len(), polls);
+    assert_eq!(steps[0].args[1], ("arg", 1.0), "the source's frontier");
+    let end = |e: &graphbig_telemetry::chrome::Event| e.ts_us + e.dur_us.unwrap();
+    for step in steps {
+        assert!(
+            exec.ts_us <= step.ts_us && end(step) <= end(exec),
+            "{step:?}"
+        );
+        assert_eq!(step.tid, exec.tid, "drawn on the executor's track");
+    }
 }
 
 /// There is one lifecycle: the same query leaves the same event-kind
@@ -301,12 +388,7 @@ fn solo_and_coalesced_runs_log_the_same_lifecycle() {
     // Solo: each submission is waited on before the next, so nothing can
     // coalesce. BFS(9) misses, BFS(5) misses and then hits.
     let solo = engine(2000, cfg.clone(), &Registry::new());
-    let run_alone = |q: Query| {
-        let t = solo.submit(q).unwrap();
-        let rid = t.request_id();
-        assert!(matches!(t.wait().status, QueryStatus::Completed(_)));
-        rid
-    };
+    let run_alone = |q: Query| run_to_completion(&solo, q);
     let solo_miss = lifecycle_kinds(run_alone(bfs(9)));
     run_alone(bfs(5));
     let solo_hit = lifecycle_kinds(run_alone(bfs(5)));

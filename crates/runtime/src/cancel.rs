@@ -2,8 +2,9 @@
 //!
 //! A [`CancelToken`] combines an explicit cancellation flag (shared through
 //! an `Arc`, so any holder can cancel the others) with an optional wall-clock
-//! deadline. Kernels poll [`CancelToken::check`] at frontier-level
-//! boundaries — between supersteps, never inside the tight per-edge loops —
+//! deadline. Kernels poll [`CancelToken::step`] (or [`CancelToken::check`],
+//! a step with no payload) at frontier-level boundaries — between
+//! supersteps, never inside the tight per-edge loops —
 //! so cancellation costs one relaxed load plus one `Instant::now` per level
 //! and a cancelled query abandons at most one level of work.
 //!
@@ -38,10 +39,11 @@ impl std::error::Error for Cancelled {}
 /// immune to injection even while a fault plan is armed.
 ///
 /// Independently of the chaos key, a token can carry a *trace id* (the
-/// engine's request id): when set, every [`CancelToken::check`] drops a
+/// engine's request id): when set, every [`CancelToken::step`] drops a
 /// `kernel_step` event into the always-on flight recorder, so a failure
-/// dump shows how far inside the kernel a request got. Untraced tokens
-/// (id 0, the default) record nothing.
+/// dump shows how far inside the kernel a request got and the Chrome
+/// trace shows each superstep inside the request's `engine.exec`.
+/// Untraced tokens (id 0, the default) record nothing.
 #[derive(Debug, Clone)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
@@ -136,7 +138,16 @@ impl CancelToken {
         self.cancel_requested() || self.deadline_passed()
     }
 
-    /// The polling call kernels place at superstep boundaries.
+    /// [`CancelToken::step`] for a superstep with no payload to report.
+    #[inline]
+    pub fn check(&self) -> Result<(), Cancelled> {
+        self.step(0)
+    }
+
+    /// The polling call kernels place at superstep boundaries. `arg` is
+    /// the kernel's one number about the step it is entering (the frontier
+    /// length for BFS); it rides the `kernel_step` event of a traced token
+    /// and is ignored otherwise.
     ///
     /// Under an armed fault plan, the `runtime.cancel.check` failpoint may
     /// delay here, force a cancellation (`Cancel` / `DeadlineExpire` both
@@ -144,10 +155,10 @@ impl CancelToken {
     /// run on the executor thread at superstep boundaries, where the
     /// engine's panic guard converts that into a `Failed` status.
     #[inline]
-    pub fn check(&self) -> Result<(), Cancelled> {
+    pub fn step(&self, arg: u64) -> Result<(), Cancelled> {
         if self.trace_id != 0 {
             use graphbig_telemetry::recorder;
-            recorder::record(recorder::EventKind::KernelStep, self.trace_id, 0);
+            recorder::record(recorder::EventKind::KernelStep, self.trace_id, arg);
         }
         if let Some(fault) = graphbig_chaos::failpoint!("runtime.cancel.check", self.key) {
             use graphbig_chaos::FaultAction;

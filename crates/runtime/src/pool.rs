@@ -168,7 +168,6 @@ impl ThreadPool {
                                     // re-throw it on the caller's thread.
                                     let result = std::panic::catch_unwind(
                                         std::panic::AssertUnwindSafe(|| {
-                                            let _region = graphbig_telemetry::span!("pool.region");
                                             job(worker_idx);
                                         }),
                                     );

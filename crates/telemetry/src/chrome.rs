@@ -1,13 +1,54 @@
-//! Chrome `trace_event` JSON export.
+//! Chrome `trace_event` JSON export, and the [`Trace`] it consumes.
 //!
-//! Emits the JSON-object format (`{"traceEvents": [...]}`) that
-//! `chrome://tracing` and [Perfetto](https://ui.perfetto.dev) load
-//! directly: complete (`"ph": "X"`) events for spans, instant (`"ph": "i"`)
-//! events for markers, and `thread_name` metadata so each pool worker gets
-//! its own labeled track.
+//! A [`Trace`] is what [`recorder::to_trace`](crate::recorder::to_trace)
+//! reconstructs from a flight-recorder snapshot: completed spans and
+//! instant markers on per-thread tracks. This module emits it in the
+//! JSON-object format (`{"traceEvents": [...]}`) that `chrome://tracing`
+//! and [Perfetto](https://ui.perfetto.dev) load directly: complete
+//! (`"ph": "X"`) events for spans, instant (`"ph": "i"`) events for
+//! markers, and `thread_name` metadata so each thread gets its own labeled
+//! track.
 
 use crate::json::{Json, ObjBuilder};
-use crate::span::{Event, Trace};
+
+/// One trace event: a completed span or an instant marker.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Event {
+    /// Span name (e.g. `"engine.exec"`, `"kernel.step"`, a phase label).
+    pub name: String,
+    /// Microseconds since the process epoch.
+    pub ts_us: u64,
+    /// Span duration in microseconds; `None` for instant events.
+    pub dur_us: Option<u64>,
+    /// Recorder thread id of the track the event is drawn on.
+    pub tid: u32,
+    /// Numeric arguments shown in the trace viewer's detail pane.
+    pub args: Vec<(&'static str, f64)>,
+}
+
+/// A reconstructed trace: all events plus thread-name metadata.
+#[derive(Debug, Clone, Default)]
+pub struct Trace {
+    /// Every event, ascending by timestamp.
+    pub events: Vec<Event>,
+    /// `(tid, thread name)` pairs for track labeling.
+    pub threads: Vec<(u32, String)>,
+}
+
+impl Trace {
+    /// Per-name summary: `(count, total span microseconds)` sorted by name.
+    pub fn summary(&self) -> Vec<(String, u64, u64)> {
+        let mut map: std::collections::BTreeMap<&str, (u64, u64)> = Default::default();
+        for e in &self.events {
+            let entry = map.entry(&e.name).or_default();
+            entry.0 += 1;
+            entry.1 += e.dur_us.unwrap_or(0);
+        }
+        map.into_iter()
+            .map(|(name, (count, us))| (name.to_string(), count, us))
+            .collect()
+    }
+}
 
 /// Process id used for all events (one process, one track group).
 const PID: u64 = 1;
@@ -22,8 +63,8 @@ fn args_json(args: &[(&'static str, f64)]) -> Json {
 
 fn event_json(e: &Event) -> Json {
     let b = ObjBuilder::new()
-        .push("name", Json::Str(e.name.to_string()))
-        .push("cat", Json::Str(category(e.name).to_string()))
+        .push("name", Json::Str(e.name.clone()))
+        .push("cat", Json::Str(category(&e.name).to_string()))
         .push(
             "ph",
             Json::Str(if e.dur_us.is_some() { "X" } else { "i" }.into()),
@@ -42,7 +83,7 @@ fn event_json(e: &Event) -> Json {
 }
 
 /// Category from the span name's first dotted segment
-/// (`bfs.level` → `bfs`), which Perfetto can filter on.
+/// (`engine.exec` → `engine`), which Perfetto can filter on.
 fn category(name: &str) -> &str {
     name.split('.').next().unwrap_or(name)
 }
@@ -88,18 +129,18 @@ mod tests {
         Trace {
             events: vec![
                 Event {
-                    name: "bfs.level",
+                    name: "kernel.step".into(),
                     ts_us: 10,
                     dur_us: Some(250),
                     tid: 0,
-                    args: vec![("depth", 1.0), ("frontier", 64.0)],
+                    args: vec![("req", 1.0), ("arg", 64.0)],
                 },
                 Event {
-                    name: "bfs.switch",
+                    name: "admit".into(),
                     ts_us: 300,
                     dur_us: None,
                     tid: 2,
-                    args: vec![("scout", 9000.0)],
+                    args: vec![("req", 2.0)],
                 },
             ],
             threads: vec![(0, "main".into()), (2, "graphbig-worker-1".into())],
@@ -119,18 +160,41 @@ mod tests {
             meta.get("args").unwrap().get("name").unwrap().as_str(),
             Some("main")
         );
-        let level = &events[2];
-        assert_eq!(level.get("ph").unwrap().as_str(), Some("X"));
-        assert_eq!(level.get("cat").unwrap().as_str(), Some("bfs"));
-        assert_eq!(level.get("dur").unwrap().as_u64(), Some(250));
+        let step = &events[2];
+        assert_eq!(step.get("ph").unwrap().as_str(), Some("X"));
+        assert_eq!(step.get("cat").unwrap().as_str(), Some("kernel"));
+        assert_eq!(step.get("dur").unwrap().as_u64(), Some(250));
         assert_eq!(
-            level.get("args").unwrap().get("depth").unwrap().as_u64(),
-            Some(1)
+            step.get("args").unwrap().get("arg").unwrap().as_u64(),
+            Some(64)
         );
-        let switch = &events[3];
-        assert_eq!(switch.get("ph").unwrap().as_str(), Some("i"));
-        assert_eq!(switch.get("s").unwrap().as_str(), Some("t"));
-        assert_eq!(switch.get("tid").unwrap().as_u64(), Some(2));
+        let marker = &events[3];
+        assert_eq!(marker.get("ph").unwrap().as_str(), Some("i"));
+        assert_eq!(marker.get("s").unwrap().as_str(), Some("t"));
+        assert_eq!(marker.get("tid").unwrap().as_u64(), Some(2));
+    }
+
+    #[test]
+    fn summary_aggregates_by_name() {
+        let event = |name: &str, dur_us, tid| Event {
+            name: name.into(),
+            ts_us: 0,
+            dur_us,
+            tid,
+            args: vec![],
+        };
+        let t = Trace {
+            events: vec![
+                event("a", Some(5), 0),
+                event("a", Some(7), 1),
+                event("b", None, 0),
+            ],
+            threads: vec![],
+        };
+        assert_eq!(
+            t.summary(),
+            vec![("a".to_string(), 2, 12), ("b".to_string(), 1, 0)]
+        );
     }
 
     #[test]

@@ -3,35 +3,31 @@
 //! The workspace-wide observability layer: every run of the suite can be
 //! self-describing, machine-readable, and regression-diffable.
 //!
-//! Three pieces, one schema:
+//! Two pieces, one schema, and one place an event is ever recorded:
 //!
-//! * [`span`] — phase spans and instant events (`span!("bfs.level",
-//!   depth = 3)`) with monotonic timestamps and per-thread buffers;
-//!   [`chrome`] exports them as Chrome `trace_event` JSON that loads in
-//!   `chrome://tracing` / Perfetto with one track per pool worker.
-//!   **Zero-cost when disabled**: without the `spans` cargo feature the
-//!   recording path compiles to no-ops (downstream crates re-expose the
-//!   gate as their `telemetry` feature — default-on in `graphbig-bench`,
-//!   default-off in the framework/runtime crates); with the feature on, a
-//!   relaxed atomic load gates recording at runtime.
+//! * [`recorder`] — the **always-on flight recorder** (no cargo feature):
+//!   lock-free per-thread rings of compact events. Request-lifecycle
+//!   stages, kernel superstep polls and harness phases all land here, in
+//!   one ordered stream keyed by request id; it is dumped as JSON on
+//!   failure, and [`recorder::to_trace`] reconstructs spans from it for
+//!   [`chrome`], which writes Chrome `trace_event` JSON that loads in
+//!   `chrome://tracing` / Perfetto with one track per thread.
 //! * [`metrics`] — counters, gauges, and log₂-bucket histograms in a
 //!   name-keyed [`Registry`](metrics::Registry), with the
 //!   [`MetricSink`](metrics::MetricSink) trait as the common funnel: the
 //!   runtime's wall-clock metrics and the machine model's simulated
 //!   `PerfCounters` serialize into the same `subsystem.component.metric`
 //!   namespace.
-//! * [`manifest`] — the [`RunManifest`](manifest::RunManifest): one JSON
-//!   object per run carrying workload, dataset, params, git revision,
-//!   thread count, feature flags, the metrics snapshot, span summaries,
-//!   and result tables. `graphbig-report` diffs two manifests and CI
-//!   checks structure against a committed golden file.
 //!
-//! Two serving-side additions ride on the same schema: [`recorder`], the
-//! **always-on flight recorder** (no cargo feature — lock-free per-thread
-//! rings of compact request-lifecycle events, dumped as JSON on failure),
-//! and [`window`], sliding-window latency estimators
-//! ([`WindowedHistogram`](window::WindowedHistogram) + [`Ewma`](window::Ewma))
-//! behind the engine's live `engine.window.*` SLO stats.
+//! [`manifest`] ties them together — the
+//! [`RunManifest`](manifest::RunManifest): one JSON object per run carrying
+//! workload, dataset, params, git revision, thread count, feature flags,
+//! the metrics snapshot, span summaries, and result tables.
+//! `graphbig-report` diffs two manifests and CI checks structure against a
+//! committed golden file. [`window`] holds the sliding-window latency
+//! estimators ([`WindowedHistogram`](window::WindowedHistogram) +
+//! [`Ewma`](window::Ewma)) behind the engine's live `engine.window.*` SLO
+//! stats.
 //!
 //! The crate pulls in nothing outside the workspace; [`json`] re-exports
 //! the in-tree `graphbig-json` crate (which grew out of this crate's
@@ -46,20 +42,8 @@ pub mod chrome;
 pub mod manifest;
 pub mod metrics;
 pub mod recorder;
-pub mod span;
 pub mod window;
 
 pub use manifest::{diff_metrics, structural_mismatches, RunManifest, SpanSummary, TableData};
 pub use metrics::{Counter, Histogram, MetricSink, MetricValue, Registry};
-pub use span::{disable, enable, enabled, instant, take_trace, SpanGuard, Trace};
 pub use window::{Ewma, WindowedHistogram};
-
-/// Feature flags compiled into this build of the telemetry layer, for
-/// manifest `features` lists.
-pub fn compiled_features() -> Vec<String> {
-    let mut f = Vec::new();
-    if cfg!(feature = "spans") {
-        f.push("telemetry".to_string());
-    }
-    f
-}

@@ -10,9 +10,9 @@
 
 use std::collections::BTreeMap;
 
+use crate::chrome::Trace;
 use crate::json::{parse, Json, ObjBuilder, ParseError};
 use crate::metrics::{HistogramSnapshot, MetricSink, MetricValue};
-use crate::span::Trace;
 
 /// Current manifest schema identifier.
 pub const SCHEMA: &str = "graphbig.run_manifest/v1";
@@ -32,7 +32,7 @@ pub struct TableData {
 /// Aggregate of all spans sharing one name.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanSummary {
-    /// Span name (`bfs.level`, `pool.region`, ...).
+    /// Span name (`engine.exec`, `kernel.step`, `harness.kernel`, ...).
     pub name: String,
     /// How many spans were recorded.
     pub count: u64,
@@ -469,7 +469,7 @@ mod tests {
             dataset: Some("LDBC".into()),
             git_rev: "abc123def456".into(),
             threads: 16,
-            features: vec!["telemetry".into()],
+            features: vec!["chaos".into()],
             ..Default::default()
         };
         m.param("scale", 0.03);
@@ -486,7 +486,7 @@ mod tests {
             },
         );
         m.spans.push(SpanSummary {
-            name: "bfs.level".into(),
+            name: "kernel.step".into(),
             count: 9,
             total_us: 1234,
         });
@@ -555,11 +555,11 @@ mod tests {
 
     #[test]
     fn absorb_trace_merges_by_name() {
-        use crate::span::{Event, Trace};
+        use crate::chrome::{Event, Trace};
         let mut m = RunManifest::new("t");
         let t = Trace {
             events: vec![Event {
-                name: "bfs.level",
+                name: "kernel.step".into(),
                 ts_us: 0,
                 dur_us: Some(10),
                 tid: 0,

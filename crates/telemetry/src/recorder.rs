@@ -1,9 +1,9 @@
 //! The always-on flight recorder: fixed-capacity lock-free per-thread ring
 //! buffers of compact binary events.
 //!
-//! Unlike [`span`](crate::span) recording — which is feature-gated off in
-//! serving builds — the flight recorder has **no cargo feature**: it is
-//! compiled into every build and recording is on by default. It is cheap
+//! The flight recorder is the only place an event is ever recorded, and it
+//! has **no cargo feature**: it is compiled into every build and recording
+//! is on by default. It is cheap
 //! enough for that role because one event is four relaxed `AtomicU64`
 //! stores into a preallocated per-thread ring (no locks, no allocation, no
 //! cross-thread contention on the hot path). When the ring wraps, the
@@ -13,10 +13,12 @@
 //!
 //! The engine threads its request ids through here ([`EventKind`] has one
 //! variant per lifecycle stage), chaos fault fires are recorded with the
-//! triggering request key, and kernels mark supersteps — so when
+//! triggering request key, kernels mark supersteps, and the workload
+//! harness brackets its phases ([`phase`]) — so when
 //! `invariants.rs` finds a violation, a kernel panics outside injection, or
 //! `graphbig-serve` exits non-zero, [`auto_dump`] writes a JSON file that
-//! tells the full per-request story leading up to the failure.
+//! tells the full per-request story leading up to the failure, and
+//! [`to_trace`] turns the same stream into one Chrome timeline.
 //!
 //! Readers ([`snapshot`]) are non-destructive and tolerate concurrent
 //! writers: events whose slots may have been overwritten during the read
@@ -29,9 +31,10 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 
+use crate::chrome::{Event, Trace};
 use crate::json::{Json, ObjBuilder};
-use crate::span::{self, Event, Trace};
 
 /// Default ring capacity per thread, in events. Override with the
 /// `GRAPHBIG_FLIGHT_CAPACITY` environment variable (read once, at the
@@ -81,7 +84,9 @@ pub enum EventKind {
     /// A kernel started on behalf of a traced request (arg = workload
     /// index in `Workload::ALL`).
     KernelStart = 11,
-    /// A cancellable kernel passed a superstep boundary.
+    /// A cancellable kernel passed a superstep boundary (arg = the
+    /// kernel's payload for the step it is entering — the frontier length
+    /// for BFS — or 0; the step's depth is its ordinal).
     KernelStep = 12,
     /// The feedback cost model scaled a request's static cost estimate
     /// (arg = adjusted cost actually charged against the budget).
@@ -105,6 +110,12 @@ pub enum EventKind {
     /// The request was drained from its lane into another request's batch
     /// (arg = the leader's request id).
     BatchJoin = 19,
+    /// A harness phase opened on the recording thread (id = 0, code =
+    /// interned phase name, arg = the phase's one numeric payload).
+    PhaseBegin = 20,
+    /// The phase opened by the matching [`EventKind::PhaseBegin`] on this
+    /// thread closed (code = the same interned phase name).
+    PhaseEnd = 21,
 }
 
 impl EventKind {
@@ -130,6 +141,8 @@ impl EventKind {
             EventKind::CompactEnd => "compact_end",
             EventKind::BatchStart => "batch_start",
             EventKind::BatchJoin => "batch_join",
+            EventKind::PhaseBegin => "phase_begin",
+            EventKind::PhaseEnd => "phase_end",
         }
     }
 
@@ -155,6 +168,8 @@ impl EventKind {
             17 => CompactEnd,
             18 => BatchStart,
             19 => BatchJoin,
+            20 => PhaseBegin,
+            21 => PhaseEnd,
             _ => return None,
         })
     }
@@ -163,7 +178,7 @@ impl EventKind {
 /// One decoded flight-recorder event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecorderEvent {
-    /// Microseconds since the process epoch (shared with span timestamps).
+    /// Microseconds since the process epoch ([`now_us`]).
     pub ts_us: u64,
     /// What happened.
     pub kind: EventKind,
@@ -261,6 +276,13 @@ thread_local! {
         const { std::cell::RefCell::new(None) };
 }
 
+/// Microseconds since the process-wide monotonic epoch (fixed at the first
+/// call), the timebase of every recorded event.
+pub fn now_us() -> u64 {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    EPOCH.get_or_init(Instant::now).elapsed().as_micros() as u64
+}
+
 /// Mint a process-unique request id (starts at 1; 0 means "untraced").
 pub fn next_request_id() -> u64 {
     NEXT_REQUEST_ID.fetch_add(1, Ordering::Relaxed)
@@ -291,12 +313,12 @@ pub fn record_full(kind: EventKind, lane: u8, code: u16, id: u64, arg: u64) {
     if !recording() {
         return;
     }
-    let header = ((kind as u64) << 56) | ((lane as u64) << 48) | ((code as u64) << 32) | tid_word();
-    let ts = span::now_us();
+    let header = ((kind as u64) << 56) | ((lane as u64) << 48) | ((code as u64) << 32);
+    let ts = now_us();
     LOCAL.with(|slot| {
         let mut slot = slot.borrow_mut();
-        let (_, ring) = slot.get_or_insert_with(register_thread);
-        ring.push([ts, header, id, arg]);
+        let (tid, ring) = slot.get_or_insert_with(register_thread);
+        ring.push([ts, header | *tid as u64, id, arg]);
     });
 }
 
@@ -312,6 +334,28 @@ pub fn record_lane(kind: EventKind, lane: u8, id: u64, arg: u64) {
     record_full(kind, lane, 0, id, arg);
 }
 
+/// An open harness phase; records the closing [`EventKind::PhaseEnd`] when
+/// dropped.
+#[must_use = "a phase measures the scope it is bound to; bind it to a variable"]
+#[derive(Debug)]
+pub struct Phase(u16);
+
+/// Open a phase on the calling thread. `code` is the phase name,
+/// [`intern`]ed once by the call site (interning locks and scans, so it
+/// must not run per call); `arg` is the phase's one numeric payload.
+#[inline]
+pub fn phase(code: u16, arg: u64) -> Phase {
+    record_full(EventKind::PhaseBegin, NO_LANE, code, 0, arg);
+    Phase(code)
+}
+
+impl Drop for Phase {
+    #[inline]
+    fn drop(&mut self) {
+        record_full(EventKind::PhaseEnd, NO_LANE, self.0, 0, 0);
+    }
+}
+
 fn register_thread() -> (u32, Arc<Ring>) {
     let tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
     let name = std::thread::current()
@@ -324,15 +368,6 @@ fn register_thread() -> (u32, Arc<Ring>) {
         .unwrap()
         .push((tid, name, Arc::clone(&ring)));
     (tid, ring)
-}
-
-#[inline]
-fn tid_word() -> u64 {
-    LOCAL.with(|slot| {
-        let mut slot = slot.borrow_mut();
-        let (tid, _) = slot.get_or_insert_with(register_thread);
-        *tid as u64
-    })
 }
 
 /// Label interning: small site-name table shared by all dumps. Codes are
@@ -409,9 +444,14 @@ pub fn snapshot() -> RecorderSnapshot {
 }
 
 /// Convert a snapshot to a [`Trace`] for Chrome export: per-request queue /
-/// exec / resolve spans placed on the executor's track (one lane per
-/// executor thread), and everything else as instant markers on the thread
-/// that recorded it.
+/// exec / resolve spans placed on the executor's track; each traced
+/// request's [`EventKind::KernelStep`] as a `kernel.step` span lasting
+/// until its next step or its [`EventKind::Run`], so supersteps sit inside
+/// `engine.exec`; phases as spans named by their label, paired begin-to-end
+/// as a stack per recording thread (they carry id 0, so pairing by id would
+/// merge unrelated runs; a half whose partner was lost to ring wrap-around
+/// is dropped); and everything else as instant markers on the thread that
+/// recorded it.
 pub fn to_trace(snap: &RecorderSnapshot) -> Trace {
     use std::collections::BTreeMap;
     let mut trace = Trace {
@@ -420,56 +460,75 @@ pub fn to_trace(snap: &RecorderSnapshot) -> Trace {
     };
     // Per-request stage timestamps for span reconstruction.
     #[derive(Default)]
-    struct Stages {
+    struct Stages<'a> {
         enqueue: Option<u64>,
         dequeue: Option<(u64, u32)>,
         run: Option<(u64, u32)>,
         resolve: Option<u64>,
+        /// The kernel step still waiting for the event that ends it.
+        step: Option<&'a RecorderEvent>,
     }
+    let span = |name: String, from: &RecorderEvent, end_us: u64| Event {
+        name,
+        ts_us: from.ts_us,
+        dur_us: Some(end_us.saturating_sub(from.ts_us)),
+        tid: from.tid,
+        args: vec![("req", from.id as f64), ("arg", from.arg as f64)],
+    };
+    let instant = |e: &RecorderEvent| Event {
+        dur_us: None,
+        ..span(e.kind.name().into(), e, e.ts_us)
+    };
     let mut stages: BTreeMap<u64, Stages> = BTreeMap::new();
+    let mut open_phases: BTreeMap<u32, Vec<&RecorderEvent>> = BTreeMap::new();
     for e in &snap.events {
         let s = stages.entry(e.id).or_default();
+        if matches!(e.kind, EventKind::KernelStep | EventKind::Run) {
+            if let Some(step) = s.step.take() {
+                trace.events.push(span("kernel.step".into(), step, e.ts_us));
+            }
+        }
         match e.kind {
             EventKind::Enqueue => s.enqueue = Some(e.ts_us),
             EventKind::Dequeue => s.dequeue = Some((e.ts_us, e.tid)),
             EventKind::Run => s.run = Some((e.ts_us, e.tid)),
             EventKind::Resolve => s.resolve = Some(e.ts_us),
-            _ => trace.events.push(Event {
-                name: e.kind.name(),
-                ts_us: e.ts_us,
-                dur_us: None,
-                tid: e.tid,
-                args: vec![("req", e.id as f64), ("arg", e.arg as f64)],
-            }),
+            EventKind::KernelStep if e.id != 0 => s.step = Some(e),
+            EventKind::PhaseBegin => open_phases.entry(e.tid).or_default().push(e),
+            EventKind::PhaseEnd => {
+                let open = open_phases.entry(e.tid).or_default();
+                if let Some(depth) = open.iter().rposition(|b| b.code == e.code) {
+                    // Codes are 1-based; 0 wraps out of range and gets the fallback.
+                    let name = snap.labels.get((e.code as usize).wrapping_sub(1));
+                    let name = name.cloned().unwrap_or_else(|| "phase".into());
+                    trace.events.push(span(name, open[depth], e.ts_us));
+                    open.truncate(depth);
+                }
+            }
+            _ => trace.events.push(instant(e)),
         }
     }
     for (id, s) in &stages {
-        if let (Some(enq), Some((deq, tid))) = (s.enqueue, s.dequeue) {
+        // A step nothing ended yet (the request is still inside its kernel)
+        // stays visible as a marker.
+        trace.events.extend(s.step.map(instant));
+        let mut stage = |name: &str, ts_us: u64, end_us: u64, tid| {
             trace.events.push(Event {
-                name: "engine.queue",
-                ts_us: enq,
-                dur_us: Some(deq.saturating_sub(enq)),
+                name: name.into(),
+                ts_us,
+                dur_us: Some(end_us.saturating_sub(ts_us)),
                 tid,
                 args: vec![("req", *id as f64)],
             });
+        };
+        if let (Some(enq), Some((deq, tid))) = (s.enqueue, s.dequeue) {
+            stage("engine.queue", enq, deq, tid);
         }
         if let (Some((deq, tid)), Some((run, _))) = (s.dequeue, s.run) {
-            trace.events.push(Event {
-                name: "engine.exec",
-                ts_us: deq,
-                dur_us: Some(run.saturating_sub(deq)),
-                tid,
-                args: vec![("req", *id as f64)],
-            });
+            stage("engine.exec", deq, run, tid);
         }
         if let (Some((run, tid)), Some(res)) = (s.run, s.resolve) {
-            trace.events.push(Event {
-                name: "engine.resolve",
-                ts_us: run,
-                dur_us: Some(res.saturating_sub(run)),
-                tid,
-                args: vec![("req", *id as f64)],
-            });
+            stage("engine.resolve", run, res, tid);
         }
     }
     trace.events.sort_by_key(|e| e.ts_us);
@@ -643,16 +702,11 @@ mod tests {
         record_lane(EventKind::Dequeue, 0, id, 12);
         record_lane(EventKind::Run, 0, id, 0);
         record_lane(EventKind::Resolve, 0, id, 0);
-        let snap = snapshot();
-        let filtered = RecorderSnapshot {
-            events: snap.events.iter().filter(|e| e.id == id).cloned().collect(),
-            threads: snap.threads.clone(),
-            labels: snap.labels.clone(),
-            evicted: 0,
-        };
-        let trace = to_trace(&filtered);
+        let mut snap = snapshot();
+        snap.events.retain(|e| e.id == id);
+        let trace = to_trace(&snap);
         let spans: Vec<_> = trace.events.iter().filter(|e| e.dur_us.is_some()).collect();
-        let names: Vec<_> = spans.iter().map(|e| e.name).collect();
+        let names: Vec<_> = spans.iter().map(|e| e.name.as_str()).collect();
         assert!(names.contains(&"engine.queue"), "{names:?}");
         assert!(names.contains(&"engine.exec"), "{names:?}");
         assert!(names.contains(&"engine.resolve"), "{names:?}");
@@ -664,6 +718,123 @@ mod tests {
         // The Chrome exporter accepts it.
         let chrome = crate::chrome::to_chrome_json(&trace);
         assert!(chrome.contains("engine.queue"));
+    }
+
+    /// A hand-built event for the pure `to_trace` tests below.
+    fn ev(ts_us: u64, kind: EventKind, tid: u32, code: u16, id: u64, arg: u64) -> RecorderEvent {
+        RecorderEvent {
+            ts_us,
+            kind,
+            lane: NO_LANE,
+            code,
+            tid,
+            id,
+            arg,
+        }
+    }
+
+    /// `(name, start, duration, tid, arg)` of every span `to_trace` makes of
+    /// `events`, with labels `a` = code 1 and `b` = code 2.
+    fn spans_of(events: Vec<RecorderEvent>) -> Vec<(String, u64, u64, u32, f64)> {
+        let snap = RecorderSnapshot {
+            events,
+            labels: vec!["a".into(), "b".into()],
+            ..Default::default()
+        };
+        to_trace(&snap)
+            .events
+            .into_iter()
+            .filter_map(|e| Some((e.name, e.ts_us, e.dur_us?, e.tid, e.args[1].1)))
+            .collect()
+    }
+
+    #[test]
+    fn recorded_phases_pair_into_nested_and_sibling_spans() {
+        resume();
+        let [outer, inner, sibling] = ["unit.outer", "unit.inner", "unit.sibling"].map(intern);
+        {
+            let _outer = phase(outer, 7);
+            drop(phase(inner, 1));
+            drop(phase(sibling, 2));
+        }
+        let mut snap = snapshot();
+        snap.events
+            .retain(|e| [outer, inner, sibling].contains(&e.code));
+        assert_eq!(snap.events.len(), 6, "a begin and an end per phase");
+        let trace = to_trace(&snap);
+        let span = |name: &str| {
+            let e = trace.events.iter().find(|e| e.name == name).unwrap();
+            (e.ts_us, e.ts_us + e.dur_us.expect("a span"), e.args[1].1)
+        };
+        let (o, i, s) = (span("unit.outer"), span("unit.inner"), span("unit.sibling"));
+        assert_eq!((o.2, i.2, s.2), (7.0, 1.0, 2.0), "arg is the payload");
+        assert!(o.0 <= i.0 && i.1 <= s.0 && s.1 <= o.1, "{o:?} {i:?} {s:?}");
+        assert_eq!(trace.events.len(), 3, "nothing but the three spans");
+    }
+
+    #[test]
+    fn phases_pair_as_a_stack_per_thread() {
+        use EventKind::{PhaseBegin as B, PhaseEnd as E};
+        // Thread 0 nests b inside a while thread 1 runs its own a: by id
+        // (all 0) or by name alone these would cross-pair.
+        let spans = spans_of(vec![
+            ev(10, B, 0, 1, 0, 5),
+            ev(11, B, 1, 1, 0, 6),
+            ev(12, B, 0, 2, 0, 0),
+            ev(13, E, 1, 1, 0, 0),
+            ev(14, E, 0, 2, 0, 0),
+            ev(15, E, 0, 1, 0, 0),
+        ]);
+        assert_eq!(
+            spans,
+            vec![
+                ("a".to_string(), 10, 5, 0, 5.0),
+                ("a".to_string(), 11, 2, 1, 6.0),
+                ("b".to_string(), 12, 2, 0, 0.0),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_phase_half_without_its_partner_is_dropped() {
+        use EventKind::{PhaseBegin as B, PhaseEnd as E};
+        // Ring wrap-around evicted the begin of the first `a` and the end of
+        // the inner `b`; only the intact `a` survives, and the orphan end
+        // does not steal a later begin.
+        let spans = spans_of(vec![
+            ev(10, E, 0, 1, 0, 0),
+            ev(20, B, 0, 1, 0, 3),
+            ev(21, B, 0, 2, 0, 0),
+            ev(30, E, 0, 1, 0, 0),
+            ev(40, B, 0, 2, 0, 0),
+        ]);
+        assert_eq!(spans, vec![("a".to_string(), 20, 10, 0, 3.0)]);
+    }
+
+    #[test]
+    fn kernel_steps_become_spans_until_the_next_step_or_run() {
+        use EventKind::{KernelStart, KernelStep, Run};
+        let spans = spans_of(vec![
+            ev(10, KernelStart, 3, 0, 9, 0),
+            ev(12, KernelStep, 3, 0, 9, 1),
+            ev(20, KernelStep, 3, 0, 9, 64),
+            ev(35, Run, 3, 0, 9, 0),
+        ]);
+        assert_eq!(
+            spans,
+            vec![
+                ("kernel.step".to_string(), 12, 8, 3, 1.0),
+                ("kernel.step".to_string(), 20, 15, 3, 64.0),
+            ]
+        );
+        // An untraced step (id 0) and a step nothing ended yet stay markers.
+        let markers = vec![ev(1, KernelStep, 0, 0, 0, 5), ev(3, KernelStep, 0, 0, 4, 7)];
+        assert!(spans_of(markers.clone()).is_empty());
+        let snap = RecorderSnapshot {
+            events: markers,
+            ..Default::default()
+        };
+        assert_eq!(to_trace(&snap).events.len(), 2);
     }
 
     #[test]

@@ -16,6 +16,7 @@ use graphbig_datagen::bayes::{self, BayesConfig};
 use graphbig_framework::property::keys;
 use graphbig_framework::trace::Tracer;
 use graphbig_framework::{PropertyGraph, VertexId};
+use graphbig_telemetry::recorder;
 
 use crate::registry::Workload;
 use crate::{bcentr, bfs, ccomp, dcentr, dfs, gcolor, gcons, gibbs, gup, kcore, spath, tc, tmorph};
@@ -61,6 +62,27 @@ pub struct RunOutcome {
     pub description: String,
 }
 
+/// Slots of [`phase_codes`] after the per-workload ones: `harness.kernel`
+/// (one uniform name for cross-workload aggregation) and `harness.prep`
+/// (input shaping that is not the workload's own work).
+const KERNEL: usize = Workload::ALL.len();
+const PREP: usize = KERNEL + 1;
+
+/// Flight-recorder phase names, interned once for the process: each
+/// workload's short name at `Workload as usize`, then the two above.
+fn phase_codes() -> &'static [u16; PREP + 1] {
+    static CODES: std::sync::OnceLock<[u16; PREP + 1]> = std::sync::OnceLock::new();
+    CODES.get_or_init(|| {
+        let mut codes = [0; PREP + 1];
+        for w in Workload::ALL {
+            codes[w as usize] = recorder::intern(w.short_name());
+        }
+        codes[KERNEL] = recorder::intern("harness.kernel");
+        codes[PREP] = recorder::intern("harness.prep");
+        codes
+    })
+}
+
 /// Execute `w` on `g` under tracer `t`.
 ///
 /// `g` is consumed conceptually: workloads mutate properties and `GUp`
@@ -77,10 +99,11 @@ pub fn run_traced<T: Tracer>(
         .filter(|&s| g.find_vertex(s).is_some())
         .or_else(|| g.vertex_ids().first().copied())
         .unwrap_or(0);
-    // Two nested phase spans: a uniform "harness.kernel" for cross-workload
-    // aggregation and the workload's short name for trace readability.
-    let _kernel = graphbig_telemetry::span!("harness.kernel", vertices = g.num_vertices());
-    let _named = graphbig_telemetry::span::span(w.short_name());
+    // Two nested phases: the uniform `harness.kernel` (arg = vertices) and
+    // the workload's short name for trace readability.
+    let codes = phase_codes();
+    let _kernel = recorder::phase(codes[KERNEL], g.num_vertices() as u64);
+    let _named = recorder::phase(codes[w as usize], 0);
     match w {
         Workload::Bfs => {
             g.clear_prop(keys::STATUS);
@@ -101,7 +124,7 @@ pub fn run_traced<T: Tracer>(
             )
         }
         Workload::GCons => {
-            let prep = graphbig_telemetry::span::span("harness.prep");
+            let prep = recorder::phase(codes[PREP], 0);
             let n = g.num_vertices();
             let dense: std::collections::HashMap<VertexId, u64> = g
                 .vertex_ids()
@@ -136,7 +159,7 @@ pub fn run_traced<T: Tracer>(
         }
         Workload::TMorph => {
             let dag = {
-                let _prep = graphbig_telemetry::span::span("harness.prep");
+                let _prep = recorder::phase(codes[PREP], 0);
                 orient_to_dag(g)
             };
             let (_, r) = tmorph::run_t(&dag, t);
@@ -197,7 +220,7 @@ pub fn run_traced<T: Tracer>(
                 BayesConfig::with_vertices((1041.0 * params.gibbs_scale) as usize)
             };
             let mut net = {
-                let _prep = graphbig_telemetry::span::span("harness.prep");
+                let _prep = recorder::phase(codes[PREP], 0);
                 bayes::generate(&cfg)
             };
             let r = gibbs::run_t(&mut net, params.gibbs_sweeps, params.seed, t);

@@ -471,7 +471,7 @@ fn drive_in<C: LevelCell, G: Adjacency, I: InAdjacency>(
             // lanes here, exactly where the single-source kernel polls.
             for (l, cancel) in cancels.iter().enumerate() {
                 let bit = 1u64 << l;
-                if active & bit != 0 && cancel.check().is_err() {
+                if active & bit != 0 && cancel.step(frontier.len() as u64).is_err() {
                     cancelled |= bit;
                     active &= !bit;
                 }
@@ -479,12 +479,6 @@ fn drive_in<C: LevelCell, G: Adjacency, I: InAdjacency>(
             if active == 0 {
                 break;
             }
-            let _lvl = graphbig_telemetry::span!(
-                "msbfs.level",
-                depth = level,
-                frontier = frontier.len(),
-                lanes = active.count_ones() as usize
-            );
             // Direction choice, per level: pull once the union frontier's
             // out-edges pass the ALPHA fraction of all edges.
             let pull = inc.filter(|_| {

@@ -22,7 +22,7 @@
 use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, Ordering};
 
 use graphbig_framework::bitmap::AtomicBitmap;
-use graphbig_framework::csr::{Adjacency, Csr, InAdjacency};
+use graphbig_framework::csr::{Adjacency, BiCsr, Csr, InAdjacency};
 use graphbig_runtime::frontier::{should_be_dense, ChunkedSink, Frontier};
 use graphbig_runtime::{parfor, CancelToken, Cancelled, ThreadPool};
 
@@ -180,7 +180,6 @@ pub fn bfs<G: Adjacency>(pool: &ThreadPool, g: &G, source: u32) -> (Vec<i64>, u6
     let mut level = 0i64;
     let mut visited = 1u64;
     while !frontier.is_empty() {
-        let _lvl = graphbig_telemetry::span!("bfs.level", depth = level, frontier = frontier.len());
         top_down_step(pool, g, &levels, &frontier, level, &sink, &mut next);
         visited += next.len() as u64;
         std::mem::swap(&mut frontier, &mut next);
@@ -260,23 +259,15 @@ pub fn bfs_dir_opt_cancellable<G: InAdjacency>(
     let mut next_queue: Vec<u32> = Vec::new();
 
     while !frontier.is_empty() {
-        cancel.check()?;
+        cancel.step(frontier.len() as u64)?;
         if scout > edges_to_check / ALPHA {
             report.switches_to_bottom_up += 1;
-            graphbig_telemetry::instant(
-                "bfs.switch",
-                &[
-                    ("to_bottom_up", 1.0),
-                    ("scout", scout as f64),
-                    ("edges_to_check", edges_to_check as f64),
-                ],
-            );
             // Bottom-up phase: stay here while the frontier is still growing
             // or still a large fraction of the graph.
             frontier.ensure_dense(n);
             loop {
-                cancel.check()?;
                 let before = frontier.len();
+                cancel.step(before as u64)?;
                 report.levels.push(LevelRecord {
                     depth: level,
                     dir: LevelDir::BottomUp,
@@ -284,12 +275,6 @@ pub fn bfs_dir_opt_cancellable<G: InAdjacency>(
                     scout,
                     edges_to_check,
                 });
-                let _lvl = graphbig_telemetry::span!(
-                    "bfs.level",
-                    depth = level,
-                    frontier = before,
-                    dense = 1
-                );
                 let (bits, awake) = bottom_up_step(
                     pool,
                     g,
@@ -313,14 +298,6 @@ pub fn bfs_dir_opt_cancellable<G: InAdjacency>(
             }
             if !frontier.is_empty() {
                 report.switches_to_top_down += 1;
-                graphbig_telemetry::instant(
-                    "bfs.switch",
-                    &[
-                        ("to_top_down", 1.0),
-                        ("frontier", frontier.len() as f64),
-                        ("beta_threshold", (n / BETA) as f64),
-                    ],
-                );
             }
         } else {
             report.levels.push(LevelRecord {
@@ -331,12 +308,6 @@ pub fn bfs_dir_opt_cancellable<G: InAdjacency>(
                 edges_to_check,
             });
             edges_to_check = edges_to_check.saturating_sub(scout);
-            let _lvl = graphbig_telemetry::span!(
-                "bfs.level",
-                depth = level,
-                frontier = frontier.len(),
-                dense = 0
-            );
             // The frontier may still be occupancy-dense even when the
             // heuristic picks top-down; materialize a queue in that case.
             let materialized;
@@ -364,18 +335,19 @@ pub fn bfs_dir_opt_cancellable<G: InAdjacency>(
     ))
 }
 
-/// Parallel degree centrality over a CSR (using out-degree + in-degree via
-/// the transpose); returns normalized scores.
-pub fn dcentr(pool: &ThreadPool, csr: &Csr) -> Vec<f64> {
-    let n = csr.num_vertices();
+/// Parallel degree centrality (out-degree + in-degree); returns normalized
+/// scores. Takes the [`BiCsr`] itself rather than any [`InAdjacency`]: the
+/// trait lets a layered view answer degrees with an upper bound, and here
+/// the degree is the result.
+pub fn dcentr(pool: &ThreadPool, g: &BiCsr) -> Vec<f64> {
+    let n = g.num_vertices();
     if n == 0 {
         return Vec::new();
     }
-    let transpose = csr.transpose();
     let scores: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
     let denom = (n.saturating_sub(1)).max(1) as f64;
     parfor::parallel_for(pool, 0..n, 256, |u| {
-        let d = csr.degree(u as u32) + transpose.degree(u as u32);
+        let d = g.out_degree(u as u32) + g.in_degree(u as u32);
         let c = d as f64 / denom;
         scores[u].store(c.to_bits(), Ordering::Relaxed);
     });
@@ -394,18 +366,12 @@ pub fn dcentr(pool: &ThreadPool, csr: &Csr) -> Vec<f64> {
 /// rounds touch a shrinking active set instead of all `n` vertices. Labels
 /// converge to the per-component minimum — a unique fixed point, hence
 /// deterministic for any schedule.
-pub fn ccomp(pool: &ThreadPool, csr: &Csr) -> Vec<u32> {
-    ccomp_cancellable(pool, csr, &CancelToken::never()).expect("never token cannot cancel")
-}
-
-/// [`ccomp`] with cooperative cancellation, polled once per propagation
-/// round. Round bitmaps cycle through a one-deep spare pool ([`AtomicBitmap::reset`]),
-/// so steady-state rounds allocate nothing.
-pub fn ccomp_cancellable(
-    pool: &ThreadPool,
-    csr: &Csr,
-    cancel: &CancelToken,
-) -> Result<Vec<u32>, Cancelled> {
+///
+/// `cancel` is polled once per propagation round
+/// ([`CancelToken::never`] runs unconditionally). Round bitmaps cycle
+/// through a one-deep spare pool ([`AtomicBitmap::reset`]), so steady-state
+/// rounds allocate nothing.
+pub fn ccomp(pool: &ThreadPool, csr: &Csr, cancel: &CancelToken) -> Result<Vec<u32>, Cancelled> {
     let n = csr.num_vertices();
     if n == 0 {
         return Ok(Vec::new());
@@ -487,18 +453,9 @@ pub fn ccomp_cancellable(
 /// degrees with a clamp at `k` (`fetch_update`), and exactly the thread
 /// that observes the `k + 1 -> k` transition enqueues the neighbor for this
 /// level's next wave. Core numbers are a graph invariant, so the output is
-/// deterministic for any schedule.
-pub fn kcore(pool: &ThreadPool, csr: &Csr) -> Vec<u32> {
-    kcore_cancellable(pool, csr, &CancelToken::never()).expect("never token cannot cancel")
-}
-
-/// [`kcore`] with cooperative cancellation, polled once per peel level and
-/// once per wave inside a level.
-pub fn kcore_cancellable(
-    pool: &ThreadPool,
-    csr: &Csr,
-    cancel: &CancelToken,
-) -> Result<Vec<u32>, Cancelled> {
+/// deterministic for any schedule. `cancel` is polled once per peel level
+/// and once per wave inside a level.
+pub fn kcore(pool: &ThreadPool, csr: &Csr, cancel: &CancelToken) -> Result<Vec<u32>, Cancelled> {
     let n = csr.num_vertices();
     if n == 0 {
         return Ok(Vec::new());
@@ -588,14 +545,9 @@ pub fn kcore_cancellable(
 
 /// Parallel SSSP via round-synchronous Bellman-Ford relaxation (the
 /// shared-memory analogue of the GPU kernel); returns per-vertex distances
-/// (`f32::INFINITY` = unreached).
-pub fn spath(pool: &ThreadPool, csr: &Csr, source: u32) -> Vec<f32> {
-    spath_cancellable(pool, csr, source, &CancelToken::never()).expect("never token cannot cancel")
-}
-
-/// [`spath`] with cooperative cancellation, polled once per relaxation
+/// (`f32::INFINITY` = unreached). `cancel` is polled once per relaxation
 /// round.
-pub fn spath_cancellable(
+pub fn spath(
     pool: &ThreadPool,
     csr: &Csr,
     source: u32,
@@ -736,7 +688,6 @@ pub fn tc(pool: &ThreadPool, csr: &Csr) -> u64 {
 mod tests {
     use super::*;
     use graphbig_datagen::Dataset;
-    use graphbig_framework::csr::BiCsr;
     use graphbig_framework::PropertyGraph;
 
     fn pool() -> ThreadPool {
@@ -766,7 +717,7 @@ mod tests {
     #[test]
     fn parallel_dcentr_matches_sequential() {
         let (mut g, csr) = ldbc(300);
-        let scores = dcentr(&pool(), &csr);
+        let scores = dcentr(&pool(), &BiCsr::directed(csr.clone()));
         crate::dcentr::run(&mut g);
         for (dense, &s) in scores.iter().enumerate() {
             let id = csr.id_of(dense as u32);
@@ -775,11 +726,31 @@ mod tests {
         }
     }
 
+    /// The scores the kernel produced when it transposed the CSR itself on
+    /// every call; reading the stored transpose must not move a bit.
+    #[test]
+    fn dcentr_from_the_stored_transpose_is_bit_identical() {
+        for g in [
+            Dataset::Ldbc.generate_with_vertices(250),
+            Dataset::CaRoad.generate_with_vertices(400),
+        ] {
+            let csr = Csr::from_graph(&g);
+            let n = csr.num_vertices();
+            let transpose = csr.transpose();
+            let denom = (n - 1).max(1) as f64;
+            let old: Vec<u64> = (0..n as u32)
+                .map(|u| ((csr.degree(u) + transpose.degree(u)) as f64 / denom).to_bits())
+                .collect();
+            let new = dcentr(&pool(), &BiCsr::directed(csr));
+            assert_eq!(new.iter().map(|s| s.to_bits()).collect::<Vec<_>>(), old);
+        }
+    }
+
     #[test]
     fn parallel_ccomp_matches_sequential_count() {
         let (mut g, csr) = ldbc(300);
         let sym = csr.symmetrize();
-        let labels = ccomp(&pool(), &sym);
+        let labels = ccomp(&pool(), &sym, &CancelToken::never()).unwrap();
         let mut distinct: Vec<u32> = labels.clone();
         distinct.sort_unstable();
         distinct.dedup();
@@ -800,7 +771,7 @@ mod tests {
     #[test]
     fn parallel_spath_matches_sequential_dijkstra() {
         let (mut g, csr) = ldbc(250);
-        let dist = spath(&pool(), &csr, 0);
+        let dist = spath(&pool(), &csr, 0, &CancelToken::never()).unwrap();
         let root = csr.id_of(0);
         crate::spath::run(&mut g, root);
         for (dense, &d) in dist.iter().enumerate() {
@@ -872,9 +843,9 @@ mod tests {
         let bi = BiCsr::directed(csr.clone());
         assert!(bfs_dir_opt_cancellable(&p, &bi, 0, &token).is_err());
         let sym = csr.symmetrize();
-        assert_eq!(ccomp_cancellable(&p, &sym, &token), Err(Cancelled));
-        assert_eq!(kcore_cancellable(&p, &sym, &token), Err(Cancelled));
-        assert_eq!(spath_cancellable(&p, &csr, 0, &token), Err(Cancelled));
+        assert_eq!(ccomp(&p, &sym, &token), Err(Cancelled));
+        assert_eq!(kcore(&p, &sym, &token), Err(Cancelled));
+        assert_eq!(spath(&p, &csr, 0, &token), Err(Cancelled));
     }
 
     #[test]
@@ -882,13 +853,6 @@ mod tests {
         let (_, csr) = ldbc(250);
         let p = pool();
         let live = CancelToken::new();
-        let sym = csr.symmetrize();
-        assert_eq!(ccomp_cancellable(&p, &sym, &live).unwrap(), ccomp(&p, &sym));
-        assert_eq!(kcore_cancellable(&p, &sym, &live).unwrap(), kcore(&p, &sym));
-        assert_eq!(
-            spath_cancellable(&p, &csr, 0, &live).unwrap(),
-            spath(&p, &csr, 0)
-        );
         let bi = BiCsr::directed(csr.clone());
         let (levels, visited, _) = bfs_dir_opt_cancellable(&p, &bi, 0, &live).unwrap();
         let (want_levels, want_visited) = bfs(&p, &csr, 0);
@@ -900,7 +864,7 @@ mod tests {
     fn parallel_kcore_matches_sequential() {
         let (mut g, csr) = ldbc(300);
         let sym = csr.symmetrize();
-        let cores = kcore(&pool(), &sym);
+        let cores = kcore(&pool(), &sym, &CancelToken::never()).unwrap();
         crate::kcore::run(&mut g);
         for (dense, &c) in cores.iter().enumerate() {
             let id = csr.id_of(dense as u32);
@@ -922,7 +886,7 @@ mod tests {
             (0, 3, 1.0),
         ];
         let sym = Csr::from_edges(7, &edges).symmetrize();
-        let cores = kcore(&pool(), &sym);
+        let cores = kcore(&pool(), &sym, &CancelToken::never()).unwrap();
         assert_eq!(cores, vec![2, 2, 2, 2, 2, 2, 0]);
     }
 
@@ -935,8 +899,9 @@ mod tests {
         let bi = BiCsr::directed(csr.clone());
         assert_eq!(bfs_dir_opt(&one, &bi, 0), bfs_dir_opt(&eight, &bi, 0));
         let sym = csr.symmetrize();
-        assert_eq!(ccomp(&one, &sym), ccomp(&eight, &sym));
-        assert_eq!(kcore(&one, &sym), kcore(&eight, &sym));
+        let never = CancelToken::never();
+        assert_eq!(ccomp(&one, &sym, &never), ccomp(&eight, &sym, &never));
+        assert_eq!(kcore(&one, &sym, &never), kcore(&eight, &sym, &never));
     }
 
     #[test]
@@ -944,9 +909,10 @@ mod tests {
         let csr = Csr::from_edges(0, &[]);
         assert_eq!(bfs(&pool(), &csr, 0).1, 0);
         assert_eq!(bfs_dir_opt(&pool(), &BiCsr::directed(csr.clone()), 0).1, 0);
-        assert!(dcentr(&pool(), &csr).is_empty());
-        assert!(ccomp(&pool(), &csr).is_empty());
-        assert!(kcore(&pool(), &csr).is_empty());
+        assert!(dcentr(&pool(), &BiCsr::directed(csr.clone())).is_empty());
+        let never = CancelToken::never();
+        assert_eq!(ccomp(&pool(), &csr, &never), Ok(Vec::new()));
+        assert_eq!(kcore(&pool(), &csr, &never), Ok(Vec::new()));
         assert_eq!(tc(&pool(), &csr), 0);
     }
 

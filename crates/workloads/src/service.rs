@@ -205,17 +205,17 @@ pub fn run_service(
             let (levels, _, _) = parallel::bfs_dir_opt_cancellable(pool, g.bi(), source, cancel)?;
             Ok(ServiceOutput::Levels(levels))
         }
-        Workload::CComp => Ok(ServiceOutput::Labels(parallel::ccomp_cancellable(
+        Workload::CComp => Ok(ServiceOutput::Labels(parallel::ccomp(
             pool,
             g.sym(),
             cancel,
         )?)),
-        Workload::KCore => Ok(ServiceOutput::Cores(parallel::kcore_cancellable(
+        Workload::KCore => Ok(ServiceOutput::Cores(parallel::kcore(
             pool,
             g.sym(),
             cancel,
         )?)),
-        Workload::SPath => Ok(ServiceOutput::Distances(parallel::spath_cancellable(
+        Workload::SPath => Ok(ServiceOutput::Distances(parallel::spath(
             pool,
             g.out(),
             source,
@@ -223,7 +223,7 @@ pub fn run_service(
         )?)),
         Workload::DCentr => {
             cancel.check()?;
-            Ok(ServiceOutput::Scores(parallel::dcentr(pool, g.out())))
+            Ok(ServiceOutput::Scores(parallel::dcentr(pool, g.bi())))
         }
         Workload::Tc => {
             cancel.check()?;
@@ -259,7 +259,9 @@ mod tests {
             other => panic!("wrong shape: {other:?}"),
         }
         match run_service(Workload::CComp, &pool, &g, 0, &live).unwrap() {
-            ServiceOutput::Labels(l) => assert_eq!(l, parallel::ccomp(&pool, g.sym())),
+            ServiceOutput::Labels(l) => {
+                assert_eq!(Ok(l), parallel::ccomp(&pool, g.sym(), &live))
+            }
             other => panic!("wrong shape: {other:?}"),
         }
         match run_service(Workload::Tc, &pool, &g, 0, &live).unwrap() {

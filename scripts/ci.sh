@@ -31,6 +31,16 @@ for site in engine.dequeue engine.run.pre engine.run.post engine.overlay.read en
   [ "$n" -eq 1 ] || { echo "failpoint $site appears $n times under crates/engine/src"; exit 1; }
 done
 
+echo "==> one event store (no span system, no feature gating the recorder)"
+# What the recorder costs is gated by event counts in
+# crates/engine/tests/lifecycle.rs, not by a wall-clock percentage.
+if [ -e crates/telemetry/src/span.rs ] \
+  || grep -rn 'feature = "spans"' crates src tests examples \
+  || grep -n '^telemetry *=' crates/*/Cargo.toml; then
+  echo "the span system is gone: record through graphbig_telemetry::recorder"
+  exit 1
+fi
+
 echo "==> benchmark package (frozen surface: builds standalone, smoke-runs every workload)"
 benchmark/check.sh
 
@@ -122,9 +132,5 @@ for kind in double_resolve admit enqueue dequeue run resolve; do
   grep -q "\"$kind\"" /tmp/flight_violation.json \
     || { echo "flight dump missing $kind events"; exit 1; }
 done
-
-echo "==> flight recorder overhead (dir-opt BFS LDBC-64k, <=5% over paused)"
-cargo bench "${CARGO_FLAGS[@]}" -p graphbig-bench --bench flight_recorder_overhead -- \
-  --assert-overhead-pct=5 --emit /tmp/flight_overhead.json
 
 echo "CI OK"

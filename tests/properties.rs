@@ -64,7 +64,7 @@ fn check_dir_opt_bfs_matches_sequential(n: u64, edges: &[(u64, u64)]) {
 /// Parallel ccomp labels induce the same partition as sequential ccomp on a
 /// random graph, for 1-, 2- and 8-thread pools.
 fn check_parallel_ccomp_matches_sequential(n: u64, edges: &[(u64, u64)]) {
-    use graphbig::runtime::ThreadPool;
+    use graphbig::runtime::{CancelToken, ThreadPool};
     use graphbig::workloads::parallel;
 
     let mut g = build(n, edges);
@@ -76,7 +76,7 @@ fn check_parallel_ccomp_matches_sequential(n: u64, edges: &[(u64, u64)]) {
         .collect();
     for threads in [1usize, 2, 8] {
         let pool = ThreadPool::new(threads);
-        let par = parallel::ccomp(&pool, &sym);
+        let par = parallel::ccomp(&pool, &sym, &CancelToken::never()).unwrap();
         // Same partition: pairs agree on "same component" both ways.
         let mut seq_to_par = std::collections::HashMap::new();
         let mut par_to_seq = std::collections::HashMap::new();
@@ -98,7 +98,7 @@ fn check_parallel_ccomp_matches_sequential(n: u64, edges: &[(u64, u64)]) {
 /// Parallel kcore numbers equal the sequential Matula–Beck peeler on a
 /// random graph, for 1-, 2- and 8-thread pools.
 fn check_parallel_kcore_matches_sequential(n: u64, edges: &[(u64, u64)]) {
-    use graphbig::runtime::ThreadPool;
+    use graphbig::runtime::{CancelToken, ThreadPool};
     use graphbig::workloads::parallel;
 
     let mut g = build(n, edges);
@@ -110,7 +110,8 @@ fn check_parallel_kcore_matches_sequential(n: u64, edges: &[(u64, u64)]) {
         .collect();
     for threads in [1usize, 2, 8] {
         let pool = ThreadPool::new(threads);
-        assert_eq!(parallel::kcore(&pool, &sym), seq, "{threads} threads");
+        let par = parallel::kcore(&pool, &sym, &CancelToken::never()).unwrap();
+        assert_eq!(par, seq, "{threads} threads");
     }
 }
 
