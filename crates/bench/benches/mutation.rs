@@ -1,6 +1,8 @@
 //! Write-path benchmarks on LDBC-64k: mutation-apply cost, overlay-read
 //! overhead vs the base CSR (point reads and BFS, the latter asserted
-//! within 2x), compaction fold cost and publish pause, and
+//! within 2x), compaction fold cost (a 1k-edge delta asserted at most half
+//! a from-scratch build of the same graph; a delta touching every row
+//! reported beside it) and publish pause, and
 //! the incremental connected-components kernel against its full-recompute
 //! fallback (the `results/BENCH_mutation.json` artifact).
 //!
@@ -15,7 +17,8 @@ use graphbig::engine::traffic::{
     generate_ops, live_engine_digest, mutation_oracle_digest, resolve_write, run_mix, WriteOp,
 };
 use graphbig::engine::{
-    Engine, EngineConfig, IncrementalCComp, MixSpec, MutationBuffer, OverlayView,
+    Engine, EngineConfig, IncrementalCComp, MixSpec, Mutation, MutationBuffer, OverlayView,
+    ShardedGraph,
 };
 use graphbig::framework::csr::Csr;
 use graphbig::prelude::*;
@@ -158,9 +161,34 @@ fn main() {
     });
 
     // The fold: materializing base + 1k delta into a fresh sharded CSR
-    // (what compaction pays, and the kernels that still need a real CSR).
+    // (what compaction pays, and the kernels that still need a real CSR),
+    // next to what building that graph from scratch costs. The fold copies
+    // the rows the delta left alone, so it is held to half the build.
+    r.bench_with_setup(
+        "compact/build_from_scratch",
+        || g.service().out().clone(),
+        |csr| {
+            black_box(ShardedGraph::build(csr, 8));
+        },
+    );
     r.bench("compact/fold_1k_delta", || {
         black_box(overlay1k.materialize(g, 8));
+    });
+    // The other end of the property the fold relies on: one write per
+    // vertex, so every row is touched and nothing is copied. Reported,
+    // not gated — there is no second path for it.
+    let dense = MutationBuffer::new(1, n as u32);
+    let ring: Vec<Mutation> = (0..n as u32)
+        .map(|u| Mutation::AddEdge {
+            u,
+            v: (u + 1) % n as u32,
+            w: 2.0,
+        })
+        .collect();
+    dense.apply(g, &ring);
+    let dense_ov = dense.current();
+    r.bench("compact/fold_dense", || {
+        black_box(dense_ov.materialize(g, 8));
     });
 
     // Incremental connected components over a small insert batch vs the
@@ -206,6 +234,16 @@ fn main() {
         assert!(
             ratio <= 2.0,
             "BFS through a 1k-edge overlay must stay within 2x of the base, got {ratio:.2}x"
+        );
+    }
+    let build_ns = median(r.results(), "compact/build_from_scratch");
+    let fold_ns = median(r.results(), "compact/fold_1k_delta");
+    if build_ns > 0.0 && fold_ns > 0.0 {
+        let ratio = fold_ns / build_ns;
+        eprintln!("fold of a 1k-edge delta over a from-scratch build: {ratio:.2}x");
+        assert!(
+            ratio <= 0.5,
+            "folding a 1k-edge delta must cost at most half a from-scratch build, got {ratio:.2}x"
         );
     }
     let inc_ns = median(r.results(), "ccomp/incremental_64_inserts");

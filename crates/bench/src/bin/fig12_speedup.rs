@@ -86,8 +86,7 @@ fn measured_cpu_seconds(w: Workload, d: Dataset, scale: f64, pool: &ThreadPool) 
             parallel::gcolor(pool, &csr);
         }),
         Workload::Tc => {
-            let mut sym = csr.symmetrize();
-            sym.sort_adjacency();
+            let sym = csr.symmetrize();
             Box::new(move || {
                 parallel::tc(pool, &sym);
             })

@@ -4,6 +4,10 @@
 //! [`compact_inner`] folds base + overlay into a fresh sharded CSR and
 //! publishes it as a new epoch ([`crate::Engine::compact`] calls it
 //! directly, [`compactor_loop`] when the write path rings the doorbell).
+//! The fold ([`DeltaOverlay::fold`]) copies the rows the overlay left alone
+//! and re-derives the rest, so a compaction costs what was written since
+//! the last one, not the graph; each one records a `compact.fold` phase
+//! whose payload is the number of rows it re-derived.
 //! [`materialized_for`] is the memoized fold the compactor shares with the
 //! workload queries whose kernels still need a real CSR over a non-empty
 //! overlay — BFS is not one of them, it traverses a
@@ -12,7 +16,7 @@
 //! entirely. [`rebase_overlay`] is the one place the write path moves to a
 //! new epoch, so the memo never outlives the graph it was folded from.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use graphbig_chaos as chaos;
@@ -20,7 +24,7 @@ use graphbig_telemetry::recorder::{self, EventKind};
 use graphbig_workloads::parallel;
 use graphbig_workloads::service::ServiceError;
 
-use crate::delta::{DeltaOverlay, IncrementalCComp};
+use crate::delta::{DeltaOverlay, FoldStats, IncrementalCComp};
 use crate::lifecycle::{lock, Job, Shared};
 use crate::shard::ShardedGraph;
 use crate::store::EpochSnapshot;
@@ -57,21 +61,33 @@ pub(crate) fn incremental_ccomp(
 /// for the kernels not yet written against an adjacency view (SPath, KCore,
 /// dirty CComp, DCentr, TC, GColor). BFS does not call it. Once those
 /// kernels read through a view too, the query side goes away and the memo
-/// and its mutex with it.
+/// and its mutex with it. The counts are what *this call* rewrote: all zero
+/// when the memo already held the fold.
 pub(crate) fn materialized_for(
     sh: &Shared,
     snap: &EpochSnapshot,
     ov: &DeltaOverlay,
-) -> Arc<ShardedGraph> {
+) -> (Arc<ShardedGraph>, FoldStats) {
     let mut memo = lock(&sh.materialized);
     if let Some((e, s, g)) = &*memo {
         if *e == ov.epoch() && *s == ov.seq() {
-            return Arc::clone(g);
+            return (Arc::clone(g), FoldStats::default());
         }
     }
-    let g = Arc::new(ov.materialize(snap.graph(), sh.cfg.shards));
+    let (g, stats) = ov.fold(snap.graph(), sh.cfg.shards);
+    let g = Arc::new(g);
     *memo = Some((ov.epoch(), ov.seq(), Arc::clone(&g)));
-    g
+    (g, stats)
+}
+
+/// Run `fold` inside a `compact.fold` phase whose payload is the number of
+/// rows it re-derived (only known once it is done, so given at close).
+fn in_fold_phase<G>(fold: impl FnOnce() -> (G, FoldStats)) -> G {
+    static CODE: OnceLock<u16> = OnceLock::new();
+    let phase = recorder::phase(*CODE.get_or_init(|| recorder::intern("compact.fold")), 0);
+    let (graph, stats) = fold();
+    phase.close_with(stats.rows_rebuilt());
+    graph
 }
 
 /// Point the write path at the freshly published `epoch`: an empty overlay
@@ -136,8 +152,8 @@ pub(crate) fn compact_inner(sh: &Shared) -> u64 {
                 break 0;
             }
             let pause = Instant::now();
-            let graph = Arc::new(cur.materialize(snap.graph(), sh.cfg.shards));
-            break publish_folded(sh, graph, pause);
+            let graph = in_fold_phase(|| cur.fold(snap.graph(), sh.cfg.shards));
+            break publish_folded(sh, Arc::new(graph), pause);
         }
         let snap = sh.store.snapshot();
         let cur = sh.buffer.current();
@@ -147,7 +163,7 @@ pub(crate) fn compact_inner(sh: &Shared) -> u64 {
         if cur.epoch() != snap.epoch() {
             continue; // raced a publish; re-grab a consistent pair
         }
-        let graph = materialized_for(sh, &snap, &cur);
+        let graph = in_fold_phase(|| materialized_for(sh, &snap, &cur));
         let pause = Instant::now();
         let _w = lock(&sh.write_lock);
         if sh.buffer.current().seq() == cur.seq() && sh.store.epoch() == snap.epoch() {
@@ -257,6 +273,44 @@ mod tests {
             1,
             "nothing in the engine may pin a fold of the replaced graph"
         );
+    }
+
+    #[test]
+    fn compaction_records_its_fold_as_a_phase_carrying_rows_rebuilt() {
+        use graphbig_telemetry::recorder::{self, EventKind};
+        let engine = engine_with_overlay(300);
+        let (_, want) = engine.overlay().fold(engine.store().snapshot().graph(), 2);
+        assert_eq!(engine.compact(), 2);
+        // `compact` ran on this thread; other tests record on theirs.
+        let snap = recorder::snapshot();
+        let me = std::thread::current().name().map(str::to_owned);
+        let (tid, _) = snap
+            .threads
+            .iter()
+            .find(|(_, name)| Some(name) == me.as_ref())
+            .expect("this thread recorded");
+        let fold = recorder::intern("compact.fold");
+        let mine: Vec<_> = snap
+            .events
+            .iter()
+            .filter(|e| e.tid == *tid)
+            .filter(|e| match e.kind {
+                EventKind::CompactStart | EventKind::CompactEnd => true,
+                EventKind::PhaseBegin | EventKind::PhaseEnd => e.code == fold,
+                _ => false,
+            })
+            .map(|e| (e.kind, e.arg))
+            .collect();
+        assert_eq!(
+            mine,
+            [
+                (EventKind::CompactStart, 1), // arg = the overlay's delta-seq
+                (EventKind::PhaseBegin, 0),
+                (EventKind::PhaseEnd, want.rows_rebuilt()),
+                (EventKind::CompactEnd, 2), // arg = the epoch published
+            ]
+        );
+        assert!(want.rows_rebuilt() > 0 && want.rows_copied > want.rows_rebuilt());
     }
 
     #[test]

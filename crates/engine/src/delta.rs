@@ -43,7 +43,8 @@ use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
 use graphbig_framework::bitmap::AtomicBitmap;
-use graphbig_framework::csr::{Adjacency, Csr, InAdjacency};
+use graphbig_framework::csr::{Adjacency, BiCsr, Csr, InAdjacency};
+use graphbig_workloads::service::ServiceGraph;
 
 use crate::shard::ShardedGraph;
 
@@ -341,18 +342,33 @@ impl DeltaOverlay {
     /// The mirror of [`DeltaOverlay::for_each_live_out`]: the two walk the
     /// same live edge set from either end.
     pub fn for_each_live_in(&self, base: &ShardedGraph, v: u32, mut f: impl FnMut(u32)) {
+        self.for_each_live_in_edge(base, v, |s, _| f(s));
+    }
+
+    /// The one definition of a live in-edge, for the fold as well as
+    /// [`DeltaOverlay::for_each_live_in`]: `f` gets the source and, for a
+    /// base copy, the weight the base stores for it (unpatched); `None`
+    /// marks an overlay insert, whose weight lives in `adds`.
+    #[inline]
+    fn for_each_live_in_edge(
+        &self,
+        base: &ShardedGraph,
+        v: u32,
+        mut f: impl FnMut(u32, Option<f32>),
+    ) {
         if !self.alive(v) {
             return;
         }
         if v < self.base_n {
-            for &s in base.service().bi().inc().neighbors(v) {
+            let inc = base.service().bi().inc();
+            for (&s, &w) in inc.neighbors(v).iter().zip(inc.edge_weights(v)) {
                 if !self.removed.contains(&s) && !self.deleted.contains(&(s, v)) {
-                    f(s);
+                    f(s, Some(w));
                 }
             }
         }
         if let Some(sources) = self.in_adds.get(&v) {
-            sources.iter().copied().for_each(f);
+            sources.iter().for_each(|&s| f(s, None));
         }
     }
 
@@ -407,16 +423,107 @@ impl DeltaOverlay {
         count
     }
 
-    /// Fold the overlay into a fresh CSR over `n_total` vertices — the
+    /// Fold the overlay into a fresh graph over `n_total` vertices — the
     /// compaction step, and the recompute path for whole-graph kernels on
-    /// a non-empty overlay.
+    /// a non-empty overlay. See [`DeltaOverlay::fold`].
     pub fn materialize(&self, base: &ShardedGraph, num_shards: usize) -> ShardedGraph {
-        let n = self.n_total() as usize;
-        let mut edges = Vec::with_capacity(base.num_edges() + self.overlay_edges());
-        for u in 0..n as u32 {
-            self.for_each_live_out(base, u, |t, w| edges.push((u, t, w)));
+        self.fold(base, num_shards).0
+    }
+
+    /// [`DeltaOverlay::materialize`], also reporting how much of the graph
+    /// it rewrote.
+    ///
+    /// The cost follows the write, not the graph: maximal runs of rows the
+    /// overlay did not touch are copied out of the base's out-, in- and
+    /// undirected CSR arrays as they stand, and only touched rows are
+    /// re-derived — an out row through [`DeltaOverlay::for_each_live_out`]
+    /// (base edges in base order, then overlay inserts in insertion order),
+    /// an in row through the live in-edge walk with the overlay's sources
+    /// merged in by source (a transpose row lists sources ascending), an
+    /// undirected row as the sorted, deduplicated union of the two new rows
+    /// minus the vertex itself. The result is array for array what building
+    /// the live edge list from scratch yields, identity vertex ids included.
+    pub fn fold(&self, base: &ShardedGraph, num_shards: usize) -> (ShardedGraph, FoldStats) {
+        let touched = TouchedRows::of(base, self);
+        // A weight patch changes no row's membership, which is all a
+        // traversal view reads; the fold writes weights too, and a patch on
+        // `u -> v` lands in `u`'s out row and in `v`'s in row.
+        for &(u, v) in self.patches.keys() {
+            touched.out.set(u as usize);
+            touched.inc.set(v as usize);
         }
-        ShardedGraph::build(Csr::from_edges(n, &edges), num_shards)
+        let n = self.n_total() as usize;
+        let service = base.service();
+        let mut stats = FoldStats::default();
+
+        let grown = base.num_edges() + self.overlay_edges();
+        let (out, rebuilt) = patch_rows(
+            service.out(),
+            n,
+            grown,
+            |u| touched.out.get(u),
+            |u, col, weights| {
+                self.for_each_live_out(base, u, |t, w| {
+                    col.push(t);
+                    weights.push(w);
+                })
+            },
+        );
+        stats.out_rows_rebuilt = rebuilt;
+
+        let mut row: Vec<(u32, f32)> = Vec::new();
+        let (inc, rebuilt) = patch_rows(
+            service.bi().inc(),
+            n,
+            grown,
+            |v| touched.inc.get(v),
+            |v, col, weights| {
+                row.clear();
+                self.for_each_live_in_edge(base, v, |s, stored| {
+                    let w = match stored {
+                        Some(w) => self.patches.get(&(s, v)).copied().unwrap_or(w),
+                        None => {
+                            self.adds[&s]
+                                .iter()
+                                .find(|&&(t, _)| t == v)
+                                .expect("in_adds mirrors adds")
+                                .1
+                        }
+                    };
+                    row.push((s, w));
+                });
+                // Base sources arrive ascending and the overlay's after
+                // them in insertion order. An overlay pair is never a base
+                // pair, so the stable sort has no ties between the two to
+                // break and keeps parallel base copies in base order.
+                row.sort_by_key(|&(s, _)| s);
+                col.extend(row.iter().map(|&(s, _)| s));
+                weights.extend(row.iter().map(|&(_, w)| w));
+            },
+        );
+        stats.in_rows_rebuilt = rebuilt;
+
+        let mut both: Vec<u32> = Vec::new();
+        let (sym, rebuilt) = patch_rows(
+            service.sym(),
+            n,
+            service.sym().num_edges() + 2 * self.overlay_edges(),
+            |x| touched.out.get(x) || touched.inc.get(x),
+            |x, col, weights| {
+                both.clear();
+                both.extend(out.neighbors(x).iter().chain(inc.neighbors(x)));
+                both.retain(|&y| y != x);
+                both.sort_unstable();
+                both.dedup();
+                col.extend_from_slice(&both);
+                weights.resize(col.len(), 1.0);
+            },
+        );
+        stats.sym_rows_rebuilt = rebuilt;
+        stats.rows_copied = 3 * n as u64 - stats.rows_rebuilt();
+
+        let service = ServiceGraph::from_parts(BiCsr::from_parts(out, inc), sym);
+        (ShardedGraph::from_service(service, num_shards), stats)
     }
 
     /// Structural digest of the overlay view — must equal
@@ -430,36 +537,48 @@ impl DeltaOverlay {
     }
 }
 
-/// The current graph — one epoch's base CSR read through a
-/// [`DeltaOverlay`] — as an adjacency view traversal kernels run on
-/// directly, with no fold into a fresh CSR.
-///
-/// Building it costs O(n/64 + |overlay|): two bitmaps mark the rows whose
-/// live out- / in-adjacency differs from the base. A traversal walks an
-/// unmarked row as the plain base slice and sends only a marked one through
-/// [`DeltaOverlay::for_each_live_out`] / [`DeltaOverlay::for_each_live_in`],
-/// so the hash probes those pay per edge stay off all but the handful of
-/// rows a small overlay touches. The marks live here, not in the overlay:
-/// [`MutationBuffer::apply`] clones the overlay per write and must not pay
-/// for them. Weights are not part of the view (patches mark nothing).
-pub struct OverlayView<'a> {
-    base: &'a ShardedGraph,
-    overlay: &'a DeltaOverlay,
-    out_touched: AtomicBitmap,
-    in_touched: AtomicBitmap,
+/// How much of the graph one [`DeltaOverlay::fold`] rewrote, in rows of the
+/// three CSRs a [`ShardedGraph`] holds (out, in, undirected): a row is
+/// either re-derived through the overlay or copied from the base inside a
+/// run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FoldStats {
+    /// Out rows re-derived.
+    pub out_rows_rebuilt: u64,
+    /// In (transpose) rows re-derived.
+    pub in_rows_rebuilt: u64,
+    /// Undirected rows re-derived.
+    pub sym_rows_rebuilt: u64,
+    /// Rows of any of the three copied as they stood.
+    pub rows_copied: u64,
 }
 
-impl<'a> OverlayView<'a> {
-    /// View `base` (the graph of the overlay's epoch) through `overlay`.
-    pub fn new(base: &'a ShardedGraph, overlay: &'a DeltaOverlay) -> Self {
+impl FoldStats {
+    /// Rows re-derived across the three CSRs.
+    pub fn rows_rebuilt(&self) -> u64 {
+        self.out_rows_rebuilt + self.in_rows_rebuilt + self.sym_rows_rebuilt
+    }
+}
+
+/// The rows whose live adjacency — which neighbours, not which weights —
+/// differs from the base's: the one marking [`OverlayView`] routes reads by
+/// and [`DeltaOverlay::fold`] re-derives rows by. Every row at or past
+/// `base_n` is marked. Building it costs O(n/64 + |overlay|).
+struct TouchedRows {
+    out: AtomicBitmap,
+    inc: AtomicBitmap,
+}
+
+impl TouchedRows {
+    fn of(base: &ShardedGraph, overlay: &DeltaOverlay) -> Self {
         let bi = base.service().bi();
-        let out_touched = AtomicBitmap::new(overlay.n_total() as usize);
-        let in_touched = AtomicBitmap::new(overlay.n_total() as usize);
+        let out = AtomicBitmap::new(overlay.n_total() as usize);
+        let inc = AtomicBitmap::new(overlay.n_total() as usize);
         let touch_out = |&u: &u32| {
-            out_touched.set(u as usize);
+            out.set(u as usize);
         };
         let touch_in = |&v: &u32| {
-            in_touched.set(v as usize);
+            inc.set(v as usize);
         };
         for v in overlay.base_n..overlay.n_total() {
             touch_out(&v);
@@ -481,11 +600,76 @@ impl<'a> OverlayView<'a> {
                 bi.out().neighbors(*v).iter().for_each(touch_in);
             }
         }
+        TouchedRows { out, inc }
+    }
+}
+
+/// A CSR over `n` vertices (identity ids) that is `base` with the `touched`
+/// rows replaced: each maximal run of untouched rows is one slice copy of
+/// `base`'s column and weight arrays with its offsets shifted, and each
+/// touched row is whatever `rebuild` appends for it. Every row at or past
+/// `base`'s vertex count must be touched. Also returns the number of rows
+/// rebuilt. `edges_hint` sizes the new arrays.
+fn patch_rows(
+    base: &Csr,
+    n: usize,
+    edges_hint: usize,
+    touched: impl Fn(usize) -> bool,
+    mut rebuild: impl FnMut(u32, &mut Vec<u32>, &mut Vec<f32>),
+) -> (Csr, u64) {
+    let base_offsets = base.row_offsets();
+    let mut row_offsets = Vec::with_capacity(n + 1);
+    let mut col = Vec::with_capacity(edges_hint);
+    let mut weights = Vec::with_capacity(edges_hint);
+    row_offsets.push(0u64);
+    let mut rebuilt = 0u64;
+    let mut u = 0;
+    while u < n {
+        if touched(u) {
+            rebuild(u as u32, &mut col, &mut weights);
+            row_offsets.push(col.len() as u64);
+            rebuilt += 1;
+            u += 1;
+            continue;
+        }
+        let start = u;
+        while u < n && !touched(u) {
+            u += 1;
+        }
+        let (lo, at) = (base_offsets[start], col.len() as u64);
+        let edges = lo as usize..base_offsets[u] as usize;
+        col.extend_from_slice(&base.col_indices()[edges.clone()]);
+        weights.extend_from_slice(&base.weight_values()[edges]);
+        row_offsets.extend(base_offsets[start + 1..=u].iter().map(|&o| o - lo + at));
+    }
+    (Csr::from_rows(row_offsets, col, weights), rebuilt)
+}
+
+/// The current graph — one epoch's base CSR read through a
+/// [`DeltaOverlay`] — as an adjacency view traversal kernels run on
+/// directly, with no fold into a fresh CSR.
+///
+/// Building it costs O(n/64 + |overlay|): two bitmaps mark the rows whose
+/// live out- / in-adjacency differs from the base. A traversal walks an
+/// unmarked row as the plain base slice and sends only a marked one through
+/// [`DeltaOverlay::for_each_live_out`] / [`DeltaOverlay::for_each_live_in`],
+/// so the hash probes those pay per edge stay off all but the handful of
+/// rows a small overlay touches. The marks live here, not in the overlay:
+/// [`MutationBuffer::apply`] clones the overlay per write and must not pay
+/// for them. Weights are not part of the view (patches mark nothing).
+pub struct OverlayView<'a> {
+    base: &'a ShardedGraph,
+    overlay: &'a DeltaOverlay,
+    touched: TouchedRows,
+}
+
+impl<'a> OverlayView<'a> {
+    /// View `base` (the graph of the overlay's epoch) through `overlay`.
+    pub fn new(base: &'a ShardedGraph, overlay: &'a DeltaOverlay) -> Self {
         OverlayView {
             base,
             overlay,
-            out_touched,
-            in_touched,
+            touched: TouchedRows::of(base, overlay),
         }
     }
 }
@@ -509,7 +693,7 @@ impl Adjacency for OverlayView<'_> {
         if u < self.overlay.base_n {
             d = self.base.service().out().degree(u);
         }
-        if self.out_touched.get(u as usize) {
+        if self.touched.out.get(u as usize) {
             d += self.overlay.adds.get(&u).map_or(0, |row| row.len() as u32);
         }
         d
@@ -517,7 +701,7 @@ impl Adjacency for OverlayView<'_> {
 
     #[inline]
     fn for_each_out(&self, u: u32, mut f: impl FnMut(u32)) {
-        if self.out_touched.get(u as usize) {
+        if self.touched.out.get(u as usize) {
             self.overlay.for_each_live_out(self.base, u, |t, _| f(t));
         } else {
             self.base.service().out().for_each_out(u, f);
@@ -532,7 +716,7 @@ impl InAdjacency for OverlayView<'_> {
         if v < self.overlay.base_n {
             d = self.base.service().bi().in_degree(v);
         }
-        if self.in_touched.get(v as usize) {
+        if self.touched.inc.get(v as usize) {
             d += self
                 .overlay
                 .in_adds
@@ -544,7 +728,7 @@ impl InAdjacency for OverlayView<'_> {
 
     #[inline]
     fn any_in(&self, v: u32, mut f: impl FnMut(u32) -> bool) -> bool {
-        if self.in_touched.get(v as usize) {
+        if self.touched.inc.get(v as usize) {
             // Touched rows are few: walk the row out rather than give the
             // overlay's definition of a live in-edge a second, breakable form.
             let mut hit = false;
@@ -760,6 +944,8 @@ mod tests {
     use graphbig_runtime::{CancelToken, ThreadPool};
     use graphbig_workloads::parallel;
 
+    use crate::test_common::{assert_same_graph, reference_fold};
+
     fn base(n: usize) -> ShardedGraph {
         let g = Dataset::Ldbc.generate_with_vertices(n);
         ShardedGraph::build(Csr::from_graph(&g), 4)
@@ -927,12 +1113,223 @@ mod tests {
                 "materialization diverged at prefix {}",
                 (i + 1) * 40
             );
+            // The patched fold is the edge-list fold, array for array.
+            for shards in [1, 2, 8] {
+                assert_same_graph(
+                    &ov.materialize(&b, shards),
+                    &reference_fold(&b, &ov, shards),
+                    &format!("prefix {}, {shards} shards", (i + 1) * 40),
+                );
+            }
             // Point queries agree with the reference graph everywhere.
             for v in (0..ov.n_total()).step_by(17) {
                 assert_eq!(ov.degree(&b, v), reference.degree(v), "degree({v})");
                 assert_eq!(ov.k_hop(&b, v, 2), reference.k_hop(v, 2), "k_hop({v})");
             }
         }
+    }
+
+    /// 0 -> 1 (twice, weights 1 and 2), 0 -> 2, 1 -> 2, 2 -> 3, 3 -> 0, and
+    /// an isolated 4. Identity ids, so a fold of the empty overlay is `==`.
+    fn small_base() -> ShardedGraph {
+        let edges = [
+            (0u32, 1u32, 1.0f32),
+            (0, 2, 1.0),
+            (0, 1, 2.0),
+            (1, 2, 1.0),
+            (2, 3, 1.0),
+            (3, 0, 1.0),
+        ];
+        ShardedGraph::build(Csr::from_edges(5, &edges), 2)
+    }
+
+    /// Apply `muts` over `b`, fold both ways, assert they agree, and hand
+    /// back the patched fold with its counts.
+    fn folded(b: &ShardedGraph, muts: &[Mutation]) -> (ShardedGraph, FoldStats, Arc<DeltaOverlay>) {
+        let buf = MutationBuffer::new(1, b.num_vertices() as u32);
+        buf.apply(b, muts);
+        let ov = buf.current();
+        let (g, stats) = ov.fold(b, 2);
+        assert_same_graph(&g, &reference_fold(b, &ov, 2), "patched vs reference fold");
+        assert_eq!(ov.live_digest(b), structural_digest(&g));
+        (g, stats, ov)
+    }
+
+    #[test]
+    fn fold_of_an_empty_overlay_is_the_base() {
+        let b = small_base();
+        let (g, stats, _) = folded(&b, &[]);
+        assert_same_graph(&g, &b, "empty overlay");
+        assert_eq!((stats.rows_rebuilt(), stats.rows_copied), (0, 15));
+    }
+
+    #[test]
+    fn fold_writes_a_weight_patch_into_the_out_row_and_the_in_row() {
+        let b = small_base();
+        let (g, stats, ov) = folded(&b, &[Mutation::SetWeight { u: 2, v: 3, w: 9.0 }]);
+        assert!(!ov.dirty() && ov.overlay_edges() == 0);
+        assert_eq!(g.service().out().edge_weights(2), &[9.0]);
+        assert_eq!(g.service().bi().inc().edge_weights(3), &[9.0]);
+        // Out row 2 and in row 3 — and the two undirected rows that read
+        // them — are the only rows re-derived.
+        assert_eq!(
+            (
+                stats.out_rows_rebuilt,
+                stats.in_rows_rebuilt,
+                stats.sym_rows_rebuilt
+            ),
+            (1, 1, 2)
+        );
+        // A patch reaches every parallel copy of its pair.
+        let (g, _, _) = folded(&b, &[Mutation::SetWeight { u: 0, v: 1, w: 5.0 }]);
+        assert_eq!(g.service().out().edge_weights(0), &[5.0, 1.0, 5.0]);
+        assert_eq!(g.service().bi().inc().edge_weights(1), &[5.0, 5.0]);
+    }
+
+    #[test]
+    fn fold_drops_every_parallel_copy_of_a_removed_pair() {
+        let b = small_base();
+        let (g, stats, _) = folded(&b, &[Mutation::RemoveEdge { u: 0, v: 1 }]);
+        assert_eq!(g.service().out().neighbors(0), &[2]);
+        assert!(g.service().bi().inc().neighbors(1).is_empty());
+        assert_eq!(g.service().sym().neighbors(1), &[2]);
+        assert_eq!((stats.out_rows_rebuilt, stats.in_rows_rebuilt), (1, 1));
+    }
+
+    #[test]
+    fn fold_wires_an_added_vertex_both_ways() {
+        let b = small_base();
+        let (g, _, _) = folded(
+            &b,
+            &[
+                Mutation::AddVertex, // id 5
+                Mutation::AddEdge { u: 5, v: 0, w: 3.0 },
+                Mutation::AddEdge { u: 3, v: 5, w: 4.0 },
+                // A second in-edge of 0 from below its base source 3: the
+                // in row must come out ascending, not in arrival order.
+                Mutation::AddEdge { u: 1, v: 0, w: 6.0 },
+            ],
+        );
+        assert_eq!(g.num_vertices(), 6);
+        assert_eq!(g.service().out().neighbors(5), &[0]);
+        assert_eq!(g.service().out().neighbors(3), &[0, 5]);
+        let inc = g.service().bi().inc();
+        assert_eq!(
+            (inc.neighbors(0), inc.edge_weights(0)),
+            (&[1, 3, 5][..], &[6.0, 1.0, 3.0][..])
+        );
+        assert_eq!(
+            (inc.neighbors(5), inc.edge_weights(5)),
+            (&[3][..], &[4.0][..])
+        );
+        assert_eq!(g.service().sym().neighbors(5), &[0, 3]);
+        assert_eq!(g.shards().last().unwrap().end(), 6);
+    }
+
+    #[test]
+    fn fold_of_a_removed_hub_shrinks_every_neighbours_opposite_row() {
+        let b = base(150);
+        let out = b.service().out();
+        let hub = (0..150u32).max_by_key(|&v| out.degree(v)).unwrap();
+        let (g, stats, _) = folded(&b, &[Mutation::RemoveVertex { v: hub }]);
+        assert_eq!(g.degree(hub), Some((0, 0)));
+        assert!(g.service().sym().neighbors(hub).is_empty());
+        for v in 0..150u32 {
+            assert!(
+                !g.service().out().neighbors(v).contains(&hub),
+                "out row {v}"
+            );
+            assert!(
+                !g.service().bi().inc().neighbors(v).contains(&hub),
+                "in row {v}"
+            );
+            assert!(
+                !g.service().sym().neighbors(v).contains(&hub),
+                "undirected row {v}"
+            );
+        }
+        // The hub's own two rows, plus one row per distinct neighbour on
+        // the other side; nothing else.
+        let distinct = |row: &[u32]| {
+            row.iter()
+                .filter(|&&x| x != hub)
+                .collect::<HashSet<_>>()
+                .len()
+        };
+        assert_eq!(
+            stats.out_rows_rebuilt as usize,
+            1 + distinct(b.service().bi().inc().neighbors(hub))
+        );
+        assert_eq!(
+            stats.in_rows_rebuilt as usize,
+            1 + distinct(out.neighbors(hub))
+        );
+    }
+
+    #[test]
+    fn fold_of_adds_that_were_all_removed_again_is_the_base() {
+        let b = small_base();
+        let (g, _, ov) = folded(
+            &b,
+            &[
+                Mutation::AddEdge { u: 4, v: 0, w: 1.0 },
+                Mutation::AddEdge { u: 1, v: 3, w: 1.0 },
+                Mutation::RemoveEdge { u: 4, v: 0 },
+                Mutation::RemoveEdge { u: 1, v: 3 },
+            ],
+        );
+        assert!(
+            ov.dirty() && ov.is_empty(),
+            "nothing left but the dirty bit"
+        );
+        assert_same_graph(&g, &b, "adds removed again");
+    }
+
+    #[test]
+    fn fold_of_a_fold_matches_a_rebuild_from_scratch() {
+        let b = base(150);
+        let first = seeded_mutations(&b, 0xF01D, 120);
+        let (g1, _, ov1) = folded(&b, &first);
+        // Compaction publishes g1; the next overlay's base is the fold.
+        let second = seeded_mutations(&g1, 0xF02D, 120);
+        let (g2, _, _) = folded(&g1, &second);
+        let r1 = reference_fold(&b, &ov1, 2);
+        let buf = MutationBuffer::new(2, r1.num_vertices() as u32);
+        buf.apply(&r1, &second);
+        assert_same_graph(
+            &g2,
+            &reference_fold(&r1, &buf.current(), 2),
+            "fold of a fold",
+        );
+    }
+
+    /// Counts, not clocks: the fold's cost follows the write. `k` single
+    /// edges on distinct pairs re-derive at most `k` out rows, `k` in rows
+    /// and `2k` undirected rows, and copy every other row of the graph.
+    #[test]
+    fn fold_rebuilds_only_the_rows_the_writes_touched() {
+        let b = base(400);
+        let n = b.num_vertices() as u64;
+        let k = 16u32;
+        let muts: Vec<Mutation> = (0..k)
+            .map(|i| Mutation::AddEdge {
+                u: 3 * i,
+                v: 399 - 5 * i,
+                w: 1.0,
+            })
+            .collect();
+        let (_, stats, ov) = folded(&b, &muts);
+        assert_eq!(
+            ov.overlay_edges() + ov.patches.len(),
+            k as usize,
+            "every write landed"
+        );
+        assert!(
+            stats.out_rows_rebuilt + stats.in_rows_rebuilt <= 2 * k as u64,
+            "{stats:?}"
+        );
+        assert!(stats.sym_rows_rebuilt <= 2 * k as u64, "{stats:?}");
+        assert!(stats.rows_copied >= 3 * n - 4 * k as u64, "{stats:?}");
     }
 
     #[test]

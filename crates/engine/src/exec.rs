@@ -421,7 +421,7 @@ fn run_overlay_service(
             return Ok(ServiceOutput::Labels(labels));
         }
     }
-    let graph = materialized_for(sh, &job.snapshot, ov);
+    let (graph, _) = materialized_for(sh, &job.snapshot, ov);
     service::run_service(workload, &sh.pool, graph.service(), source, &job.token)
 }
 

@@ -49,6 +49,14 @@
 
 #![warn(missing_docs)]
 
+// The reference fold in `tests/common/mod.rs` serves the unit tests too; it
+// names this crate the way an integration test must.
+#[cfg(test)]
+extern crate self as graphbig_engine;
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod test_common;
+
 pub mod admission;
 mod batch;
 pub mod cache;
@@ -66,8 +74,8 @@ pub mod traffic;
 pub use admission::{AdmissionController, RejectReason};
 pub use cache::ResultCache;
 pub use delta::{
-    structural_digest, DeltaOverlay, IncrementalCComp, Mutation, MutationBuffer, MutationReceipt,
-    OverlayView,
+    structural_digest, DeltaOverlay, FoldStats, IncrementalCComp, Mutation, MutationBuffer,
+    MutationReceipt, OverlayView,
 };
 pub use engine::{Engine, EngineConfig, Query, QueryOutput, QueryResponse, QueryStatus, Ticket};
 pub use invariants::{check_chaos_invariants, InvariantCheck, InvariantReport};

@@ -4,10 +4,14 @@
 //! without folding the two into a fresh graph. Its whole contract is that
 //! nobody can tell: for any base graph and any mutation stream, every
 //! traversal of the view must be bit-identical to the same traversal of
-//! [`DeltaOverlay::materialize`]'s CSR — in both directions of the
-//! direction-optimizing kernel, on both sides of the MS-BFS lane crossover
-//! (below it lanes run single-source, at and above it they share one pass
-//! whose pull step walks `any_in`), at one pool thread and at several.
+//! the folded graph — in both directions of the direction-optimizing
+//! kernel, on both sides of the MS-BFS lane crossover (below it lanes run
+//! single-source, at and above it they share one pass whose pull step walks
+//! `any_in`), at one pool thread and at several.
+//!
+//! The folded graph is [`common::reference_fold`]'s, not
+//! [`DeltaOverlay::materialize`]'s: that one re-derives rows by the very
+//! marking the view routes reads by, and would check it against itself.
 
 use graphbig_datagen::prop::{self, Config};
 use graphbig_datagen::rng::Rng;
@@ -17,6 +21,9 @@ use graphbig_runtime::{CancelToken, ThreadPool};
 use graphbig_workloads::msbfs::msbfs_dir_opt;
 use graphbig_workloads::parallel::{self, LevelDir};
 use std::sync::Arc;
+
+mod common;
+use common::reference_fold;
 
 /// A seeded random directed base graph: `n` vertices, ~`2n` non-loop edges,
 /// roughly one in ten stored twice (parallel base copies).
@@ -105,7 +112,7 @@ fn traversals_of_the_view_match_the_materialized_graph() {
             let base = random_base(&mut rng);
             let ov = overlay_of(&base, &random_mutations(&mut rng, &base));
             let view = OverlayView::new(&base, &ov);
-            let folded = ov.materialize(&base, 2);
+            let folded = reference_fold(&base, &ov, 2);
             let bi = folded.service().bi();
             // Every id — removed and added vertices included — plus two
             // past the end.
@@ -175,7 +182,7 @@ fn bottom_up_steps_read_touched_rows_through_the_overlay() {
         ],
     );
     let view = OverlayView::new(&base, &ov);
-    let folded = ov.materialize(&base, 2);
+    let folded = reference_fold(&base, &ov, 2);
     for threads in [1, 4] {
         let pool = ThreadPool::new(threads);
         let (levels, visited, report) =

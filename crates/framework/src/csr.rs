@@ -65,6 +65,14 @@ impl<'a> DenseLookup<'a> {
     }
 }
 
+/// The identity mapping over `0..n`: `ids` and its sorted reverse `id_map`.
+fn identity_ids(n: usize) -> (Vec<VertexId>, Vec<(VertexId, u32)>) {
+    (
+        (0..n as VertexId).collect(),
+        (0..n).map(|i| (i as VertexId, i as u32)).collect(),
+    )
+}
+
 /// A static CSR view of a graph.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Csr {
@@ -221,8 +229,7 @@ impl Csr {
             weights[p] = w;
             cursor[u as usize] += 1;
         }
-        let ids: Vec<VertexId> = (0..n as VertexId).collect();
-        let id_map: Vec<(VertexId, u32)> = (0..n).map(|i| (i as VertexId, i as u32)).collect();
+        let (ids, id_map) = identity_ids(n);
         Csr {
             row_offsets,
             col,
@@ -299,57 +306,170 @@ impl Csr {
             .map(|p| self.id_map[p].1)
     }
 
-    /// Reverse every edge (used to get in-edges on static graphs).
+    /// Build from finished CSR arrays over `row_offsets.len() - 1` vertices
+    /// with identity id mapping — [`Csr::from_edges`] for a caller that
+    /// already holds its rows in order.
+    ///
+    /// # Panics
+    /// When the arrays do not describe a CSR: offsets not starting at 0,
+    /// decreasing, or not ending at `col.len()`, or `weights` not parallel
+    /// to `col`. That every column is a vertex id is an O(m) scan and, as
+    /// in [`Csr::from_edges`], left to debug builds.
+    pub fn from_rows(row_offsets: Vec<u64>, col: Vec<u32>, weights: Vec<f32>) -> Self {
+        assert!(!row_offsets.is_empty(), "row_offsets holds n + 1 entries");
+        let n = row_offsets.len() - 1;
+        assert_eq!(row_offsets[0], 0, "row 0 starts at 0");
+        assert_eq!(row_offsets[n], col.len() as u64, "last offset is m");
+        assert_eq!(col.len(), weights.len(), "weights parallel to col");
+        assert!(
+            row_offsets.windows(2).all(|w| w[0] <= w[1]),
+            "row offsets ascend"
+        );
+        debug_assert!(
+            col.iter().all(|&v| (v as usize) < n),
+            "columns are vertex ids"
+        );
+        let (ids, id_map) = identity_ids(n);
+        Csr {
+            row_offsets,
+            col,
+            weights,
+            ids,
+            id_map,
+            dangling_skipped: 0,
+        }
+    }
+
+    /// Reverse every edge (used to get in-edges on static graphs): a
+    /// two-pass counting transpose, O(n + m). Row `v` of the result lists
+    /// the sources of `v`'s in-edges ascending, parallel copies of one pair
+    /// in their out-row order, each with its own weight.
     pub fn transpose(&self) -> Csr {
         let n = self.num_vertices();
-        let mut edges = Vec::with_capacity(self.num_edges());
-        for u in 0..n as u32 {
-            for (i, &v) in self.neighbors(u).iter().enumerate() {
-                edges.push((v, u, self.edge_weights(u)[i]));
+        let mut row_offsets = vec![0u64; n + 1];
+        for &v in &self.col {
+            row_offsets[v as usize + 1] += 1;
+        }
+        for v in 0..n {
+            row_offsets[v + 1] += row_offsets[v];
+        }
+        let mut cursor = row_offsets[..n].to_vec();
+        let mut col = vec![0u32; self.col.len()];
+        let mut weights = vec![0f32; self.col.len()];
+        for u in 0..n {
+            let row = self.row_offsets[u] as usize..self.row_offsets[u + 1] as usize;
+            for (&v, &w) in self.col[row.clone()].iter().zip(&self.weights[row]) {
+                let at = &mut cursor[v as usize];
+                col[*at as usize] = u as u32;
+                weights[*at as usize] = w;
+                *at += 1;
             }
         }
-        let mut t = Csr::from_edges(n, &edges);
-        t.ids = self.ids.clone();
-        t.id_map = self.id_map.clone();
-        t
+        Csr {
+            row_offsets,
+            col,
+            weights,
+            ids: self.ids.clone(),
+            id_map: self.id_map.clone(),
+            dangling_skipped: 0,
+        }
     }
 
     /// Symmetrize: ensure `v in N(u)  =>  u in N(v)`, deduplicating edges.
-    /// Self-loops are dropped. Used by undirected GPU kernels (kCore, TC).
+    /// Self-loops are dropped and every weight is 1.0. Used by undirected
+    /// GPU kernels (kCore, TC).
+    ///
+    /// Every row of the result is **strictly ascending** — the order
+    /// intersection-based kernels (Schank's triangle counting) need, so no
+    /// [`Csr::sort_adjacency`] has to follow.
     pub fn symmetrize(&self) -> Csr {
+        self.symmetrize_with(&self.transpose())
+    }
+
+    /// [`Csr::symmetrize`] for a caller that already owns `self`'s
+    /// [`Csr::transpose`] (`inc`), so no second one is built.
+    ///
+    /// A scatter, O(n + m), no sort: walking `x` ascending and appending it
+    /// to the row of every out- and in-neighbour fills each undirected row
+    /// in ascending order with duplicates adjacent, so deduplication is one
+    /// compare with the value last appended to that row. One counting pass
+    /// sizes the rows, a second fills them.
+    pub fn symmetrize_with(&self, inc: &Csr) -> Csr {
         let n = self.num_vertices();
-        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(self.num_edges() * 2);
-        for u in 0..n as u32 {
-            for &v in self.neighbors(u) {
-                if u != v {
-                    pairs.push((u, v));
-                    pairs.push((v, u));
+        assert_eq!(inc.num_vertices(), n, "transpose of another graph");
+        let mut last = vec![0u32; n];
+        let mut row_offsets = vec![0u64; n + 1];
+        self.scatter_undirected(inc, &mut last, |y, _, fresh| {
+            row_offsets[y + 1] += fresh as u64
+        });
+        for y in 0..n {
+            row_offsets[y + 1] += row_offsets[y];
+        }
+        let mut cursor = row_offsets[..n].to_vec();
+        // One spare slot past the end for duplicates to land in, so the
+        // store needs no branch.
+        let m = row_offsets[n] as usize;
+        let mut col = vec![0u32; m + 1];
+        self.scatter_undirected(inc, &mut last, |y, x, fresh| {
+            col[if fresh { cursor[y] as usize } else { m }] = x;
+            cursor[y] += fresh as u64;
+        });
+        col.truncate(m);
+        Csr {
+            row_offsets,
+            weights: vec![1.0; col.len()],
+            col,
+            ids: self.ids.clone(),
+            id_map: self.id_map.clone(),
+            dangling_skipped: 0,
+        }
+    }
+
+    /// One pass of [`Csr::symmetrize_with`]: `append(y, x)` for every
+    /// distinct undirected arc `y — x`, `x` ascending within each `y`.
+    /// `last[y]` is the value last appended to row `y` (scratch, reset here).
+    #[inline]
+    fn scatter_undirected(
+        &self,
+        inc: &Csr,
+        last: &mut [u32],
+        mut append: impl FnMut(usize, u32, bool),
+    ) {
+        // "Nothing appended yet": a source is a dense id below `n`, so
+        // `u32::MAX` is never one.
+        last.fill(u32::MAX);
+        for x in 0..self.num_vertices() as u32 {
+            for row in [self.neighbors(x), inc.neighbors(x)] {
+                for &y in row {
+                    let fresh = y != x && last[y as usize] != x;
+                    last[y as usize] = x;
+                    append(y as usize, x, fresh);
                 }
             }
         }
-        pairs.sort_unstable();
-        pairs.dedup();
-        let edges: Vec<(u32, u32, f32)> = pairs.into_iter().map(|(u, v)| (u, v, 1.0)).collect();
-        let mut s = Csr::from_edges(n, &edges);
-        s.ids = self.ids.clone();
-        s.id_map = self.id_map.clone();
-        s
     }
 
-    /// Sort each adjacency list ascending (required by intersection-based
-    /// kernels like Schank's triangle counting).
+    /// Sort each adjacency list ascending by column, weights carried along
+    /// (required by intersection-based kernels like Schank's triangle
+    /// counting). Rows already in order are left alone.
     pub fn sort_adjacency(&mut self) {
+        let mut pair: Vec<(u32, f32)> = Vec::new();
         for u in 0..self.num_vertices() {
             let lo = self.row_offsets[u] as usize;
             let hi = self.row_offsets[u + 1] as usize;
+            if self.col[lo..hi].is_sorted() {
+                continue;
+            }
             // sort col and weights together
-            let mut pair: Vec<(u32, f32)> = self.col[lo..hi]
-                .iter()
-                .copied()
-                .zip(self.weights[lo..hi].iter().copied())
-                .collect();
+            pair.clear();
+            pair.extend(
+                self.col[lo..hi]
+                    .iter()
+                    .copied()
+                    .zip(self.weights[lo..hi].iter().copied()),
+            );
             pair.sort_unstable_by_key(|&(c, _)| c);
-            for (k, (c, w)) in pair.into_iter().enumerate() {
+            for (k, &(c, w)) in pair.iter().enumerate() {
                 self.col[lo + k] = c;
                 self.weights[lo + k] = w;
             }
@@ -404,6 +524,13 @@ impl BiCsr {
     /// Pair a directed CSR with its transpose (built here, O(n + m)).
     pub fn directed(out: Csr) -> Self {
         let inc = out.transpose();
+        BiCsr::from_parts(out, inc)
+    }
+
+    /// Pair a directed CSR with its transpose, already built by the caller.
+    pub fn from_parts(out: Csr, inc: Csr) -> Self {
+        assert_eq!(out.num_vertices(), inc.num_vertices());
+        assert_eq!(out.num_edges(), inc.num_edges());
         BiCsr {
             out,
             inc: Some(inc),
@@ -629,6 +756,206 @@ mod tests {
         csr.sort_adjacency();
         assert_eq!(csr.neighbors(0), &[1, 2, 3]);
         assert_eq!(csr.edge_weights(0), &[1.0, 2.0, 3.0]);
+    }
+
+    /// A random graph as `(n, edges)`: endpoints are reduced mod `n` when
+    /// the graph is built, so a shrunk `n` keeps the case well-formed. Rows
+    /// arrive unsorted, with self-loops, parallel edges (distinct weights)
+    /// and isolated vertices; ids are not the identity.
+    type Case = (u64, Vec<(u32, u32, u32)>);
+
+    fn gen_case(rng: &mut graphbig_datagen::rng::Rng) -> Case {
+        let n = rng.u64_below(40);
+        let m = rng.u64_below(4 * n + 1);
+        let mut edges = Vec::new();
+        for _ in 0..m {
+            // Endpoints from the lower two thirds: the rest stay isolated.
+            let u = rng.u64_below(n * 2 / 3 + 1) as u32;
+            let v = match rng.u64_below(8) {
+                0 => u, // self-loop
+                _ => rng.u64_below(n * 2 / 3 + 1) as u32,
+            };
+            edges.push((u, v, rng.u64_below(50) as u32));
+            if rng.u64_below(6) == 0 {
+                edges.push((u, v, rng.u64_below(50) as u32)); // parallel copy
+            }
+        }
+        (n, edges)
+    }
+
+    fn build_case((n, edges): &Case) -> Csr {
+        let n = *n as usize;
+        let edges: Vec<(u32, u32, f32)> = match n {
+            0 => Vec::new(),
+            _ => edges
+                .iter()
+                .map(|&(u, v, w)| (u % n as u32, v % n as u32, w as f32))
+                .collect(),
+        };
+        let mut csr = Csr::from_edges(n, &edges);
+        csr.ids = (0..n as VertexId)
+            .map(|i| 1000 + 7 * (n as VertexId - i))
+            .collect();
+        csr.id_map = csr
+            .ids
+            .iter()
+            .enumerate()
+            .map(|(i, &id)| (id, i as u32))
+            .collect();
+        csr.id_map.sort_unstable();
+        csr
+    }
+
+    /// The transpose as it was before the counting one: every edge reversed
+    /// into a list, rebuilt with `from_edges`.
+    fn edge_list_transpose(csr: &Csr) -> Csr {
+        let n = csr.num_vertices();
+        let mut edges = Vec::with_capacity(csr.num_edges());
+        for u in 0..n as u32 {
+            for (i, &v) in csr.neighbors(u).iter().enumerate() {
+                edges.push((v, u, csr.edge_weights(u)[i]));
+            }
+        }
+        let mut t = Csr::from_edges(n, &edges);
+        t.ids = csr.ids.clone();
+        t.id_map = csr.id_map.clone();
+        t
+    }
+
+    /// The symmetrize as it was before the scatter: both directions of
+    /// every non-loop edge pushed as pairs, one global sort, dedup.
+    fn pair_sort_symmetrize(csr: &Csr) -> Csr {
+        let n = csr.num_vertices();
+        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(csr.num_edges() * 2);
+        for u in 0..n as u32 {
+            for &v in csr.neighbors(u) {
+                if u != v {
+                    pairs.push((u, v));
+                    pairs.push((v, u));
+                }
+            }
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        let edges: Vec<(u32, u32, f32)> = pairs.into_iter().map(|(u, v)| (u, v, 1.0)).collect();
+        let mut s = Csr::from_edges(n, &edges);
+        s.ids = csr.ids.clone();
+        s.id_map = csr.id_map.clone();
+        s
+    }
+
+    #[test]
+    fn symmetrize_matches_the_pair_sort_reference_and_sorts_every_row() {
+        use graphbig_datagen::prop::{self, Config};
+        prop::check(
+            "csr_symmetrize",
+            Config::with_cases(200),
+            gen_case,
+            |case: &Case| {
+                let csr = build_case(case);
+                let sym = csr.symmetrize();
+                assert_eq!(sym, pair_sort_symmetrize(&csr));
+                assert_eq!(sym, csr.symmetrize_with(&csr.transpose()));
+                for u in 0..sym.num_vertices() as u32 {
+                    let row = sym.neighbors(u);
+                    assert!(row.windows(2).all(|w| w[0] < w[1]), "row {u}: {row:?}");
+                    assert!(!row.contains(&u), "self-loop kept in row {u}");
+                }
+                // Which is why nothing has to sort it afterwards.
+                let mut sorted = sym.clone();
+                sorted.sort_adjacency();
+                assert_eq!(sorted, sym);
+            },
+        );
+    }
+
+    #[test]
+    fn transpose_matches_the_edge_list_reference() {
+        use graphbig_datagen::prop::{self, Config};
+        prop::check(
+            "csr_transpose",
+            Config::with_cases(200),
+            gen_case,
+            |case: &Case| {
+                let csr = build_case(case);
+                let t = csr.transpose();
+                // Weights of parallel edges, ids and id_map included.
+                assert_eq!(t, edge_list_transpose(&csr));
+                // Transposing back gives the input with each row stably sorted
+                // by column: parallel copies keep their order and weights.
+                let mut want = csr.clone();
+                for u in 0..want.num_vertices() {
+                    let (lo, hi) = (
+                        want.row_offsets[u] as usize,
+                        want.row_offsets[u + 1] as usize,
+                    );
+                    let mut row: Vec<(u32, f32)> =
+                        (lo..hi).map(|i| (csr.col[i], csr.weights[i])).collect();
+                    row.sort_by_key(|&(c, _)| c);
+                    for (k, (c, w)) in row.into_iter().enumerate() {
+                        want.col[lo + k] = c;
+                        want.weights[lo + k] = w;
+                    }
+                }
+                assert_eq!(t.transpose(), want);
+            },
+        );
+    }
+
+    #[test]
+    fn transpose_and_symmetrize_handle_zero_and_one_vertex() {
+        for case in [(0u64, vec![]), (1, vec![]), (1, vec![(0, 0, 3), (0, 0, 4)])] {
+            let csr = build_case(&case);
+            assert_eq!(csr.transpose(), edge_list_transpose(&csr));
+            let sym = csr.symmetrize();
+            assert_eq!(sym, pair_sort_symmetrize(&csr));
+            assert_eq!(sym.num_edges(), 0);
+        }
+    }
+
+    #[test]
+    fn sort_adjacency_leaves_sorted_rows_alone() {
+        // Row 0 is unsorted, row 1 sorted with parallel copies whose weight
+        // order an unstable re-sort would be free to disturb.
+        let edges = [
+            (0u32, 2u32, 2.0f32),
+            (0, 1, 1.0),
+            (1, 0, 5.0),
+            (1, 2, 7.0),
+            (1, 2, 6.0),
+        ];
+        let mut csr = Csr::from_edges(3, &edges);
+        csr.sort_adjacency();
+        assert_eq!(
+            (csr.neighbors(0), csr.edge_weights(0)),
+            (&[1, 2][..], &[1.0, 2.0][..])
+        );
+        assert_eq!(
+            (csr.neighbors(1), csr.edge_weights(1)),
+            (&[0, 2, 2][..], &[5.0, 7.0, 6.0][..])
+        );
+    }
+
+    #[test]
+    fn from_rows_is_from_edges_for_rows_already_in_order() {
+        let edges = [(0u32, 2u32, 2.0f32), (0, 1, 1.0), (2, 0, 5.0)];
+        let want = Csr::from_edges(4, &edges);
+        let got = Csr::from_rows(
+            want.row_offsets.clone(),
+            want.col.clone(),
+            want.weights.clone(),
+        );
+        assert_eq!(got, want);
+        assert_eq!(
+            Csr::from_rows(vec![0], vec![], vec![]),
+            Csr::from_edges(0, &[])
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "last offset is m")]
+    fn from_rows_rejects_offsets_that_do_not_cover_the_columns() {
+        Csr::from_rows(vec![0, 1], vec![0, 0], vec![1.0, 1.0]);
     }
 
     #[test]

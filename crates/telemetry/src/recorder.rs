@@ -110,11 +110,12 @@ pub enum EventKind {
     /// The request was drained from its lane into another request's batch
     /// (arg = the leader's request id).
     BatchJoin = 19,
-    /// A harness phase opened on the recording thread (id = 0, code =
-    /// interned phase name, arg = the phase's one numeric payload).
+    /// A phase opened on the recording thread (id = 0, code = interned
+    /// phase name, arg = the phase's one numeric payload).
     PhaseBegin = 20,
     /// The phase opened by the matching [`EventKind::PhaseBegin`] on this
-    /// thread closed (code = the same interned phase name).
+    /// thread closed (code = the same interned phase name, arg = the payload
+    /// if it was only known at close, else 0).
     PhaseEnd = 21,
 }
 
@@ -334,11 +335,14 @@ pub fn record_lane(kind: EventKind, lane: u8, id: u64, arg: u64) {
     record_full(kind, lane, 0, id, arg);
 }
 
-/// An open harness phase; records the closing [`EventKind::PhaseEnd`] when
-/// dropped.
+/// An open phase; records the closing [`EventKind::PhaseEnd`] when dropped.
 #[must_use = "a phase measures the scope it is bound to; bind it to a variable"]
 #[derive(Debug)]
-pub struct Phase(u16);
+pub struct Phase {
+    code: u16,
+    /// Payload given at close (0 = keep the one given at open).
+    end_arg: u64,
+}
 
 /// Open a phase on the calling thread. `code` is the phase name,
 /// [`intern`]ed once by the call site (interning locks and scans, so it
@@ -346,13 +350,23 @@ pub struct Phase(u16);
 #[inline]
 pub fn phase(code: u16, arg: u64) -> Phase {
     record_full(EventKind::PhaseBegin, NO_LANE, code, 0, arg);
-    Phase(code)
+    Phase { code, end_arg: 0 }
+}
+
+impl Phase {
+    /// Close the phase now with `arg` as its payload, for a count only the
+    /// finished work knows (open it with 0). A non-zero `arg` replaces the
+    /// payload the phase was opened with.
+    #[inline]
+    pub fn close_with(mut self, arg: u64) {
+        self.end_arg = arg;
+    }
 }
 
 impl Drop for Phase {
     #[inline]
     fn drop(&mut self) {
-        record_full(EventKind::PhaseEnd, NO_LANE, self.0, 0, 0);
+        record_full(EventKind::PhaseEnd, NO_LANE, self.code, 0, self.end_arg);
     }
 }
 
@@ -501,7 +515,11 @@ pub fn to_trace(snap: &RecorderSnapshot) -> Trace {
                     // Codes are 1-based; 0 wraps out of range and gets the fallback.
                     let name = snap.labels.get((e.code as usize).wrapping_sub(1));
                     let name = name.cloned().unwrap_or_else(|| "phase".into());
-                    trace.events.push(span(name, open[depth], e.ts_us));
+                    let mut phase = span(name, open[depth], e.ts_us);
+                    if e.arg != 0 {
+                        phase.args[1].1 = e.arg as f64; // payload given at close
+                    }
+                    trace.events.push(phase);
                     open.truncate(depth);
                 }
             }
@@ -755,7 +773,7 @@ mod tests {
         {
             let _outer = phase(outer, 7);
             drop(phase(inner, 1));
-            drop(phase(sibling, 2));
+            phase(sibling, 0).close_with(2);
         }
         let mut snap = snapshot();
         snap.events
@@ -767,7 +785,11 @@ mod tests {
             (e.ts_us, e.ts_us + e.dur_us.expect("a span"), e.args[1].1)
         };
         let (o, i, s) = (span("unit.outer"), span("unit.inner"), span("unit.sibling"));
-        assert_eq!((o.2, i.2, s.2), (7.0, 1.0, 2.0), "arg is the payload");
+        assert_eq!(
+            (o.2, i.2, s.2),
+            (7.0, 1.0, 2.0),
+            "arg is the payload, given at open or at close"
+        );
         assert!(o.0 <= i.0 && i.1 <= s.0 && s.1 <= o.1, "{o:?} {i:?} {s:?}");
         assert_eq!(trace.events.len(), 3, "nothing but the three spans");
     }

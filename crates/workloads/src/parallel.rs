@@ -761,8 +761,7 @@ mod tests {
     #[test]
     fn parallel_tc_matches_sequential() {
         let (mut g, csr) = ldbc(200);
-        let mut sym = csr.symmetrize();
-        sym.sort_adjacency();
+        let sym = csr.symmetrize();
         let par = tc(&pool(), &sym);
         let seq = crate::tc::run(&mut g);
         assert_eq!(par, seq.triangles);

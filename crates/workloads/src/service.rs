@@ -26,14 +26,21 @@ pub struct ServiceGraph {
 }
 
 impl ServiceGraph {
-    /// Build both views from a directed CSR snapshot.
+    /// Build both views from a directed CSR snapshot: one transpose, which
+    /// the symmetrized view is then scattered from — counting passes only,
+    /// O(n + m) (see [`Csr::symmetrize_with`], whose rows come out sorted).
     pub fn build(csr: Csr) -> Self {
-        let mut sym = csr.symmetrize();
-        sym.sort_adjacency();
-        ServiceGraph {
-            bi: BiCsr::directed(csr),
-            sym,
-        }
+        let inc = csr.transpose();
+        let sym = csr.symmetrize_with(&inc);
+        ServiceGraph::from_parts(BiCsr::from_parts(csr, inc), sym)
+    }
+
+    /// Assemble from views the caller already built. `sym` must be what
+    /// [`ServiceGraph::build`] derives from `bi`: the symmetrized out view,
+    /// every row strictly ascending.
+    pub fn from_parts(bi: BiCsr, sym: Csr) -> Self {
+        assert_eq!(bi.num_vertices(), sym.num_vertices());
+        ServiceGraph { bi, sym }
     }
 
     /// The directed view with its transpose.

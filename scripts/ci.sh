@@ -53,13 +53,33 @@ if sed -n '/^fn run_shared_pass/,/^}/p' crates/engine/src/exec.rs | grep -q 'mat
 fi
 # Both figures come from one process and one pass of the script check.sh just built.
 "${CARGO_TARGET_DIR:-benchmark/target}/release/graphbig-benchmark" \
-  --workload live_rw --seed 7 --quick --trace 1 | tail -n 1 | python3 -c '
+  --workload live_rw --seed 7 --quick --trace 1 | tail -n 1 > /tmp/live_rw_traced.json
+python3 -c '
 import json, sys
-m = json.load(sys.stdin)["metrics"]
+m = json.load(open("/tmp/live_rw_traced.json"))["metrics"]
 overlay, clean = (m[k]["value"] for k in ("engine.bfs_overlay_us", "engine.bfs_clean_us"))
 print(f"engine.bfs_overlay_us {overlay:.1f} vs engine.bfs_clean_us {clean:.1f}")
 sys.exit(overlay > 2 * clean)
 ' || { echo "a BFS over a live overlay took more than 2x a BFS on the clean epoch"; exit 1; }
+
+echo "==> row-patching fold (one fold, no edge-list rebuild; compaction under a quarter of live_rw)"
+# The fold is DeltaOverlay::materialize / ::fold and the patch_rows they call; the
+# edge-list build survives only as tests/common::reference_fold.
+grep -q 'pub fn materialize' crates/engine/src/delta.rs && grep -q '^fn patch_rows' crates/engine/src/delta.rs \
+  || { echo "the fold moved: point this gate at its body"; exit 1; }
+if { sed -n '/pub fn materialize/,/pub fn live_digest/p' crates/engine/src/delta.rs
+     sed -n '/^fn patch_rows/,/^}/p' crates/engine/src/delta.rs
+   } | grep -n 'from_edges\|ShardedGraph::build('; then
+  echo "DeltaOverlay::materialize rebuilds from an edge list: it must patch rows of the base CSRs"
+  exit 1
+fi
+# A share of the traced run above, not a clock: 45.9 % when compaction rebuilt the graph.
+python3 -c '
+import json, sys
+share = json.load(open("/tmp/live_rw_traced.json"))["metrics"]["trace.self_pct.engine.compact"]["value"]
+print(f"trace.self_pct.engine.compact {share:.1f} %")
+sys.exit(share >= 25)
+' || { echo "engine.compact owns a quarter or more of traced live_rw: the fold is rebuilding the graph"; exit 1; }
 
 echo "==> engine serving smoke (LDBC-4k, 200-request mix, sequential oracle)"
 cargo run "${CARGO_FLAGS[@]}" --release -p graphbig-engine --bin graphbig-serve -- \
