@@ -23,7 +23,7 @@ use graphbig::engine::{Engine, EngineConfig, Query};
 use graphbig::framework::csr::Csr;
 use graphbig::prelude::*;
 use graphbig::telemetry::metrics::Registry;
-use graphbig_bench::timing::{black_box, Runner};
+use graphbig_bench::timing::{black_box, AllocRegime, Runner};
 
 fn inert(site: &str) -> FaultSpec {
     FaultSpec {
@@ -38,7 +38,12 @@ fn inert(site: &str) -> FaultSpec {
 }
 
 fn main() {
+    AllocRegime::Warm.pin();
     let mut r = Runner::new("chaos_overhead_ldbc_4k");
+    r.threads(2);
+    r.param("dataset", "LDBC");
+    r.param("vertices", 1usize << 12);
+    r.param("seed", "datagen default");
     if !chaos::compiled() {
         eprintln!("failpoints compiled out: both states measure the bare loop");
     }

@@ -64,7 +64,10 @@ fn measured_cpu_seconds(w: Workload, d: Dataset, scale: f64, pool: &ThreadPool) 
         Workload::Bfs => {
             let bi = BiCsr::directed(csr);
             Box::new(move || {
-                parallel::bfs_dir_opt(pool, &bi, 0);
+                let (_, _, report) = parallel::bfs_dir_opt(pool, &bi, 0, &CancelToken::never())
+                    .expect("never cancels");
+                // the `bfs.*` trajectory metrics of the measured manifest
+                report.publish(graphbig::telemetry::metrics::global());
             })
         }
         Workload::SPath => Box::new(move || {

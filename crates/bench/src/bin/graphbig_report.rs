@@ -1,5 +1,6 @@
 //! `graphbig-report`: inspect and compare [`RunManifest`] files emitted by
-//! the figure/table binaries' `--emit` flag.
+//! the `--emit` flag of the figure/table binaries, `graphbig-serve` and the
+//! `cargo bench` targets (whose rows are `bench.*` gauges).
 //!
 //! Three modes:
 //!
@@ -22,7 +23,7 @@
 
 use graphbig::profile::Table;
 use graphbig::telemetry::{diff_metrics, structural_mismatches, MetricValue, RunManifest};
-use graphbig_bench::harness::arg_value;
+use graphbig_bench::harness::{arg_value_in, positionals};
 
 fn load(path: &str) -> RunManifest {
     match RunManifest::read_from(path) {
@@ -195,28 +196,13 @@ fn diff(before_path: &str, after_path: &str, threshold_pct: Option<f64>) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let positional: Vec<&String> = {
-        let mut skip_next = false;
-        args.iter()
-            .filter(|a| {
-                if skip_next {
-                    skip_next = false;
-                    return false;
-                }
-                if *a == "--threshold" {
-                    skip_next = true;
-                    return false;
-                }
-                !a.starts_with("--")
-            })
-            .collect()
-    };
+    let positional = positionals(&args, &["--threshold"]);
     let has = |flag: &str| args.iter().any(|a| a == flag);
     match (has("--show"), has("--check"), positional.as_slice()) {
         (true, false, [path]) => show(path),
         (false, true, [golden, candidate]) => check(golden, candidate),
         (false, false, [before, after]) => {
-            let threshold = arg_value("--threshold").and_then(|v| v.parse().ok());
+            let threshold = arg_value_in(&args, "--threshold").and_then(|v| v.parse().ok());
             diff(before, after, threshold);
         }
         _ => {

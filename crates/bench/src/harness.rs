@@ -1,25 +1,8 @@
-//! Shared command-line helpers for the figure/table binaries, and the
-//! [`Reporter`] every binary funnels its output through.
+//! Shared command-line helpers for the figure/table binaries and the
+//! bench targets, and the [`Reporter`] all of them funnel output through.
 
-use graphbig::framework::graph::PropertyGraph;
 use graphbig::profile::Table;
 use graphbig::telemetry::{self, recorder, RunManifest};
-
-/// Deep-copy a property graph (vertices, then arcs with weights).
-///
-/// The mutating sequential workloads consume their input, so the
-/// `bench_with_setup` benches rebuild a fresh graph per sample; this is the
-/// one shared copy helper instead of a private clone in every bench file.
-pub fn clone_graph(g: &PropertyGraph) -> PropertyGraph {
-    let mut out = PropertyGraph::with_capacity(g.num_vertices());
-    for &id in g.vertex_ids() {
-        out.add_vertex_with_id(id).unwrap();
-    }
-    for (u, e) in g.arcs() {
-        out.add_edge(u, e.target, e.weight).unwrap();
-    }
-    out
-}
 
 /// Parse `--scale <f64>` from argv; `default` otherwise.
 ///
@@ -41,19 +24,34 @@ pub fn threads_arg(default: usize) -> usize {
 
 /// Look up the value following a flag in argv.
 pub fn arg_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
+    arg_value_in(&std::env::args().collect::<Vec<_>>(), flag)
+}
+
+/// Look up the value following `flag` in `args`.
+pub fn arg_value_in(args: &[String], flag: &str) -> Option<String> {
     args.iter()
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
         .cloned()
 }
 
-/// Whether a bare flag is present in argv.
-pub fn has_flag(flag: &str) -> bool {
-    std::env::args().any(|a| a == flag)
+/// The arguments of `args` that are neither a `--flag` nor the value
+/// following one of `value_flags`.
+pub fn positionals<'a>(args: &'a [String], value_flags: &[&str]) -> Vec<&'a String> {
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < args.len() {
+        if value_flags.contains(&args[i].as_str()) {
+            i += 1; // its value
+        } else if !args[i].starts_with("--") {
+            out.push(&args[i]);
+        }
+        i += 1;
+    }
+    out
 }
 
-/// The uniform output funnel of every figure/table binary.
+/// The uniform output funnel of every figure/table binary and bench target.
 ///
 /// Construction parses the common flags all binaries share:
 ///
@@ -76,13 +74,18 @@ pub struct Reporter {
 }
 
 impl Reporter {
-    /// Start reporting for binary `bin`.
+    /// Start reporting for binary `bin`, reading the common flags from argv.
     pub fn new(bin: &str) -> Reporter {
+        Reporter::from_args(bin, &std::env::args().collect::<Vec<_>>())
+    }
+
+    /// [`Reporter::new`] over an explicit argument list.
+    pub fn from_args(bin: &str, args: &[String]) -> Reporter {
         Reporter {
             manifest: RunManifest::new(bin),
-            emit: arg_value("--emit"),
-            trace: arg_value("--trace"),
-            quiet: has_flag("--quiet"),
+            emit: arg_value_in(args, "--emit"),
+            trace: arg_value_in(args, "--trace"),
+            quiet: args.iter().any(|a| a == "--quiet"),
         }
     }
 
@@ -192,6 +195,18 @@ mod tests {
     fn row_is_right_aligned() {
         let r = row(&["ab".into(), "1.5".into()], &[5, 6]);
         assert_eq!(r, "   ab     1.5");
+    }
+
+    #[test]
+    fn positionals_skip_flags_and_the_values_of_value_flags() {
+        let args: Vec<String> = ["--bench", "a.json", "--threshold", "5", "b.json", "--quiet"]
+            .iter()
+            .map(|a| a.to_string())
+            .collect();
+        assert_eq!(positionals(&args, &["--threshold"]), ["a.json", "b.json"]);
+        assert_eq!(positionals(&args, &[]), ["a.json", "5", "b.json"]);
+        assert_eq!(arg_value_in(&args, "--threshold").as_deref(), Some("5"));
+        assert_eq!(arg_value_in(&args, "--quiet"), None);
     }
 
     #[test]

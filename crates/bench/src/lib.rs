@@ -1,8 +1,12 @@
 //! # graphbig-bench
 //!
-//! Figure/table regeneration binaries, ablation studies, and the in-tree
-//! wall-clock benches (the [`timing`] median ± MAD loop — no criterion).
-//! Shared harness helpers live here.
+//! Figure/table regeneration binaries, ablation studies, and four
+//! wall-clock bench targets on the in-tree [`timing`] loop (median ± MAD,
+//! no criterion): `mutation`, `batching`, `frontier`, `chaos_overhead` —
+//! the ones a gate or a doc reads; per-layer serving numbers belong to
+//! the standalone `benchmark/` package. Binaries and benches report
+//! through one [`harness::Reporter`], so every `--emit` is the same run
+//! manifest and `graphbig-report` reads them all.
 //!
 //! ## Binaries (`cargo run --release -p graphbig-bench --bin <name>`)
 //!
@@ -28,6 +32,9 @@
 //! | `ablation_ndp` | near-data-processing future-work model |
 //! | `diag_branch_sites` | per-site branch-miss diagnostic |
 //! | `graphbig-report` | diff/inspect/check `--emit` run manifests |
+//!
+//! `scripts/figures.sh` runs every `table*` / `fig*` / `ablation_*`
+//! binary at its default scale into `results/figures.txt`.
 //!
 //! All figure binaries accept `--scale <f>` (dataset size as a fraction of
 //! the paper's Table 7 experiment sizes) plus the common reporting flags

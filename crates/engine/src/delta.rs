@@ -46,7 +46,7 @@ use graphbig_framework::bitmap::AtomicBitmap;
 use graphbig_framework::csr::{Adjacency, BiCsr, Csr, InAdjacency};
 use graphbig_workloads::service::ServiceGraph;
 
-use crate::shard::ShardedGraph;
+use crate::shard::{k_hop_walk, ShardedGraph};
 
 /// Hasher of the overlay's maps, whose keys are dense vertex ids and pairs
 /// of them: one rotate-xor-multiply per `u32` (the Fx scheme). Every read
@@ -430,35 +430,12 @@ impl DeltaOverlay {
     /// through the overlay (including the source). Matches
     /// `materialize(..).k_hop(source, hops)` exactly.
     pub fn k_hop(&self, base: &ShardedGraph, source: u32, hops: u32) -> u64 {
-        let n = self.n_total() as usize;
-        if n == 0 || source as usize >= n {
-            return 0;
-        }
         if self.is_empty() {
             return base.k_hop(source, hops);
         }
-        let mut visited = vec![false; n];
-        visited[source as usize] = true;
-        let mut frontier = vec![source];
-        let mut next = Vec::new();
-        let mut count = 1u64;
-        for _ in 0..hops {
-            if frontier.is_empty() {
-                break;
-            }
-            for &u in &frontier {
-                self.for_each_live_out(base, u, |t, _| {
-                    if !visited[t as usize] {
-                        visited[t as usize] = true;
-                        count += 1;
-                        next.push(t);
-                    }
-                });
-            }
-            frontier.clear();
-            std::mem::swap(&mut frontier, &mut next);
-        }
-        count
+        k_hop_walk(self.n_total() as usize, source, hops, |u, reach| {
+            self.for_each_live_out(base, u, |t, _| reach.visit(t));
+        })
     }
 
     /// Fold the overlay into a fresh graph over `n_total` vertices — the

@@ -141,34 +141,65 @@ impl ShardedGraph {
     /// steps of `source` (including the source itself). Runs sequentially —
     /// a bounded neighborhood never justifies waking the pool.
     pub fn k_hop(&self, source: u32, hops: u32) -> u64 {
-        let n = self.num_vertices();
-        if n == 0 || source as usize >= n {
-            return 0;
-        }
         let out = self.service.out();
-        let mut visited = vec![false; n];
-        visited[source as usize] = true;
-        let mut frontier = vec![source];
-        let mut next = Vec::new();
-        let mut count = 1u64;
-        for _ in 0..hops {
-            if frontier.is_empty() {
-                break;
+        k_hop_walk(self.num_vertices(), source, hops, |u, reach| {
+            for &v in out.neighbors(u) {
+                reach.visit(v);
             }
-            for &u in &frontier {
-                for &v in out.neighbors(u) {
-                    if !visited[v as usize] {
-                        visited[v as usize] = true;
-                        count += 1;
-                        next.push(v);
-                    }
-                }
-            }
-            frontier.clear();
-            std::mem::swap(&mut frontier, &mut next);
-        }
-        count
+        })
     }
+}
+
+/// What a k-hop walk has reached so far; a row walk reports each
+/// out-neighbour through [`Reach::visit`].
+pub(crate) struct Reach {
+    visited: Vec<bool>,
+    next: Vec<u32>,
+    count: u64,
+}
+
+impl Reach {
+    #[inline]
+    pub(crate) fn visit(&mut self, v: u32) {
+        if !self.visited[v as usize] {
+            self.visited[v as usize] = true;
+            self.count += 1;
+            self.next.push(v);
+        }
+    }
+}
+
+/// The k-hop frontier loop over `n` vertices, shared by the base graph and
+/// the overlay: `walk_row(u, reach)` visits every live out-neighbour of `u`.
+/// Generic over the row walk so each caller's loop is monomorphized.
+#[inline]
+pub(crate) fn k_hop_walk(
+    n: usize,
+    source: u32,
+    hops: u32,
+    mut walk_row: impl FnMut(u32, &mut Reach),
+) -> u64 {
+    if n == 0 || source as usize >= n {
+        return 0;
+    }
+    let mut reach = Reach {
+        visited: vec![false; n],
+        next: Vec::new(),
+        count: 1,
+    };
+    reach.visited[source as usize] = true;
+    let mut frontier = vec![source];
+    for _ in 0..hops {
+        if frontier.is_empty() {
+            break;
+        }
+        for &u in &frontier {
+            walk_row(u, &mut reach);
+        }
+        frontier.clear();
+        std::mem::swap(&mut frontier, &mut reach.next);
+    }
+    reach.count
 }
 
 /// At most `num_shards` contiguous vertex ranges of `csr` with near-equal

@@ -328,7 +328,7 @@ fn a_solo_request_emits_exactly_its_stages_and_one_step_per_poll() {
     };
     let (bi, before) = (BiCsr::directed(csr), recorded());
     let (_, _, report) =
-        parallel::bfs_dir_opt_cancellable(eng.pool(), &bi, source, &CancelToken::never()).unwrap();
+        parallel::bfs_dir_opt(eng.pool(), &bi, source, &CancelToken::never()).unwrap();
     assert_eq!(recorded(), before, "an untraced kernel records no events");
     assert!(report.switches_to_bottom_up > 0, "both directions polled");
     // The kernel polls once per top-down level, and in a bottom-up phase

@@ -16,7 +16,7 @@
 use graphbig_datagen::prop::{self, Config};
 use graphbig_datagen::rng::Rng;
 use graphbig_engine::{DeltaOverlay, Mutation, MutationBuffer, OverlayView, ShardedGraph};
-use graphbig_framework::csr::Csr;
+use graphbig_framework::csr::{Csr, InAdjacency};
 use graphbig_runtime::{CancelToken, ThreadPool};
 use graphbig_workloads::msbfs::msbfs_dir_opt;
 use graphbig_workloads::parallel::{self, LevelDir};
@@ -27,6 +27,13 @@ use common::reference_fold;
 
 /// A seeded random directed base graph: `n` vertices, ~`2n` non-loop edges,
 /// roughly one in ten stored twice (parallel base copies).
+/// Levels and visited count of a never-cancelled dir-opt BFS.
+fn dir_opt<G: InAdjacency>(pool: &ThreadPool, g: &G, source: u32) -> (Vec<i64>, u64) {
+    let (levels, visited, _) =
+        parallel::bfs_dir_opt(pool, g, source, &CancelToken::never()).unwrap();
+    (levels, visited)
+}
+
 fn random_base(rng: &mut Rng) -> ShardedGraph {
     let n = 8 + rng.u64_below(90) as usize;
     let mut edges = Vec::new();
@@ -119,9 +126,9 @@ fn traversals_of_the_view_match_the_materialized_graph() {
             let n = ov.n_total();
             for pool in &pools {
                 for source in 0..n + 2 {
-                    let want = parallel::bfs_dir_opt(pool, bi, source);
+                    let want = dir_opt(pool, bi, source);
                     assert_eq!(
-                        parallel::bfs_dir_opt(pool, &view, source),
+                        dir_opt(pool, &view, source),
                         want,
                         "dir-opt over the view, source {source}"
                     );
@@ -186,16 +193,13 @@ fn bottom_up_steps_read_touched_rows_through_the_overlay() {
     for threads in [1, 4] {
         let pool = ThreadPool::new(threads);
         let (levels, visited, report) =
-            parallel::bfs_dir_opt_cancellable(&pool, &view, 0, &CancelToken::never()).unwrap();
+            parallel::bfs_dir_opt(&pool, &view, 0, &CancelToken::never()).unwrap();
         assert_eq!(report.levels[0].dir, LevelDir::BottomUp);
         assert_eq!(report.levels[1].dir, LevelDir::BottomUp);
         assert_eq!(levels[41], 1, "found through its in_adds parent");
         assert_eq!(levels[42], 2, "not through the tombstoned pair");
         assert_eq!(levels[43], -1);
-        assert_eq!(
-            (levels, visited),
-            parallel::bfs_dir_opt(&pool, folded.service().bi(), 0)
-        );
+        assert_eq!((levels, visited), dir_opt(&pool, folded.service().bi(), 0));
         // The shared pass pulls over the same rows: 16 lanes from the hub.
         let sources = [0u32; 16];
         let lanes = msbfs_dir_opt(&pool, &view, &sources);

@@ -50,7 +50,7 @@ const CHUNK_WEIGHT: u64 = 2048;
 const ALPHA: u64 = 4;
 
 /// Below this many lanes the direction-optimized shared pass falls back to
-/// per-source [`crate::parallel::bfs_dir_opt_cancellable`] runs: the pull
+/// per-source [`crate::parallel::bfs_dir_opt`] runs: the pull
 /// step costs roughly one full in-edge sweep per level *regardless* of
 /// lane count, so a thin batch pays nearly the 64-lane price to answer a
 /// handful of requests. Measured on LDBC-16k the shared pass overtakes
@@ -240,7 +240,7 @@ pub fn msbfs_dir_opt_cancellable<G: InAdjacency>(
             .iter()
             .zip(cancels)
             .map(|(&s, cancel)| {
-                parallel::bfs_dir_opt_cancellable(pool, g, s, cancel).map(|(levels, _, _)| levels)
+                parallel::bfs_dir_opt(pool, g, s, cancel).map(|(levels, _, _)| levels)
             })
             .collect();
     }
@@ -696,7 +696,7 @@ mod tests {
         let pull = msbfs_dir_opt(&pool, &bi, &sources);
         assert_eq!(push, pull, "pull phase changed a lane's levels");
         for (l, &s) in sources.iter().enumerate() {
-            let (solo, _) = parallel::bfs_dir_opt(&pool, &bi, s);
+            let (solo, _, _) = parallel::bfs_dir_opt(&pool, &bi, s, &CancelToken::never()).unwrap();
             assert_eq!(pull[l], solo, "lane {l} (source {s}) diverged");
         }
     }

@@ -224,20 +224,12 @@ fn bottom_up_step<G: InAdjacency>(
 /// benchmark suite): top-down while the frontier is small, bottom-up once
 /// the frontier's out-edges dominate the unexplored edges, back to top-down
 /// when the frontier collapses. Returns per-vertex levels (`-1` =
-/// unreached) and the visited count — identical output to [`bfs`].
-pub fn bfs_dir_opt<G: InAdjacency>(pool: &ThreadPool, g: &G, source: u32) -> (Vec<i64>, u64) {
-    let (levels, visited, report) = bfs_dir_opt_cancellable(pool, g, source, &CancelToken::never())
-        .expect("never token cannot cancel");
-    report.publish(graphbig_telemetry::metrics::global());
-    (levels, visited)
-}
-
-/// [`bfs_dir_opt`] with cooperative cancellation, polled at every level
-/// boundary in both traversal directions. Returns the full
-/// [`DirOptReport`] trajectory alongside the result and does not touch the
-/// global metric registry — which also makes it the entry point tests and
-/// diagnostics use to inspect the heuristic in isolation.
-pub fn bfs_dir_opt_cancellable<G: InAdjacency>(
+/// unreached) and the visited count — identical output to [`bfs`] — plus
+/// the full [`DirOptReport`] trajectory. Cancellation is cooperative,
+/// polled at every level boundary in both traversal directions; the global
+/// metric registry is not touched ([`DirOptReport::publish`] exports the
+/// trajectory where a caller wants it).
+pub fn bfs_dir_opt<G: InAdjacency>(
     pool: &ThreadPool,
     g: &G,
     source: u32,
@@ -690,6 +682,12 @@ mod tests {
     use graphbig_datagen::Dataset;
     use graphbig_framework::PropertyGraph;
 
+    /// Levels and visited count of a never-cancelled dir-opt BFS from 0.
+    fn dir_opt(pool: &ThreadPool, bi: &BiCsr) -> (Vec<i64>, u64) {
+        let (levels, visited, _) = bfs_dir_opt(pool, bi, 0, &CancelToken::never()).unwrap();
+        (levels, visited)
+    }
+
     fn pool() -> ThreadPool {
         ThreadPool::new(4)
     }
@@ -799,7 +797,7 @@ mod tests {
     fn dir_opt_bfs_matches_sequential_levels() {
         let (mut g, csr) = ldbc(400);
         let bi = BiCsr::directed(csr.clone());
-        let (levels, visited) = bfs_dir_opt(&pool(), &bi, 0);
+        let (levels, visited) = dir_opt(&pool(), &bi);
         let root = g.vertex_ids()[0];
         let seq = crate::bfs::run(&mut g, root);
         assert_eq!(visited, seq.visited);
@@ -817,7 +815,7 @@ mod tests {
             let (_, csr) = ldbc(n);
             let bi = BiCsr::directed(csr.clone());
             let (td, tv) = bfs(&pool(), &csr, 0);
-            let (opt, ov) = bfs_dir_opt(&pool(), &bi, 0);
+            let (opt, ov) = dir_opt(&pool(), &bi);
             assert_eq!(td, opt, "n={n}");
             assert_eq!(tv, ov, "n={n}");
         }
@@ -829,7 +827,7 @@ mod tests {
         let sym = csr.symmetrize();
         let (td, _) = bfs(&pool(), &sym, 0);
         let bi = BiCsr::symmetric(sym);
-        let (opt, _) = bfs_dir_opt(&pool(), &bi, 0);
+        let (opt, _) = dir_opt(&pool(), &bi);
         assert_eq!(td, opt);
     }
 
@@ -840,7 +838,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let bi = BiCsr::directed(csr.clone());
-        assert!(bfs_dir_opt_cancellable(&p, &bi, 0, &token).is_err());
+        assert!(bfs_dir_opt(&p, &bi, 0, &token).is_err());
         let sym = csr.symmetrize();
         assert_eq!(ccomp(&p, &sym, &token), Err(Cancelled));
         assert_eq!(kcore(&p, &sym, &token), Err(Cancelled));
@@ -853,7 +851,7 @@ mod tests {
         let p = pool();
         let live = CancelToken::new();
         let bi = BiCsr::directed(csr.clone());
-        let (levels, visited, _) = bfs_dir_opt_cancellable(&p, &bi, 0, &live).unwrap();
+        let (levels, visited, _) = bfs_dir_opt(&p, &bi, 0, &live).unwrap();
         let (want_levels, want_visited) = bfs(&p, &csr, 0);
         assert_eq!(levels, want_levels);
         assert_eq!(visited, want_visited);
@@ -896,7 +894,7 @@ mod tests {
         let eight = ThreadPool::new(8);
         assert_eq!(bfs(&one, &csr, 0).0, bfs(&eight, &csr, 0).0);
         let bi = BiCsr::directed(csr.clone());
-        assert_eq!(bfs_dir_opt(&one, &bi, 0), bfs_dir_opt(&eight, &bi, 0));
+        assert_eq!(dir_opt(&one, &bi), dir_opt(&eight, &bi));
         let sym = csr.symmetrize();
         let never = CancelToken::never();
         assert_eq!(ccomp(&one, &sym, &never), ccomp(&eight, &sym, &never));
@@ -907,7 +905,7 @@ mod tests {
     fn empty_csr_is_handled() {
         let csr = Csr::from_edges(0, &[]);
         assert_eq!(bfs(&pool(), &csr, 0).1, 0);
-        assert_eq!(bfs_dir_opt(&pool(), &BiCsr::directed(csr.clone()), 0).1, 0);
+        assert_eq!(dir_opt(&pool(), &BiCsr::directed(csr.clone())).1, 0);
         assert!(dcentr(&pool(), &BiCsr::directed(csr.clone())).is_empty());
         let never = CancelToken::never();
         assert_eq!(ccomp(&pool(), &csr, &never), Ok(Vec::new()));
@@ -980,15 +978,13 @@ mod tests {
     #[test]
     fn dir_opt_report_trivial_inputs_are_empty() {
         let empty = BiCsr::directed(Csr::from_edges(0, &[]));
-        let (_, visited, report) =
-            bfs_dir_opt_cancellable(&pool(), &empty, 0, &CancelToken::never()).unwrap();
+        let (_, visited, report) = bfs_dir_opt(&pool(), &empty, 0, &CancelToken::never()).unwrap();
         assert_eq!(visited, 0);
         assert_eq!(report, DirOptReport::default());
         // Out-of-range source: no traversal, no trajectory.
         let (_, csr) = ldbc(50);
         let bi = BiCsr::directed(csr);
-        let (_, visited, report) =
-            bfs_dir_opt_cancellable(&pool(), &bi, 9999, &CancelToken::never()).unwrap();
+        let (_, visited, report) = bfs_dir_opt(&pool(), &bi, 9999, &CancelToken::never()).unwrap();
         assert_eq!(visited, 0);
         assert!(report.levels.is_empty());
     }
@@ -998,7 +994,7 @@ mod tests {
         // One vertex, no edges: exactly one top-down level, no switches.
         let bi = BiCsr::directed(Csr::from_edges(1, &[]));
         let (levels, visited, report) =
-            bfs_dir_opt_cancellable(&pool(), &bi, 0, &CancelToken::never()).unwrap();
+            bfs_dir_opt(&pool(), &bi, 0, &CancelToken::never()).unwrap();
         assert_eq!(levels, vec![0]);
         assert_eq!(visited, 1);
         assert_eq!(report.levels.len(), 1);
@@ -1016,7 +1012,7 @@ mod tests {
         let edges = [(1u32, 2u32, 1.0f32), (2, 3, 1.0), (3, 1, 1.0)];
         let bi = BiCsr::directed(Csr::from_edges(4, &edges));
         let (levels, visited, report) =
-            bfs_dir_opt_cancellable(&pool(), &bi, 0, &CancelToken::never()).unwrap();
+            bfs_dir_opt(&pool(), &bi, 0, &CancelToken::never()).unwrap();
         assert_eq!(visited, 1);
         assert_eq!(levels, vec![0, -1, -1, -1]);
         assert_eq!(report.levels.len(), 1);
@@ -1040,8 +1036,7 @@ mod tests {
             for bi in [BiCsr::directed(csr), BiCsr::symmetric(sym)] {
                 let (seq_levels, _) = bfs(&one, bi.out(), 0);
                 let expected = simulate_trajectory(&bi, &seq_levels);
-                let (_, _, report) =
-                    bfs_dir_opt_cancellable(&pool(), &bi, 0, &CancelToken::never()).unwrap();
+                let (_, _, report) = bfs_dir_opt(&pool(), &bi, 0, &CancelToken::never()).unwrap();
                 assert_eq!(report, expected, "n={n}");
                 saw_bottom_up |= report.switches_to_bottom_up > 0;
                 saw_switch_back |= report.switches_to_top_down > 0;
@@ -1066,8 +1061,8 @@ mod tests {
         let bi = BiCsr::directed(csr);
         let one = ThreadPool::new(1);
         let eight = ThreadPool::new(8);
-        let (_, _, a) = bfs_dir_opt_cancellable(&one, &bi, 0, &CancelToken::never()).unwrap();
-        let (_, _, b) = bfs_dir_opt_cancellable(&eight, &bi, 0, &CancelToken::never()).unwrap();
+        let (_, _, a) = bfs_dir_opt(&one, &bi, 0, &CancelToken::never()).unwrap();
+        let (_, _, b) = bfs_dir_opt(&eight, &bi, 0, &CancelToken::never()).unwrap();
         assert_eq!(a, b);
     }
 
@@ -1075,8 +1070,7 @@ mod tests {
     fn dir_opt_publish_exports_bfs_schema() {
         let (_, csr) = ldbc(300);
         let bi = BiCsr::directed(csr);
-        let (_, _, report) =
-            bfs_dir_opt_cancellable(&pool(), &bi, 0, &CancelToken::never()).unwrap();
+        let (_, _, report) = bfs_dir_opt(&pool(), &bi, 0, &CancelToken::never()).unwrap();
         let reg = graphbig_telemetry::Registry::new();
         report.publish(&reg);
         let snap = reg.snapshot();

@@ -209,7 +209,7 @@ pub fn run_service(
     }
     match w {
         Workload::Bfs => {
-            let (levels, _, _) = parallel::bfs_dir_opt_cancellable(pool, g.bi(), source, cancel)?;
+            let (levels, _, _) = parallel::bfs_dir_opt(pool, g.bi(), source, cancel)?;
             Ok(ServiceOutput::Levels(levels))
         }
         Workload::CComp => Ok(ServiceOutput::Labels(parallel::ccomp(

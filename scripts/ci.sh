@@ -41,6 +41,37 @@ if [ -e crates/telemetry/src/span.rs ] \
   exit 1
 fi
 
+echo "==> one home for numbers (four bench targets, one result schema, one argv parser)"
+# Bench rows are `bench.*` gauges of a run manifest; graphbig-report is the one reader.
+if grep -rn 'BenchResult\|"suite"' crates/bench/src crates/bench/benches; then
+  echo "the {suite, results} bench format is gone: emit through harness::Reporter"
+  exit 1
+fi
+n=$(grep -c '^\[\[bench\]\]' crates/bench/Cargo.toml)
+[ "$n" -eq 4 ] || { echo "crates/bench declares $n [[bench]] targets, expected 4 (mutation, batching, chaos_overhead, frontier)"; exit 1; }
+for f in results/BENCH_*.json; do
+  sed -n '2p' "$f" | grep -q '^  "schema": "graphbig.run_manifest/v1"' \
+    || { echo "$f is not a run manifest (first key must be \"schema\")"; exit 1; }
+done
+
+echo "==> manifest smoke (fig05 at small scale: emit, trace, golden structure, --show round trip)"
+cargo run "${CARGO_FLAGS[@]}" --release -p graphbig-bench --bin fig05_breakdown -- \
+  --scale 0.003 --quiet --emit /tmp/fig05.json --trace /tmp/fig05_trace.json
+cargo run "${CARGO_FLAGS[@]}" --release -p graphbig-bench --bin graphbig-report -- \
+  --check results/golden_fig05.json /tmp/fig05.json
+cargo run "${CARGO_FLAGS[@]}" --release -p graphbig-bench --bin graphbig-report -- \
+  --show /tmp/fig05.json > /dev/null
+
+echo "==> bench validity (the fold rows pass their own assertions under --filter; the emit is a manifest)"
+# Failed before the rows named their allocator regime: run alone, the fold read 0.5x a build, not 0.14x.
+cargo bench "${CARGO_FLAGS[@]}" -p graphbig-bench --bench mutation -- \
+  --filter compact --samples 5 --emit /tmp/bench_mutation_compact.json
+cargo run "${CARGO_FLAGS[@]}" --release -p graphbig-bench --bin graphbig-report -- \
+  --show /tmp/bench_mutation_compact.json > /dev/null
+
+echo "==> failpoints-off configuration (no chaos feature) still builds"
+cargo build "${CARGO_FLAGS[@]}" -p graphbig-bench --no-default-features
+
 echo "==> benchmark package (frozen surface: builds standalone, smoke-runs every workload)"
 benchmark/check.sh
 

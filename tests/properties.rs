@@ -37,7 +37,7 @@ fn build(n: u64, edges: &[(u64, u64)]) -> PropertyGraph {
 /// random graph, for 1-, 2- and 8-thread pools.
 fn check_dir_opt_bfs_matches_sequential(n: u64, edges: &[(u64, u64)]) {
     use graphbig::framework::csr::BiCsr;
-    use graphbig::runtime::ThreadPool;
+    use graphbig::runtime::{CancelToken, ThreadPool};
     use graphbig::workloads::parallel;
 
     let mut g = build(n, edges);
@@ -54,7 +54,8 @@ fn check_dir_opt_bfs_matches_sequential(n: u64, edges: &[(u64, u64)]) {
     let bi = BiCsr::directed(csr);
     for threads in [1usize, 2, 8] {
         let pool = ThreadPool::new(threads);
-        let (levels, _) = parallel::bfs_dir_opt(&pool, &bi, source);
+        let (levels, _, _) =
+            parallel::bfs_dir_opt(&pool, &bi, source, &CancelToken::never()).unwrap();
         assert_eq!(levels, seq, "{threads} threads");
         let (td, _) = parallel::bfs(&pool, bi.out(), source);
         assert_eq!(td, seq, "top-down, {threads} threads");
