@@ -95,9 +95,9 @@ fn measured_cpu_seconds(w: Workload, d: Dataset, scale: f64, pool: &ThreadPool) 
             })
         }
         Workload::DCentr => {
-            let bi = BiCsr::directed(csr);
+            let inc = csr.transpose();
             Box::new(move || {
-                parallel::dcentr(pool, &bi);
+                parallel::dcentr(pool, &csr, &inc);
             })
         }
         _ => return None,

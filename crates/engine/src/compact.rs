@@ -1,22 +1,18 @@
-//! Folding the delta overlay: background compaction and the materialized
-//! views queries share with it.
+//! Folding the delta overlay: background compaction, the one caller of the
+//! fold.
 //!
 //! [`compact_inner`] folds base + overlay into a fresh sharded CSR and
 //! publishes it as a new epoch ([`crate::Engine::compact`] calls it
 //! directly, [`compactor_loop`] when the write path rings the doorbell).
 //! The fold ([`DeltaOverlay::fold`]) copies the rows the overlay left alone
 //! and re-derives the rest, so a compaction costs what was written since
-//! the last one, not the graph; each one records a `compact.fold` phase
-//! whose payload is the number of rows it re-derived.
-//! [`materialized_for`] is the memoized fold the compactor shares with the
-//! workload queries whose kernels still need a real CSR over a non-empty
-//! overlay — BFS is not one of them, it traverses a
-//! [`crate::delta::OverlayView`] — and [`incremental_ccomp`] the per-epoch
-//! union-find state that spares connected-components queries that fold
-//! entirely. [`rebase_overlay`] is the one place the write path moves to a
-//! new epoch, so the memo never outlives the graph it was folded from.
+//! the last one, not the graph; the fold records a `compact.fold` phase
+//! whose payload is the number of rows it re-derived. Queries never fold:
+//! they run on the live graph, [`crate::delta::OverlayView`]. What else
+//! lives here is [`incremental_ccomp`], the per-epoch union-find state
+//! that spares connected-components queries on an insert-only overlay
+//! even that.
 
-use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use graphbig_chaos as chaos;
@@ -24,10 +20,9 @@ use graphbig_telemetry::recorder::{self, EventKind};
 use graphbig_workloads::parallel;
 use graphbig_workloads::service::ServiceError;
 
-use crate::delta::{DeltaOverlay, FoldStats, IncrementalCComp};
+use crate::delta::{DeltaOverlay, IncrementalCComp};
 use crate::lifecycle::{lock, Job, Shared};
 use crate::shard::ShardedGraph;
-use crate::store::EpochSnapshot;
 
 /// Advance the per-epoch incremental connected-components state to this
 /// overlay's insert log and return the labels. `None` when the shared
@@ -53,51 +48,6 @@ pub(crate) fn incremental_ccomp(
     }
     inc.advance(ov.insert_log());
     Ok(Some(inc.labels(ov.n_total() as usize)))
-}
-
-/// The memoized materialization of `(epoch, delta-seq)` — base + overlay
-/// folded into a real sharded CSR, so one overlay version pays the fold
-/// exactly once. Two callers: [`compact_inner`], and `run_overlay_service`
-/// for the kernels not yet written against an adjacency view (SPath, KCore,
-/// dirty CComp, DCentr, TC, GColor). BFS does not call it. Once those
-/// kernels read through a view too, the query side goes away and the memo
-/// and its mutex with it. The counts are what *this call* rewrote: all zero
-/// when the memo already held the fold.
-pub(crate) fn materialized_for(
-    sh: &Shared,
-    snap: &EpochSnapshot,
-    ov: &DeltaOverlay,
-) -> (Arc<ShardedGraph>, FoldStats) {
-    let mut memo = lock(&sh.materialized);
-    if let Some((e, s, g)) = &*memo {
-        if *e == ov.epoch() && *s == ov.seq() {
-            return (Arc::clone(g), FoldStats::default());
-        }
-    }
-    let (g, stats) = ov.fold(snap.graph(), sh.cfg.shards);
-    let g = Arc::new(g);
-    *memo = Some((ov.epoch(), ov.seq(), Arc::clone(&g)));
-    (g, stats)
-}
-
-/// Run `fold` inside a `compact.fold` phase whose payload is the number of
-/// rows it re-derived (only known once it is done, so given at close).
-fn in_fold_phase<G>(fold: impl FnOnce() -> (G, FoldStats)) -> G {
-    static CODE: OnceLock<u16> = OnceLock::new();
-    let phase = recorder::phase(*CODE.get_or_init(|| recorder::intern("compact.fold")), 0);
-    let (graph, stats) = fold();
-    phase.close_with(stats.rows_rebuilt());
-    graph
-}
-
-/// Point the write path at the freshly published `epoch`: an empty overlay
-/// over its `base_n` vertices (sequence counter preserved), and the
-/// materialization memo dropped, since it is a fold of the epoch just
-/// retired and would otherwise pin that graph until some later overlay
-/// query happened to replace it. The caller holds the write lock.
-pub(crate) fn rebase_overlay(sh: &Shared, epoch: u64, base_n: u32) {
-    *lock(&sh.materialized) = None;
-    sh.buffer.reset(epoch, base_n);
 }
 
 /// Background compaction worker: waits on the doorbell the write path
@@ -152,8 +102,8 @@ pub(crate) fn compact_inner(sh: &Shared) -> u64 {
                 break 0;
             }
             let pause = Instant::now();
-            let graph = in_fold_phase(|| cur.fold(snap.graph(), sh.cfg.shards));
-            break publish_folded(sh, Arc::new(graph), pause);
+            let (graph, _) = cur.fold(snap.graph(), sh.cfg.shards);
+            break publish_folded(sh, graph, pause);
         }
         let snap = sh.store.snapshot();
         let cur = sh.buffer.current();
@@ -163,13 +113,13 @@ pub(crate) fn compact_inner(sh: &Shared) -> u64 {
         if cur.epoch() != snap.epoch() {
             continue; // raced a publish; re-grab a consistent pair
         }
-        let graph = in_fold_phase(|| materialized_for(sh, &snap, &cur));
+        let (graph, _) = cur.fold(snap.graph(), sh.cfg.shards);
         let pause = Instant::now();
         let _w = lock(&sh.write_lock);
         if sh.buffer.current().seq() == cur.seq() && sh.store.epoch() == snap.epoch() {
             break publish_folded(sh, graph, pause);
         }
-        // A batch landed while we materialized; retry with the fresh log.
+        // A batch landed while we folded; retry with the fresh log.
     };
     let _ = chaos::failpoint!("engine.compact.post");
     recorder::record(EventKind::CompactEnd, ov0.epoch(), epoch);
@@ -184,10 +134,10 @@ pub(crate) fn compact_inner(sh: &Shared) -> u64 {
 /// Publish an already-folded graph as the next epoch, reset the overlay
 /// onto it (sequence counter preserved), and sweep the cache. The caller
 /// holds the write lock; `pause` marks when the write path stalled.
-fn publish_folded(sh: &Shared, graph: Arc<ShardedGraph>, pause: Instant) -> u64 {
+fn publish_folded(sh: &Shared, graph: ShardedGraph, pause: Instant) -> u64 {
     let n_total = graph.num_vertices() as u32;
-    let epoch = sh.store.publish_shared(graph);
-    rebase_overlay(sh, epoch, n_total);
+    let epoch = sh.store.publish(graph);
+    sh.buffer.reset(epoch, n_total);
     sh.cache.invalidate();
     sh.metrics
         .compact_pause_us
@@ -197,12 +147,11 @@ fn publish_folded(sh: &Shared, graph: Arc<ShardedGraph>, pause: Instant) -> u64 
 
 #[cfg(test)]
 mod tests {
-    use super::lock;
     use crate::engine::tests::{csr, manual_compaction_cfg, quiet_cfg};
     use crate::{Engine, EngineConfig, Mutation, Query, QueryOutput, QueryStatus};
     use graphbig_telemetry::metrics::{MetricValue, Registry};
+    use graphbig_telemetry::recorder::{self, EventKind};
     use graphbig_workloads::Workload;
-    use std::sync::Arc;
     use std::time::{Duration, Instant};
 
     /// An engine over `csr(n)` with no cache and no background compactor,
@@ -242,74 +191,96 @@ mod tests {
         }
     }
 
-    #[test]
-    fn overlay_bfs_reads_through_the_view_and_only_other_kernels_fold() {
-        let engine = engine_with_overlay(300);
-        let memo = || lock(&engine.shared.materialized).clone();
-        let bfs = digest_of(&engine, Workload::Bfs);
-        assert!(memo().is_none(), "a BFS over an overlay must not fold it");
-        let kcore = digest_of(&engine, Workload::KCore);
-        let (epoch, seq, _) = memo().expect("KCore still runs on the folded graph");
-        assert_eq!((epoch, seq), (1, 1));
-        // The compacted CSR answers both exactly as the overlay reads did.
-        assert_eq!(engine.compact(), 2);
-        assert!(memo().is_none(), "the fold became the store's graph");
-        assert_eq!(digest_of(&engine, Workload::Bfs), bfs);
-        assert_eq!(digest_of(&engine, Workload::KCore), kcore);
-    }
-
-    #[test]
-    fn publish_releases_the_fold_of_the_retired_epoch() {
-        let engine = engine_with_overlay(200);
-        digest_of(&engine, Workload::KCore);
-        let (_, _, folded) = lock(&engine.shared.materialized)
-            .clone()
-            .expect("KCore folded the overlay");
-        assert_eq!(Arc::strong_count(&folded), 2, "the memo's and ours");
-        engine.publish(csr(100));
-        assert!(lock(&engine.shared.materialized).is_none());
-        assert_eq!(
-            Arc::strong_count(&folded),
-            1,
-            "nothing in the engine may pin a fold of the replaced graph"
-        );
-    }
-
-    #[test]
-    fn compaction_records_its_fold_as_a_phase_carrying_rows_rebuilt() {
-        use graphbig_telemetry::recorder::{self, EventKind};
-        let engine = engine_with_overlay(300);
-        let (_, want) = engine.overlay().fold(engine.store().snapshot().graph(), 2);
-        assert_eq!(engine.compact(), 2);
-        // `compact` ran on this thread; other tests record on theirs.
+    /// Compaction markers and `compact.fold` phase events as `(kind, arg,
+    /// ts_us)`, from the recorder threads whose name `on` accepts.
+    fn compaction_events(on: impl Fn(&str) -> bool) -> Vec<(EventKind, u64, u64)> {
         let snap = recorder::snapshot();
-        let me = std::thread::current().name().map(str::to_owned);
-        let (tid, _) = snap
+        let tids: Vec<u32> = snap
             .threads
             .iter()
-            .find(|(_, name)| Some(name) == me.as_ref())
-            .expect("this thread recorded");
+            .filter(|(_, name)| on(name))
+            .map(|&(tid, _)| tid)
+            .collect();
         let fold = recorder::intern("compact.fold");
-        let mine: Vec<_> = snap
-            .events
+        snap.events
             .iter()
-            .filter(|e| e.tid == *tid)
+            .filter(|e| tids.contains(&e.tid))
             .filter(|e| match e.kind {
                 EventKind::CompactStart | EventKind::CompactEnd => true,
                 EventKind::PhaseBegin | EventKind::PhaseEnd => e.code == fold,
                 _ => false,
             })
-            .map(|e| (e.kind, e.arg))
+            .map(|e| (e.kind, e.arg, e.ts_us))
+            .collect()
+    }
+
+    fn fold_phases(on: impl Fn(&str) -> bool) -> usize {
+        compaction_events(on)
+            .iter()
+            .filter(|e| e.0 == EventKind::PhaseBegin)
+            .count()
+    }
+
+    /// `compact` runs on its caller's thread; other tests record on theirs.
+    fn here(name: &str) -> bool {
+        Some(name) == std::thread::current().name()
+    }
+
+    /// One read path: over a live overlay of every shape, each servable
+    /// workload answers what it answers on the compacted graph, and no
+    /// query folds — only `compact()` records a `compact.fold` phase.
+    #[test]
+    fn every_workload_reads_the_live_graph_and_only_compaction_folds() {
+        let engine = engine_with_overlay(300);
+        let servable: Vec<Workload> = Workload::ALL
+            .into_iter()
+            .filter(|&w| graphbig_workloads::service::servable(w))
             .collect();
+        let live: Vec<u64> = servable.iter().map(|&w| digest_of(&engine, w)).collect();
+        // Queries run on executor threads, and no engine's query may fold.
+        let executors = |name: &str| name.starts_with("graphbig-executor");
+        assert_eq!(fold_phases(executors), 0, "a query folded the overlay");
+        let folds = fold_phases(here);
+        assert_eq!(engine.compact(), 2);
+        assert_eq!(fold_phases(here), folds + 1, "compaction folds once");
+        for (&w, &want) in servable.iter().zip(&live) {
+            assert_eq!(digest_of(&engine, w), want, "{w:?}");
+        }
+    }
+
+    #[test]
+    fn compaction_records_its_fold_as_a_phase_carrying_rows_rebuilt() {
+        let engine = engine_with_overlay(300);
+        // Folded on another thread, whose recorder this test does not read.
+        let (ov, snap) = (engine.overlay(), engine.store().snapshot());
+        let want = std::thread::spawn(move || ov.fold(snap.graph(), 2).1)
+            .join()
+            .unwrap();
+        assert_eq!(engine.compact(), 2);
+        // The snapshot orders events by microsecond, so the compaction's
+        // start and its fold phase may share one: check each pair, then
+        // that the phase nests inside the compaction.
+        let (phase, markers): (Vec<_>, Vec<_>) = compaction_events(here)
+            .into_iter()
+            .partition(|e| matches!(e.0, EventKind::PhaseBegin | EventKind::PhaseEnd));
+        let args = |events: &[(EventKind, u64, u64)]| -> Vec<(EventKind, u64)> {
+            events.iter().map(|&(kind, arg, _)| (kind, arg)).collect()
+        };
         assert_eq!(
-            mine,
+            args(&markers),
             [
                 (EventKind::CompactStart, 1), // arg = the overlay's delta-seq
-                (EventKind::PhaseBegin, 0),
-                (EventKind::PhaseEnd, want.rows_rebuilt()),
-                (EventKind::CompactEnd, 2), // arg = the epoch published
+                (EventKind::CompactEnd, 2),   // arg = the epoch published
             ]
         );
+        assert_eq!(
+            args(&phase),
+            [
+                (EventKind::PhaseBegin, 0),
+                (EventKind::PhaseEnd, want.rows_rebuilt())
+            ]
+        );
+        assert!(markers[0].2 <= phase[0].2 && phase[1].2 <= markers[1].2);
         assert!(want.rows_rebuilt() > 0 && want.rows_copied > want.rows_rebuilt());
     }
 

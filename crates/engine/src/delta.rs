@@ -7,14 +7,15 @@
 //! monotone delta-sequence number. Readers grab the current overlay `Arc`
 //! (wait-free apart from one short mutex) and evaluate reads against
 //! *base CSR + overlay* without ever blocking a writer. Point queries —
-//! degree, k-hop — walk the overlay's live rows directly; BFS traversals
+//! degree, k-hop — walk the overlay's live rows directly. Every workload
+//! kernel runs on an [`OverlayView`], the live graph: BFS traversals
 //! (single-source, direction-optimized and the shared multi-source pass)
-//! run the generic kernels over an [`OverlayView`], which sends only the
-//! rows the overlay touched through it. The kernels not yet written
-//! against an adjacency view — SPath, KCore, TC, GColor, DCentr, and CComp
-//! once a delete has landed — still run on a CSR folded by
-//! [`DeltaOverlay::materialize`] (the engine memoizes that per
-//! `(epoch, seq)`), as does compaction.
+//! walk it per visit, sending only the rows the overlay touched through
+//! the overlay; the kernels that revisit rows (SPath, KCore, TC, GColor,
+//! DCentr, CComp) read a [`PatchedCsr`] face of it, the base CSR with the
+//! touched rows re-derived into a side table. No query folds the graph:
+//! [`DeltaOverlay::fold`] is compaction's, and it derives the same rows by
+//! the same functions, straight into fresh arrays between copied runs.
 //!
 //! Semantics are set-based and tombstone-wins, chosen so a mutation stream
 //! is confluent — the live edge set is always
@@ -36,15 +37,16 @@
 //! scratch with the same mutations applied. [`IncrementalCComp`] maintains
 //! connected-component labels across *insert-only* deltas with a union-find
 //! seeded from the base labels; any effective delete marks the overlay
-//! dirty and the engine falls back to a full recompute on the materialized
+//! dirty and the engine falls back to a full recompute over the live
 //! graph.
 
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
-use graphbig_framework::bitmap::AtomicBitmap;
-use graphbig_framework::csr::{Adjacency, BiCsr, Csr, InAdjacency};
-use graphbig_workloads::service::ServiceGraph;
+use graphbig_framework::csr::{Adjacency, BiCsr, Csr, InAdjacency, Rows};
+use graphbig_framework::types::VertexId;
+use graphbig_telemetry::recorder;
+use graphbig_workloads::service::{ServiceGraph, ServiceView};
 
 use crate::shard::{k_hop_walk, ShardedGraph};
 
@@ -380,34 +382,39 @@ impl DeltaOverlay {
     /// The mirror of [`DeltaOverlay::for_each_live_out`]: the two walk the
     /// same live edge set from either end.
     pub fn for_each_live_in(&self, base: &ShardedGraph, v: u32, mut f: impl FnMut(u32)) {
-        self.for_each_live_in_edge(base, v, |s, _| f(s));
+        self.any_live_in(base, v, |s, _| {
+            f(s);
+            false
+        });
     }
 
-    /// The one definition of a live in-edge, for the fold as well as
-    /// [`DeltaOverlay::for_each_live_in`]: `f` gets the source and, for a
-    /// base copy, the weight the base stores for it (unpatched); `None`
-    /// marks an overlay insert, whose weight lives in `adds`.
+    /// The one definition of a live in-edge, in its one breakable form —
+    /// the fold, [`DeltaOverlay::for_each_live_in`] and the view's
+    /// bottom-up `any_in` all walk it. `f` gets the source and, for a base
+    /// copy, the weight the base stores for it (unpatched); `None` marks an
+    /// overlay insert, whose weight lives in `adds`. Stops at the first
+    /// call that returns true and reports whether one did.
     #[inline]
-    fn for_each_live_in_edge(
+    fn any_live_in(
         &self,
         base: &ShardedGraph,
         v: u32,
-        mut f: impl FnMut(u32, Option<f32>),
-    ) {
+        mut f: impl FnMut(u32, Option<f32>) -> bool,
+    ) -> bool {
         if !self.alive(v) {
-            return;
+            return false;
         }
         if v < self.base_n {
             let inc = base.service().bi().inc();
             for (&s, &w) in inc.neighbors(v).iter().zip(inc.edge_weights(v)) {
-                if !self.removed.contains(&s) && !self.deleted.contains(&(s, v)) {
-                    f(s, Some(w));
+                if !self.removed.contains(&s) && !self.deleted.contains(&(s, v)) && f(s, Some(w)) {
+                    return true;
                 }
             }
         }
-        if let Some(sources) = self.in_adds.get(&v) {
-            sources.iter().for_each(|&s| f(s, None));
-        }
+        self.in_adds
+            .get(&v)
+            .is_some_and(|sources| sources.iter().any(|&s| f(s, None)))
     }
 
     /// Point query: `(out, in)` degree of `v` through the overlay —
@@ -438,107 +445,20 @@ impl DeltaOverlay {
         })
     }
 
-    /// Fold the overlay into a fresh graph over `n_total` vertices — the
-    /// compaction step, and the recompute path for whole-graph kernels on
-    /// a non-empty overlay. See [`DeltaOverlay::fold`].
+    /// [`DeltaOverlay::fold`] without the counts.
     pub fn materialize(&self, base: &ShardedGraph, num_shards: usize) -> ShardedGraph {
-        self.fold(base, num_shards).0
+        OverlayView::new(base, self).to_graph(num_shards).0
     }
 
-    /// [`DeltaOverlay::materialize`], also reporting how much of the graph
-    /// it rewrote.
-    ///
-    /// The cost follows the write, not the graph: maximal runs of rows the
-    /// overlay did not touch are copied out of the base's out-, in- and
-    /// undirected CSR arrays as they stand, and only touched rows are
-    /// re-derived — an out row through [`DeltaOverlay::for_each_live_out`]
-    /// (base edges in base order, then overlay inserts in insertion order),
-    /// an in row through the live in-edge walk with the overlay's sources
-    /// merged in by source (a transpose row lists sources ascending), an
-    /// undirected row as the sorted, deduplicated union of the two new rows
-    /// minus the vertex itself. The result is array for array what building
-    /// the live edge list from scratch yields, identity vertex ids included.
+    /// Fold the overlay into a fresh graph over `n_total` vertices —
+    /// compaction's step, and no query's. The rows the live graph's
+    /// [`PatchedCsr`] faces would re-derive are derived the same way, and
+    /// every other row is copied in runs straight from the base arrays. So
+    /// the cost follows the write, not the graph, and the result is array
+    /// for array a from-scratch build of the live edge list, identity ids
+    /// included.
     pub fn fold(&self, base: &ShardedGraph, num_shards: usize) -> (ShardedGraph, FoldStats) {
-        let touched = TouchedRows::of(base, self);
-        // A weight patch changes no row's membership, which is all a
-        // traversal view reads; the fold writes weights too, and a patch on
-        // `u -> v` lands in `u`'s out row and in `v`'s in row.
-        for &(u, v) in self.patches.keys() {
-            touched.out.set(u as usize);
-            touched.inc.set(v as usize);
-        }
-        let n = self.n_total() as usize;
-        let service = base.service();
-        let mut stats = FoldStats::default();
-
-        let grown = base.num_edges() + self.overlay_edges();
-        let (out, rebuilt) = patch_rows(
-            service.out(),
-            n,
-            grown,
-            |u| touched.out.get(u),
-            |u, col, weights| {
-                self.for_each_live_out(base, u, |t, w| {
-                    col.push(t);
-                    weights.push(w);
-                })
-            },
-        );
-        stats.out_rows_rebuilt = rebuilt;
-
-        let mut row: Vec<(u32, f32)> = Vec::new();
-        let (inc, rebuilt) = patch_rows(
-            service.bi().inc(),
-            n,
-            grown,
-            |v| touched.inc.get(v),
-            |v, col, weights| {
-                row.clear();
-                self.for_each_live_in_edge(base, v, |s, stored| {
-                    let w = match stored {
-                        Some(w) => self.patches.get(&(s, v)).copied().unwrap_or(w),
-                        None => {
-                            self.adds[&s]
-                                .iter()
-                                .find(|&&(t, _)| t == v)
-                                .expect("in_adds mirrors adds")
-                                .1
-                        }
-                    };
-                    row.push((s, w));
-                });
-                // Base sources arrive ascending and the overlay's after
-                // them in insertion order. An overlay pair is never a base
-                // pair, so the stable sort has no ties between the two to
-                // break and keeps parallel base copies in base order.
-                row.sort_by_key(|&(s, _)| s);
-                col.extend(row.iter().map(|&(s, _)| s));
-                weights.extend(row.iter().map(|&(_, w)| w));
-            },
-        );
-        stats.in_rows_rebuilt = rebuilt;
-
-        let mut both: Vec<u32> = Vec::new();
-        let (sym, rebuilt) = patch_rows(
-            service.sym(),
-            n,
-            service.sym().num_edges() + 2 * self.overlay_edges(),
-            |x| touched.out.get(x) || touched.inc.get(x),
-            |x, col, weights| {
-                both.clear();
-                both.extend(out.neighbors(x).iter().chain(inc.neighbors(x)));
-                both.retain(|&y| y != x);
-                both.sort_unstable();
-                both.dedup();
-                col.extend_from_slice(&both);
-                weights.resize(col.len(), 1.0);
-            },
-        );
-        stats.sym_rows_rebuilt = rebuilt;
-        stats.rows_copied = 3 * n as u64 - stats.rows_rebuilt();
-
-        let service = ServiceGraph::from_parts(BiCsr::from_parts(out, inc), sym);
-        (ShardedGraph::from_service(service, num_shards), stats)
+        OverlayView::new(base, self).to_graph(num_shards)
     }
 
     /// Structural digest of the overlay view — must equal
@@ -575,117 +495,337 @@ impl FoldStats {
     }
 }
 
-/// The rows whose live adjacency — which neighbours, not which weights —
-/// differs from the base's: the one marking [`OverlayView`] routes reads by
-/// and [`DeltaOverlay::fold`] re-derives rows by. Every row at or past
-/// `base_n` is marked. Building it costs O(n/64 + |overlay|).
-struct TouchedRows {
-    out: AtomicBitmap,
-    inc: AtomicBitmap,
-}
+/// One bit per row: set while a view is built, then only read.
+#[derive(Clone)]
+struct Marks(Vec<u64>);
 
-impl TouchedRows {
-    fn of(base: &ShardedGraph, overlay: &DeltaOverlay) -> Self {
-        let bi = base.service().bi();
-        let out = AtomicBitmap::new(overlay.n_total() as usize);
-        let inc = AtomicBitmap::new(overlay.n_total() as usize);
-        let touch_out = |&u: &u32| {
-            out.set(u as usize);
-        };
-        let touch_in = |&v: &u32| {
-            inc.set(v as usize);
-        };
-        for v in overlay.base_n..overlay.n_total() {
-            touch_out(&v);
-            touch_in(&v);
-        }
-        for (u, v) in &overlay.deleted {
-            touch_out(u);
-            touch_in(v);
-        }
-        overlay.adds.keys().for_each(touch_out);
-        overlay.in_adds.keys().for_each(touch_in);
-        // A removed vertex empties its own rows and drops out of every
-        // base neighbour's row on the other side.
-        for v in &overlay.removed {
-            touch_out(v);
-            touch_in(v);
-            if *v < overlay.base_n {
-                bi.inc().neighbors(*v).iter().for_each(touch_out);
-                bi.out().neighbors(*v).iter().for_each(touch_in);
-            }
-        }
-        TouchedRows { out, inc }
+impl Marks {
+    fn new(n: u32) -> Self {
+        Marks(vec![0; (n as usize).div_ceil(64)])
+    }
+
+    #[inline]
+    fn set(&mut self, u: u32) {
+        self.0[u as usize / 64] |= 1 << (u % 64);
+    }
+
+    #[inline]
+    fn get(&self, u: u32) -> bool {
+        self.0[u as usize / 64] >> (u % 64) & 1 != 0
+    }
+
+    fn count(&self) -> u64 {
+        self.0.iter().map(|w| w.count_ones() as u64).sum()
+    }
+
+    fn or(&self, other: &Marks) -> Marks {
+        Marks(self.0.iter().zip(&other.0).map(|(a, b)| a | b).collect())
     }
 }
 
-/// A CSR over `n` vertices (identity ids) that is `base` with the `touched`
-/// rows replaced: each maximal run of untouched rows is one slice copy of
-/// `base`'s column and weight arrays with its offsets shifted, and each
-/// touched row is whatever `rebuild` appends for it. Every row at or past
-/// `base`'s vertex count must be touched. Also returns the number of rows
-/// rebuilt. `edges_hint` sizes the new arrays.
+/// One row face of the live graph: `base` with the marked rows re-derived
+/// into a side table, every other row the base slice. Building it costs
+/// O(n/64 + the marked rows' edges) at ~6 ns an edge: worth it for kernels
+/// that revisit rows, not for a traversal. Ids are the identity, as in a
+/// fold's [`Csr::from_rows`].
+pub struct PatchedCsr<'a> {
+    base: &'a Csr,
+    n: u32,
+    marks: Marks,
+    /// Marked rows before each word of `marks`: a marked row's side-table
+    /// index is its word's rank plus the marked bits below it.
+    rank: Vec<u32>,
+    offsets: Vec<u64>,
+    col: Vec<u32>,
+    weights: Vec<f32>,
+}
+
+impl<'a> PatchedCsr<'a> {
+    /// Derive the marked rows, ascending, as `derive` appends them.
+    fn new(base: &'a Csr, n: u32, marks: Marks, mut derive: impl FnMut(u32, &mut Row)) -> Self {
+        let mut rank = Vec::with_capacity(marks.0.len());
+        let (mut offsets, mut row) = (vec![0], (Vec::new(), Vec::new()));
+        for (i, &word) in marks.0.iter().enumerate() {
+            rank.push(offsets.len() as u32 - 1);
+            let mut bits = word;
+            while bits != 0 {
+                derive(64 * i as u32 + bits.trailing_zeros(), &mut row);
+                offsets.push(row.0.len() as u64);
+                bits &= bits - 1;
+            }
+        }
+        let (col, weights) = row;
+        PatchedCsr {
+            base,
+            n,
+            marks,
+            rank,
+            offsets,
+            col,
+            weights,
+        }
+    }
+
+    /// Where `u`'s row sits in the side table, if it was derived.
+    #[inline]
+    fn side(&self, u: u32) -> Option<std::ops::Range<usize>> {
+        let (word, bit) = (self.marks.0[u as usize / 64], u % 64);
+        (word >> bit & 1 != 0).then(|| {
+            let below = (word & ((1 << bit) - 1)).count_ones();
+            let i = (self.rank[u as usize / 64] + below) as usize;
+            self.offsets[i] as usize..self.offsets[i + 1] as usize
+        })
+    }
+}
+
+impl Rows for PatchedCsr<'_> {
+    fn num_vertices(&self) -> usize {
+        self.n as usize
+    }
+
+    #[inline]
+    fn row(&self, u: u32) -> &[u32] {
+        self.side(u)
+            .map_or_else(|| self.base.neighbors(u), |side| &self.col[side])
+    }
+
+    #[inline]
+    fn row_weights(&self, u: u32) -> &[f32] {
+        self.side(u)
+            .map_or_else(|| self.base.edge_weights(u), |side| &self.weights[side])
+    }
+
+    fn id_of(&self, u: u32) -> VertexId {
+        u as VertexId
+    }
+}
+
+/// Columns and weights a derived row is appended to.
+type Row = (Vec<u32>, Vec<f32>);
+
+/// The fold's copy of one face: a CSR over `n` vertices (identity ids) that
+/// is `base` with the marked rows derived straight into it. Each maximal
+/// run of unmarked rows is one slice copy of `base`'s column and weight
+/// arrays with its offsets shifted. Every row at or past `base`'s vertex
+/// count must be marked; `grown` bounds the edges the overlay adds.
 fn patch_rows(
     base: &Csr,
-    n: usize,
-    edges_hint: usize,
-    touched: impl Fn(usize) -> bool,
-    mut rebuild: impl FnMut(u32, &mut Vec<u32>, &mut Vec<f32>),
-) -> (Csr, u64) {
+    n: u32,
+    marks: &Marks,
+    grown: usize,
+    mut derive: impl FnMut(u32, &mut Row),
+) -> Csr {
     let base_offsets = base.row_offsets();
-    let mut row_offsets = Vec::with_capacity(n + 1);
-    let mut col = Vec::with_capacity(edges_hint);
-    let mut weights = Vec::with_capacity(edges_hint);
+    let hint = base.num_edges() + grown;
+    let mut row_offsets = Vec::with_capacity(n as usize + 1);
+    let mut row = (Vec::with_capacity(hint), Vec::with_capacity(hint));
     row_offsets.push(0u64);
-    let mut rebuilt = 0u64;
     let mut u = 0;
     while u < n {
-        if touched(u) {
-            rebuild(u as u32, &mut col, &mut weights);
-            row_offsets.push(col.len() as u64);
-            rebuilt += 1;
+        if marks.get(u) {
+            derive(u, &mut row);
+            row_offsets.push(row.0.len() as u64);
             u += 1;
             continue;
         }
-        let start = u;
-        while u < n && !touched(u) {
+        let start = u as usize;
+        while u < n && !marks.get(u) {
             u += 1;
         }
-        let (lo, at) = (base_offsets[start], col.len() as u64);
-        let edges = lo as usize..base_offsets[u] as usize;
-        col.extend_from_slice(&base.col_indices()[edges.clone()]);
-        weights.extend_from_slice(&base.weight_values()[edges]);
-        row_offsets.extend(base_offsets[start + 1..=u].iter().map(|&o| o - lo + at));
+        let (lo, at) = (base_offsets[start], row.0.len() as u64);
+        let edges = lo as usize..base_offsets[u as usize] as usize;
+        row.0.extend_from_slice(&base.col_indices()[edges.clone()]);
+        row.1.extend_from_slice(&base.weight_values()[edges]);
+        row_offsets.extend(
+            base_offsets[start + 1..=u as usize]
+                .iter()
+                .map(|&o| o - lo + at),
+        );
     }
-    (Csr::from_rows(row_offsets, col, weights), rebuilt)
+    Csr::from_rows(row_offsets, row.0, row.1)
 }
 
-/// The current graph — one epoch's base CSR read through a
-/// [`DeltaOverlay`] — as an adjacency view traversal kernels run on
-/// directly, with no fold into a fresh CSR.
-///
-/// Building it costs O(n/64 + |overlay|): two bitmaps mark the rows whose
-/// live out- / in-adjacency differs from the base. A traversal walks an
-/// unmarked row as the plain base slice and sends only a marked one through
-/// [`DeltaOverlay::for_each_live_out`] / [`DeltaOverlay::for_each_live_in`],
-/// so the hash probes those pay per edge stay off all but the handful of
-/// rows a small overlay touches. The marks live here, not in the overlay:
-/// [`MutationBuffer::apply`] clones the overlay per write and must not pay
-/// for them. Weights are not part of the view (patches mark nothing).
+/// The live undirected row of `x`, from its live out and in rows: their
+/// sorted, deduplicated union minus `x` itself, weights 1.0 — what
+/// `symmetrize` gives. `both` is scratch.
+fn derive_sym(x: u32, out: &impl Rows, inc: &impl Rows, both: &mut Vec<u32>, row: &mut Row) {
+    both.clear();
+    both.extend(out.row(x).iter().chain(inc.row(x)));
+    both.retain(|&y| y != x);
+    both.sort_unstable();
+    both.dedup();
+    row.0.extend_from_slice(both);
+    row.1.resize(row.0.len(), 1.0);
+}
+
+/// The live graph — one epoch's base CSR read through a [`DeltaOverlay`] —
+/// as the [`ServiceView`] every workload kernel runs on. Building it costs
+/// O(n/64 + |overlay|): two bitmaps mark the rows whose live out- / in-
+/// adjacency (neighbours, not weights) differs from the base, every row
+/// past `base_n` included. A traversal walks an unmarked row as the base
+/// slice and a marked one through the overlay's hash maps; kernels that
+/// revisit rows read [`PatchedCsr`] faces, whose weighted out and in rows
+/// also re-derive every row holding a patched weight. The marks live here
+/// because [`MutationBuffer::apply`] clones the overlay per write.
 pub struct OverlayView<'a> {
     base: &'a ShardedGraph,
     overlay: &'a DeltaOverlay,
-    touched: TouchedRows,
+    out: Marks,
+    inc: Marks,
 }
 
 impl<'a> OverlayView<'a> {
     /// View `base` (the graph of the overlay's epoch) through `overlay`.
     pub fn new(base: &'a ShardedGraph, overlay: &'a DeltaOverlay) -> Self {
+        let (bi, n) = (base.service().bi(), overlay.n_total());
+        let (mut out, mut inc) = (Marks::new(n), Marks::new(n));
+        for v in overlay.base_n..n {
+            out.set(v);
+            inc.set(v);
+        }
+        for &(u, v) in &overlay.deleted {
+            out.set(u);
+            inc.set(v);
+        }
+        overlay.adds.keys().for_each(|&u| out.set(u));
+        overlay.in_adds.keys().for_each(|&v| inc.set(v));
+        // A removed vertex empties its own rows and drops out of every
+        // base neighbour's row on the other side.
+        for &v in &overlay.removed {
+            out.set(v);
+            inc.set(v);
+            if v < overlay.base_n {
+                bi.inc().neighbors(v).iter().for_each(|&u| out.set(u));
+                bi.out().neighbors(v).iter().for_each(|&w| inc.set(w));
+            }
+        }
         OverlayView {
             base,
             overlay,
-            touched: TouchedRows::of(base, overlay),
+            out,
+            inc,
         }
+    }
+
+    /// The out and in rows the weighted faces re-derive: the touched ones
+    /// plus, since they carry weights, both ends of every patched pair.
+    fn weighted_marks(&self) -> (Marks, Marks) {
+        let (mut out, mut inc) = (self.out.clone(), self.inc.clone());
+        for &(u, v) in self.overlay.patches.keys() {
+            out.set(u);
+            inc.set(v);
+        }
+        (out, inc)
+    }
+
+    /// The live out row of `u`: base edges in base order, weights patched,
+    /// then overlay inserts in insertion order.
+    fn derive_out(&self, u: u32, row: &mut Row) {
+        self.overlay.for_each_live_out(self.base, u, |t, w| {
+            row.0.push(t);
+            row.1.push(w);
+        })
+    }
+
+    /// The live in row of `v`, sources ascending as a transpose lists them.
+    /// `pairs` is scratch.
+    fn derive_in(&self, v: u32, pairs: &mut Vec<(u32, f32)>, row: &mut Row) {
+        let ov = self.overlay;
+        pairs.clear();
+        ov.any_live_in(self.base, v, |s, stored| {
+            let w = match stored {
+                Some(w) => ov.patches.get(&(s, v)).copied().unwrap_or(w),
+                None => {
+                    ov.adds[&s]
+                        .iter()
+                        .find(|&&(t, _)| t == v)
+                        .expect("in_adds mirrors adds")
+                        .1
+                }
+            };
+            pairs.push((s, w));
+            false
+        });
+        // Base sources arrive ascending, the overlay's after them. An
+        // overlay pair is never a base pair, so the stable sort keeps
+        // parallel base copies in base order.
+        pairs.sort_by_key(|&(s, _)| s);
+        row.0.extend(pairs.iter().map(|&(s, _)| s));
+        row.1.extend(pairs.iter().map(|&(_, w)| w));
+    }
+
+    /// [`DeltaOverlay::fold`]'s body. The faces' marks and row derivations,
+    /// but each derived row goes straight into the next epoch's arrays
+    /// between copied runs: through a side table, every compaction would
+    /// copy it once more. Recorded as a `compact.fold` phase whose payload
+    /// is the rows re-derived.
+    fn to_graph(&self, num_shards: usize) -> (ShardedGraph, FoldStats) {
+        static CODE: OnceLock<u16> = OnceLock::new();
+        let phase = recorder::phase(*CODE.get_or_init(|| recorder::intern("compact.fold")), 0);
+        let (service, n) = (self.base.service(), self.overlay.n_total());
+        let grown = 2 * self.overlay.overlay_edges();
+        let (out_marks, in_marks) = self.weighted_marks();
+        let out = patch_rows(service.out(), n, &out_marks, grown, |u, row| {
+            self.derive_out(u, row)
+        });
+        let mut pairs = Vec::new();
+        let inc = patch_rows(service.bi().inc(), n, &in_marks, grown, |v, row| {
+            self.derive_in(v, &mut pairs, row)
+        });
+        let sym_marks = out_marks.or(&in_marks);
+        let mut both = Vec::new();
+        let sym = patch_rows(service.sym(), n, &sym_marks, grown, |x, row| {
+            derive_sym(x, &out, &inc, &mut both, row)
+        });
+        let rebuilt = [&out_marks, &in_marks, &sym_marks].map(Marks::count);
+        let stats = FoldStats {
+            out_rows_rebuilt: rebuilt[0],
+            in_rows_rebuilt: rebuilt[1],
+            sym_rows_rebuilt: rebuilt[2],
+            rows_copied: 3 * n as u64 - rebuilt.iter().sum::<u64>(),
+        };
+        let bi = BiCsr::from_parts(out, inc);
+        let graph = ShardedGraph::from_service(ServiceGraph::from_parts(bi, sym), num_shards);
+        phase.close_with(stats.rows_rebuilt());
+        (graph, stats)
+    }
+}
+
+impl ServiceView for OverlayView<'_> {
+    type Traversal = Self;
+    type Rows<'r>
+        = PatchedCsr<'r>
+    where
+        Self: 'r;
+
+    fn traversal(&self) -> &Self {
+        self
+    }
+
+    fn out_rows(&self) -> PatchedCsr<'_> {
+        let out = self.weighted_marks().0;
+        let n = self.overlay.n_total();
+        PatchedCsr::new(self.base.service().out(), n, out, |u, row| {
+            self.derive_out(u, row)
+        })
+    }
+
+    fn in_rows(&self) -> PatchedCsr<'_> {
+        let (inc, mut pairs) = (self.weighted_marks().1, Vec::new());
+        let n = self.overlay.n_total();
+        PatchedCsr::new(self.base.service().bi().inc(), n, inc, |v, row| {
+            self.derive_in(v, &mut pairs, row)
+        })
+    }
+
+    fn sym_rows(&self) -> PatchedCsr<'_> {
+        let (out, inc) = (self.out_rows(), self.in_rows());
+        let marks = out.marks.or(&inc.marks);
+        let mut both = Vec::new();
+        let sym = self.base.service().sym();
+        PatchedCsr::new(sym, self.overlay.n_total(), marks, |x, row| {
+            derive_sym(x, &out, &inc, &mut both, row)
+        })
     }
 }
 
@@ -709,7 +849,7 @@ impl Adjacency for OverlayView<'_> {
         if u < self.overlay.base_n {
             d = self.base.service().out().degree(u);
         }
-        if self.touched.out.get(u as usize) {
+        if self.out.get(u) {
             d += self.overlay.adds.get(&u).map_or(0, |row| row.len() as u32);
         }
         d
@@ -717,7 +857,7 @@ impl Adjacency for OverlayView<'_> {
 
     #[inline]
     fn for_each_out(&self, u: u32, mut f: impl FnMut(u32)) {
-        if self.touched.out.get(u as usize) {
+        if self.out.get(u) {
             self.overlay.for_each_live_out(self.base, u, |t, _| f(t));
         } else {
             self.base.service().out().for_each_out(u, f);
@@ -733,7 +873,7 @@ impl InAdjacency for OverlayView<'_> {
         if v < self.overlay.base_n {
             d = self.base.service().bi().in_degree(v);
         }
-        if self.touched.inc.get(v as usize) {
+        if self.inc.get(v) {
             d += self
                 .overlay
                 .in_adds
@@ -745,13 +885,8 @@ impl InAdjacency for OverlayView<'_> {
 
     #[inline]
     fn any_in(&self, v: u32, mut f: impl FnMut(u32) -> bool) -> bool {
-        if self.touched.inc.get(v as usize) {
-            // Touched rows are few: walk the row out rather than give the
-            // overlay's definition of a live in-edge a second, breakable form.
-            let mut hit = false;
-            self.overlay
-                .for_each_live_in(self.base, v, |s| hit = hit || f(s));
-            hit
+        if self.inc.get(v) {
+            self.overlay.any_live_in(self.base, v, |s, _| f(s))
         } else {
             self.base.service().bi().any_in(v, f)
         }

@@ -40,7 +40,7 @@ use graphbig_workloads::{CostClass, Workload};
 
 use crate::admission::{AdmissionController, RejectReason};
 use crate::cache::ResultCache;
-use crate::compact::{compact_inner, compactor_loop, rebase_overlay};
+use crate::compact::{compact_inner, compactor_loop};
 use crate::delta::{DeltaOverlay, Mutation, MutationBuffer, MutationReceipt};
 use crate::exec::{executor_loop, run_group};
 use crate::lifecycle::{
@@ -292,7 +292,6 @@ impl Engine {
             ),
             buffer: MutationBuffer::new(1, base_n),
             write_lock: Mutex::new(()),
-            materialized: Mutex::new(None),
             inc_ccomp: Mutex::new(None),
             compact_doorbell: (Mutex::new((false, false)), Condvar::new()),
             metrics,
@@ -409,7 +408,7 @@ impl Engine {
         let base_n = graph.num_vertices() as u32;
         let _w = lock(&sh.write_lock);
         let epoch = sh.store.publish(graph);
-        rebase_overlay(sh, epoch, base_n);
+        sh.buffer.reset(epoch, base_n);
         // Epoch keying already makes old entries unreachable; the sweep
         // reclaims their memory promptly.
         sh.cache.invalidate();
@@ -465,7 +464,8 @@ impl Engine {
             // orphans the overlay; rebase on the live epoch rather than
             // feeding a future compaction a stale base.
             if sh.buffer.current().epoch() != snap.epoch() {
-                rebase_overlay(sh, snap.epoch(), snap.graph().num_vertices() as u32);
+                sh.buffer
+                    .reset(snap.epoch(), snap.graph().num_vertices() as u32);
             }
             sh.buffer.apply(snap.graph(), batch)
         };

@@ -15,6 +15,8 @@
 //! multi-source pass; everyone else runs [`run_query_uncached`] alone. So a
 //! request's failpoint decisions, terminal status and cache footprint are
 //! the same whether or not the scheduler happened to coalesce it.
+//! Over a live overlay every kernel runs on the live graph, an
+//! [`OverlayView`] of the pinned base; no query folds the graph.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -26,7 +28,7 @@ use graphbig_workloads::service::{self, ServiceError, ServiceOutput};
 use graphbig_workloads::{msbfs, Workload};
 
 use crate::batch::{self, BatchKind};
-use crate::compact::{incremental_ccomp, materialized_for};
+use crate::compact::incremental_ccomp;
 use crate::delta::{DeltaOverlay, OverlayView};
 use crate::engine::{Query, QueryOutput, QueryStatus};
 use crate::lifecycle::{dequeue, finish_job, lane, lock, terminal_status, Job, Pending, Shared};
@@ -408,7 +410,8 @@ fn run_query_uncached(sh: &Shared, job: &Job, overlay: Option<&DeltaOverlay>) ->
 /// its own (a BFS that reads the group's graph state never gets here — it
 /// rides [`run_shared_pass`]). Connected components on an insert-only
 /// ("clean") overlay goes through the incremental union-find kernel;
-/// everything else recomputes on the memoized materialized graph.
+/// everything else runs [`service::run_service`] on the live graph, an
+/// [`OverlayView`] whose row faces re-derive only what the overlay touched.
 fn run_overlay_service(
     sh: &Shared,
     job: &Job,
@@ -421,8 +424,8 @@ fn run_overlay_service(
             return Ok(ServiceOutput::Labels(labels));
         }
     }
-    let (graph, _) = materialized_for(sh, &job.snapshot, ov);
-    service::run_service(workload, &sh.pool, graph.service(), source, &job.token)
+    let live = OverlayView::new(job.snapshot.graph(), ov);
+    service::run_service(workload, &sh.pool, &live, source, &job.token)
 }
 
 #[cfg(test)]

@@ -19,11 +19,11 @@
 //!   kernel, and both a publish and a mutation make every stale entry
 //!   unreachable by construction.
 //! - [`delta`]: the live write path — a concurrent [`MutationBuffer`]
-//!   folding batches into copy-on-write [`DeltaOverlay`]s that point
-//!   queries and — through an [`OverlayView`] — BFS traversals read
-//!   alongside the base CSR, plus the incremental connected-components
-//!   kernel and the materialization step background compaction publishes
-//!   as a new epoch.
+//!   folding batches into copy-on-write [`DeltaOverlay`]s that every query
+//!   reads alongside the base CSR (point queries directly, every kernel
+//!   through the live graph, an [`OverlayView`]), plus the incremental
+//!   connected-components kernel and the fold background compaction
+//!   publishes as a new epoch.
 //! - [`engine`]: the [`Engine`] itself — priority lanes (point queries
 //!   never queue behind analytics), executor threads over one shared
 //!   kernel pool, cooperative deadlines/cancellation, per-class latency

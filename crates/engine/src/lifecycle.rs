@@ -27,7 +27,6 @@ use crate::admission::{AdmissionController, RejectReason};
 use crate::cache::ResultCache;
 use crate::delta::{IncrementalCComp, MutationBuffer};
 use crate::engine::{EngineConfig, Query, QueryResponse, QueryStatus};
-use crate::shard::ShardedGraph;
 use crate::slo::{self, SloTracker};
 use crate::store::{EpochSnapshot, GraphStore};
 
@@ -50,11 +49,6 @@ pub(crate) struct Shared {
     /// critical sections. Lock order: `write_lock` before the store's
     /// internal lock; the buffer's own mutex is a leaf.
     pub(crate) write_lock: Mutex<()>,
-    /// Memoized materialization of one `(epoch, delta-seq)` overlay: a
-    /// burst of workload queries (or the compactor) against the same
-    /// overlay version pays the base+overlay fold exactly once. A leaf
-    /// lock; emptied whenever the overlay moves to a new epoch.
-    pub(crate) materialized: Mutex<Option<(u64, u64, Arc<ShardedGraph>)>>,
     /// Incremental connected-components state, seeded once per epoch.
     pub(crate) inc_ccomp: Mutex<Option<(u64, IncrementalCComp)>>,
     /// Background-compactor doorbell: `(work_pending, shutdown)`.
@@ -458,6 +452,7 @@ pub(crate) fn finish_job(sh: &Shared, p: Pending, status: QueryStatus, exec_us: 
 mod tests {
     use super::*;
     use crate::engine::tests::{csr, quiet_cfg};
+    use crate::shard::ShardedGraph;
     use crate::Engine;
     use graphbig_datagen::Dataset;
     use graphbig_framework::csr::Csr;

@@ -60,16 +60,12 @@ impl GraphStore {
     /// Publish `graph` as the next epoch; returns the new epoch number.
     /// Queries already running keep their old snapshot until they finish.
     pub fn publish(&self, graph: ShardedGraph) -> u64 {
-        self.publish_shared(Arc::new(graph))
-    }
-
-    /// [`GraphStore::publish`] for a graph that is already behind an
-    /// `Arc` — the compactor publishes its memoized materialization
-    /// without cloning shards even while readers still hold it.
-    pub fn publish_shared(&self, graph: Arc<ShardedGraph>) -> u64 {
         let mut current = self.current.lock().unwrap_or_else(|e| e.into_inner());
         let epoch = current.epoch + 1;
-        *current = Arc::new(EpochSnapshot { epoch, graph });
+        *current = Arc::new(EpochSnapshot {
+            epoch,
+            graph: Arc::new(graph),
+        });
         epoch
     }
 

@@ -1,17 +1,19 @@
-//! Equivalence suite for overlay-native traversal.
+//! Equivalence suite for the live graph.
 //!
-//! [`OverlayView`] lets the BFS kernels run on base CSR + [`DeltaOverlay`]
-//! without folding the two into a fresh graph. Its whole contract is that
-//! nobody can tell: for any base graph and any mutation stream, every
-//! traversal of the view must be bit-identical to the same traversal of
-//! the folded graph — in both directions of the direction-optimizing
-//! kernel, on both sides of the MS-BFS lane crossover (below it lanes run
-//! single-source, at and above it they share one pass whose pull step walks
-//! `any_in`), at one pool thread and at several.
+//! [`OverlayView`] lets every workload kernel run on base CSR +
+//! [`DeltaOverlay`] without folding the two into a fresh graph: BFS walks
+//! it per visit, the other kernels read its patched row faces. Its whole
+//! contract is that nobody can tell: for any base graph and any mutation
+//! stream, every traversal of the view must be bit-identical to the same
+//! traversal of the folded graph — in both directions of the
+//! direction-optimizing kernel, on both sides of the MS-BFS lane crossover
+//! (below it lanes run single-source, at and above it they share one pass
+//! whose pull step walks `any_in`), at one pool thread and at several — and
+//! so must every other servable kernel dispatched through `run_service`.
 //!
 //! The folded graph is [`common::reference_fold`]'s, not
-//! [`DeltaOverlay::materialize`]'s: that one re-derives rows by the very
-//! marking the view routes reads by, and would check it against itself.
+//! [`DeltaOverlay::materialize`]'s: that one copies out the very patched
+//! faces the view serves, and would check them against themselves.
 
 use graphbig_datagen::prop::{self, Config};
 use graphbig_datagen::rng::Rng;
@@ -20,13 +22,13 @@ use graphbig_framework::csr::{Csr, InAdjacency};
 use graphbig_runtime::{CancelToken, ThreadPool};
 use graphbig_workloads::msbfs::msbfs_dir_opt;
 use graphbig_workloads::parallel::{self, LevelDir};
+use graphbig_workloads::service::{run_service, servable};
+use graphbig_workloads::Workload;
 use std::sync::Arc;
 
 mod common;
 use common::reference_fold;
 
-/// A seeded random directed base graph: `n` vertices, ~`2n` non-loop edges,
-/// roughly one in ten stored twice (parallel base copies).
 /// Levels and visited count of a never-cancelled dir-opt BFS.
 fn dir_opt<G: InAdjacency>(pool: &ThreadPool, g: &G, source: u32) -> (Vec<i64>, u64) {
     let (levels, visited, _) =
@@ -34,6 +36,8 @@ fn dir_opt<G: InAdjacency>(pool: &ThreadPool, g: &G, source: u32) -> (Vec<i64>, 
     (levels, visited)
 }
 
+/// A seeded random directed base graph: `n` vertices, ~`2n` non-loop edges,
+/// roughly one in ten stored twice (parallel base copies).
 fn random_base(rng: &mut Rng) -> ShardedGraph {
     let n = 8 + rng.u64_below(90) as usize;
     let mut edges = Vec::new();
@@ -53,8 +57,9 @@ fn random_base(rng: &mut Rng) -> ShardedGraph {
 
 /// A mutation stream over all five kinds: the shapes that stress the view
 /// first (a fresh vertex wired both ways, the base's biggest hub removed, a
-/// tombstoned pair re-added, weight patches), then random ops whose ids
-/// also reach the added vertices and a little past them.
+/// tombstoned pair re-added, a weight patch that survives and one that a
+/// delete wipes), then random ops whose ids also reach the added vertices
+/// and a little past them.
 fn random_mutations(rng: &mut Rng, base: &ShardedGraph) -> Vec<Mutation> {
     let n = base.num_vertices() as u32;
     let out = base.service().out();
@@ -80,6 +85,14 @@ fn random_mutations(rng: &mut Rng, base: &ShardedGraph) -> Vec<Mutation> {
         muts.push(Mutation::SetWeight { u, v, w: 7.0 });
         muts.push(Mutation::RemoveEdge { u, v });
         muts.push(Mutation::AddEdge { u, v, w: 3.0 }); // tombstone wins
+    }
+    // A live base pair in a row nothing else touches, made cheaper: only
+    // the weight marks the row, and shortest paths run through it.
+    let untouched =
+        |x: &u32| Some(*x) != with_edge && *x != hub && !out.neighbors(*x).contains(&hub);
+    if let Some(u) = (0..n).filter(untouched).find(|&u| out.degree(u) > 0) {
+        let t = out.neighbors(u)[0];
+        muts.push(Mutation::SetWeight { u, v: t, w: 0.25 });
     }
     for _ in 0..rng.u64_below(40) {
         let (u, v) = (any(rng), any(rng));
@@ -206,4 +219,84 @@ fn bottom_up_steps_read_touched_rows_through_the_overlay() {
         assert_eq!(lanes, msbfs_dir_opt(&pool, folded.service().bi(), &sources));
         assert_eq!((lanes[15][41], lanes[15][42], lanes[15][43]), (1, 2, -1));
     }
+}
+
+/// The other servable kernels, dispatched through `run_service` on the live
+/// graph — CComp, KCore, TC and GColor on its undirected face, SPath on its
+/// weighted out face, DCentr on the exact degrees of its out and in faces —
+/// answer bit for bit what they answer on the reference fold.
+#[test]
+fn every_kernel_over_the_live_graph_matches_the_reference_fold() {
+    let pools = [ThreadPool::new(1), ThreadPool::new(4)];
+    let never = CancelToken::never();
+    let kernels: Vec<Workload> = Workload::ALL
+        .into_iter()
+        .filter(|&w| servable(w) && w != Workload::Bfs)
+        .collect();
+    assert_eq!(kernels.len(), 6);
+    prop::check(
+        "live_graph_kernel_equivalence",
+        Config::with_cases(12),
+        |rng: &mut Rng| rng.next_u64(),
+        |&seed: &u64| {
+            let mut rng = Rng::seed_from_u64(seed);
+            let base = random_base(&mut rng);
+            let ov = overlay_of(&base, &random_mutations(&mut rng, &base));
+            let live = OverlayView::new(&base, &ov);
+            let folded = reference_fold(&base, &ov, 2);
+            let n = ov.n_total();
+            for pool in &pools {
+                for &w in &kernels {
+                    // Only SPath reads the source: every id, the added
+                    // vertices and one past the end.
+                    let sources = if w == Workload::SPath { 0..n + 1 } else { 0..1 };
+                    for source in sources {
+                        let got = run_service(w, pool, &live, source, &never).unwrap();
+                        let want = run_service(w, pool, folded.service(), source, &never);
+                        assert_eq!(
+                            got.digest(),
+                            want.unwrap().digest(),
+                            "{w} from {source}, {} threads",
+                            pool.threads()
+                        );
+                    }
+                }
+            }
+        },
+    );
+}
+
+/// The bottom-up step asks a touched in row for *any* parent: the walk
+/// stops at the first live source that answers, and on a miss asks each
+/// live source once — never a tombstoned or removed one.
+#[test]
+fn any_in_on_a_touched_row_stops_at_the_first_hit() {
+    // Sources 0..=5 all point at 9.
+    let edges: Vec<(u32, u32, f32)> = (0..6).map(|u| (u, 9, 1.0)).collect();
+    let base = ShardedGraph::build(Csr::from_edges(10, &edges), 2);
+    let ov = overlay_of(
+        &base,
+        &[
+            Mutation::RemoveEdge { u: 0, v: 9 },
+            Mutation::RemoveVertex { v: 3 },
+            Mutation::AddEdge { u: 7, v: 9, w: 1.0 },
+        ],
+    );
+    let view = OverlayView::new(&base, &ov);
+    let mut asked = Vec::new();
+    assert!(view.any_in(9, |s| {
+        asked.push(s);
+        true
+    }));
+    assert_eq!(asked, [1], "one call: the first live source answered");
+    asked.clear();
+    assert!(!view.any_in(9, |s| {
+        asked.push(s);
+        false
+    }));
+    assert_eq!(
+        asked,
+        [1, 2, 4, 5, 7],
+        "each live source once, base then overlay"
+    );
 }

@@ -582,8 +582,8 @@ impl BiCsr {
 /// representation to walk and then runs a tight loop over it, where an
 /// external iterator would re-dispatch on every `next()`.
 ///
-/// Unweighted by design — weighted and undirected iteration belong to the
-/// same family of views and are added when a kernel needs them.
+/// Unweighted by design: kernels that read weights, undirected rows or
+/// exact degrees revisit rows and take [`Rows`] instead.
 pub trait Adjacency: Sync {
     /// Number of vertices; valid ids are `0..num_vertices()`.
     fn num_vertices(&self) -> usize;
@@ -611,6 +611,71 @@ pub trait InAdjacency: Adjacency {
     /// true; returns whether it did. The early exit is the point: a
     /// bottom-up step stops scanning at the first parent it finds.
     fn any_in(&self, v: u32, f: impl FnMut(u32) -> bool) -> bool;
+}
+
+/// The row-slice face for kernels that revisit rows (peeling, label
+/// propagation, colouring, intersection, relaxation sweeps): one body
+/// serves a plain [`Csr`] and a view that keeps some rows elsewhere, such
+/// as the serving engine's patched CSR. Unlike [`Adjacency`]'s degrees,
+/// everything here is exact.
+pub trait Rows: Sync {
+    /// Number of vertices; valid ids are `0..num_vertices()`.
+    fn num_vertices(&self) -> usize;
+
+    /// Targets of `u`'s arcs.
+    fn row(&self, u: u32) -> &[u32];
+
+    /// Weights parallel to [`Rows::row`].
+    fn row_weights(&self, u: u32) -> &[f32];
+
+    /// Exact degree of `u`.
+    #[inline]
+    fn degree(&self, u: u32) -> u32 {
+        self.row(u).len() as u32
+    }
+
+    /// External id of `u`.
+    fn id_of(&self, u: u32) -> VertexId;
+}
+
+impl Rows for Csr {
+    #[inline]
+    fn num_vertices(&self) -> usize {
+        Csr::num_vertices(self)
+    }
+
+    #[inline]
+    fn row(&self, u: u32) -> &[u32] {
+        self.neighbors(u)
+    }
+
+    #[inline]
+    fn row_weights(&self, u: u32) -> &[f32] {
+        self.edge_weights(u)
+    }
+
+    #[inline]
+    fn id_of(&self, u: u32) -> VertexId {
+        Csr::id_of(self, u)
+    }
+}
+
+impl<R: Rows + ?Sized> Rows for &R {
+    fn num_vertices(&self) -> usize {
+        (**self).num_vertices()
+    }
+
+    fn row(&self, u: u32) -> &[u32] {
+        (**self).row(u)
+    }
+
+    fn row_weights(&self, u: u32) -> &[f32] {
+        (**self).row_weights(u)
+    }
+
+    fn id_of(&self, u: u32) -> VertexId {
+        (**self).id_of(u)
+    }
 }
 
 impl Adjacency for Csr {

@@ -1,10 +1,11 @@
 //! Parallel CPU variants of key workloads, mirroring the paper's 16-thread
 //! runs (Section 5.1 pins one thread per core).
 //!
-//! These run on the static [`Csr`] snapshot with atomic per-vertex state —
-//! the standard shared-memory formulations — and are validated against the
-//! sequential framework implementations in tests. They power the Criterion
-//! wall-clock benches and the CPU side of the Figure 12 speedup comparison.
+//! These run on a static CSR snapshot with atomic per-vertex state — the
+//! standard shared-memory formulations — and are validated against the
+//! sequential framework implementations in tests. They power the serving
+//! dispatch ([`crate::service`]) and the CPU side of the Figure 12 speedup
+//! comparison.
 //!
 //! The traversal kernels ([`bfs`], [`bfs_dir_opt`], [`ccomp`], [`kcore`])
 //! run on the runtime's frontier engine: degree-weighted chunks feed a
@@ -15,14 +16,16 @@
 //! [`bfs_dir_opt`] additionally switches between top-down and bottom-up
 //! traversal with the GAP alpha/beta heuristic (see DESIGN.md).
 //!
-//! The BFS kernels are written against [`Adjacency`] / [`InAdjacency`]
-//! rather than the CSR arrays, so the same body traverses a plain
-//! [`Csr`] / `BiCsr` and the serving engine's base + delta-overlay view.
+//! No kernel names the CSR arrays. The BFS kernels walk [`Adjacency`] /
+//! [`InAdjacency`] once per visit; the rest revisit rows and read them as
+//! slices through [`Rows`]. Either way one body serves a plain `Csr` /
+//! `BiCsr` and the serving engine's base + delta-overlay graph, each
+//! monomorphized.
 
 use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, Ordering};
 
 use graphbig_framework::bitmap::AtomicBitmap;
-use graphbig_framework::csr::{Adjacency, BiCsr, Csr, InAdjacency};
+use graphbig_framework::csr::{Adjacency, InAdjacency, Rows};
 use graphbig_runtime::frontier::{should_be_dense, ChunkedSink, Frontier};
 use graphbig_runtime::{parfor, CancelToken, Cancelled, ThreadPool};
 
@@ -158,7 +161,7 @@ fn top_down_step<G: Adjacency>(
     scout.into_inner()
 }
 
-/// Level-synchronous parallel BFS over an out-adjacency view — a [`Csr`] or
+/// Level-synchronous parallel BFS over an out-adjacency view — a `Csr` or
 /// anything layered over one — always top-down; returns
 /// per-vertex levels (`-1` = unreached) and the number of visited vertices.
 ///
@@ -327,19 +330,19 @@ pub fn bfs_dir_opt<G: InAdjacency>(
     ))
 }
 
-/// Parallel degree centrality (out-degree + in-degree); returns normalized
-/// scores. Takes the [`BiCsr`] itself rather than any [`InAdjacency`]: the
-/// trait lets a layered view answer degrees with an upper bound, and here
-/// the degree is the result.
-pub fn dcentr(pool: &ThreadPool, g: &BiCsr) -> Vec<f64> {
-    let n = g.num_vertices();
+/// Parallel degree centrality (out-degree + in-degree) over the out rows
+/// and the in rows of one graph; returns normalized scores. Row faces
+/// because the degree is the result: [`Rows::degree`] is exact, where an
+/// [`InAdjacency`] view may answer with an upper bound.
+pub fn dcentr<G: Rows>(pool: &ThreadPool, out: &G, inc: &G) -> Vec<f64> {
+    let n = out.num_vertices();
     if n == 0 {
         return Vec::new();
     }
     let scores: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
     let denom = (n.saturating_sub(1)).max(1) as f64;
     parfor::parallel_for(pool, 0..n, 256, |u| {
-        let d = g.out_degree(u as u32) + g.in_degree(u as u32);
+        let d = out.degree(u as u32) + inc.degree(u as u32);
         let c = d as f64 / denom;
         scores[u].store(c.to_bits(), Ordering::Relaxed);
     });
@@ -363,8 +366,12 @@ pub fn dcentr(pool: &ThreadPool, g: &BiCsr) -> Vec<f64> {
 /// ([`CancelToken::never`] runs unconditionally). Round bitmaps cycle
 /// through a one-deep spare pool ([`AtomicBitmap::reset`]), so steady-state
 /// rounds allocate nothing.
-pub fn ccomp(pool: &ThreadPool, csr: &Csr, cancel: &CancelToken) -> Result<Vec<u32>, Cancelled> {
-    let n = csr.num_vertices();
+pub fn ccomp<G: Rows>(
+    pool: &ThreadPool,
+    g: &G,
+    cancel: &CancelToken,
+) -> Result<Vec<u32>, Cancelled> {
+    let n = g.num_vertices();
     if n == 0 {
         return Ok(Vec::new());
     }
@@ -384,7 +391,7 @@ pub fn ccomp(pool: &ThreadPool, csr: &Csr, cancel: &CancelToken) -> Result<Vec<u
         let awake = AtomicU64::new(0);
         let relax = |u: u32, local_awake: &mut u64| {
             let lu = labels[u as usize].load(Ordering::Relaxed);
-            for &v in csr.neighbors(u) {
+            for &v in g.row(u) {
                 if labels[v as usize].fetch_min(lu, Ordering::Relaxed) > lu && next.set(v as usize)
                 {
                     *local_awake += 1;
@@ -394,7 +401,7 @@ pub fn ccomp(pool: &ThreadPool, csr: &Csr, cancel: &CancelToken) -> Result<Vec<u
         match &frontier {
             Frontier::Sparse(q) => {
                 let chunks =
-                    parfor::weighted_chunks(q.len(), CHUNK_WEIGHT, |i| csr.degree(q[i]) as u64 + 1);
+                    parfor::weighted_chunks(q.len(), CHUNK_WEIGHT, |i| g.degree(q[i]) as u64 + 1);
                 parfor::parallel_for_chunk_list(pool, &chunks, |_w, _c, range| {
                     let mut local = 0u64;
                     for i in range {
@@ -405,7 +412,7 @@ pub fn ccomp(pool: &ThreadPool, csr: &Csr, cancel: &CancelToken) -> Result<Vec<u
             }
             Frontier::Dense { bits, .. } => {
                 let chunks =
-                    parfor::weighted_chunks(n, CHUNK_WEIGHT, |v| csr.degree(v as u32) as u64 + 1);
+                    parfor::weighted_chunks(n, CHUNK_WEIGHT, |v| g.degree(v as u32) as u64 + 1);
                 parfor::parallel_for_chunk_list(pool, &chunks, |_w, _c, range| {
                     let mut local = 0u64;
                     for v in range {
@@ -436,7 +443,7 @@ pub fn ccomp(pool: &ThreadPool, csr: &Csr, cancel: &CancelToken) -> Result<Vec<u
 }
 
 /// Parallel k-core decomposition over a **symmetrized, deduplicated** CSR
-/// (build with [`Csr::symmetrize`], which also drops self-loops — the same
+/// (build with `Csr::symmetrize`, which also drops self-loops — the same
 /// undirected view the sequential Matula–Beck peeler uses). Returns each
 /// vertex's core number.
 ///
@@ -447,15 +454,17 @@ pub fn ccomp(pool: &ThreadPool, csr: &Csr, cancel: &CancelToken) -> Result<Vec<u
 /// level's next wave. Core numbers are a graph invariant, so the output is
 /// deterministic for any schedule. `cancel` is polled once per peel level
 /// and once per wave inside a level.
-pub fn kcore(pool: &ThreadPool, csr: &Csr, cancel: &CancelToken) -> Result<Vec<u32>, Cancelled> {
-    let n = csr.num_vertices();
+pub fn kcore<G: Rows>(
+    pool: &ThreadPool,
+    g: &G,
+    cancel: &CancelToken,
+) -> Result<Vec<u32>, Cancelled> {
+    let n = g.num_vertices();
     if n == 0 {
         return Ok(Vec::new());
     }
     const UNPEELED: u32 = u32::MAX;
-    let deg: Vec<AtomicU32> = (0..n)
-        .map(|v| AtomicU32::new(csr.degree(v as u32)))
-        .collect();
+    let deg: Vec<AtomicU32> = (0..n).map(|v| AtomicU32::new(g.degree(v as u32))).collect();
     let core: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNPEELED)).collect();
     let sink = ChunkedSink::new(pool.threads());
     let mut remaining = n;
@@ -503,7 +512,7 @@ pub fn kcore(pool: &ThreadPool, csr: &Csr, cancel: &CancelToken) -> Result<Vec<u
             cancel.check()?;
             remaining -= frontier.len();
             let chunks = parfor::weighted_chunks(frontier.len(), CHUNK_WEIGHT, |i| {
-                csr.degree(frontier[i]) as u64 + 1
+                g.degree(frontier[i]) as u64 + 1
             });
             let f = &frontier;
             parfor::parallel_for_chunk_list(pool, &chunks, |worker, chunk, range| {
@@ -511,7 +520,7 @@ pub fn kcore(pool: &ThreadPool, csr: &Csr, cancel: &CancelToken) -> Result<Vec<u
                 for i in range {
                     let v = f[i];
                     core[v as usize].store(k, Ordering::Relaxed);
-                    for &u in csr.neighbors(v) {
+                    for &u in g.row(v) {
                         // Decrement, clamped at k: peeled/at-k neighbors stay
                         // untouched, and exactly one decrementer sees k+1.
                         let prev = deg[u as usize].fetch_update(
@@ -539,13 +548,13 @@ pub fn kcore(pool: &ThreadPool, csr: &Csr, cancel: &CancelToken) -> Result<Vec<u
 /// shared-memory analogue of the GPU kernel); returns per-vertex distances
 /// (`f32::INFINITY` = unreached). `cancel` is polled once per relaxation
 /// round.
-pub fn spath(
+pub fn spath<G: Rows>(
     pool: &ThreadPool,
-    csr: &Csr,
+    g: &G,
     source: u32,
     cancel: &CancelToken,
 ) -> Result<Vec<f32>, Cancelled> {
-    let n = csr.num_vertices();
+    let n = g.num_vertices();
     if n == 0 || source as usize >= n {
         return Ok(Vec::new());
     }
@@ -561,8 +570,8 @@ pub fn spath(
             if !du.is_finite() {
                 return;
             }
-            let ws = csr.edge_weights(u as u32);
-            for (i, &v) in csr.neighbors(u as u32).iter().enumerate() {
+            let ws = g.row_weights(u as u32);
+            for (i, &v) in g.row(u as u32).iter().enumerate() {
                 let cand = (du + ws[i]).to_bits();
                 // non-negative f32 bits compare like the floats themselves
                 if dist[v as usize].fetch_min(cand, Ordering::Relaxed) > cand {
@@ -583,9 +592,9 @@ pub fn spath(
 /// Parallel Luby–Jones coloring over a (symmetrized) CSR; identical colors
 /// to the sequential and GPU implementations (same `hash_id` priorities).
 /// Returns per-vertex colors.
-pub fn gcolor(pool: &ThreadPool, csr: &Csr) -> Vec<i64> {
+pub fn gcolor<G: Rows>(pool: &ThreadPool, g: &G) -> Vec<i64> {
     use graphbig_framework::index::hash_id;
-    let n = csr.num_vertices();
+    let n = g.num_vertices();
     let color: Vec<AtomicI64> = (0..n).map(|_| AtomicI64::new(-1)).collect();
     let mut remaining = n;
     while remaining > 0 {
@@ -594,14 +603,14 @@ pub fn gcolor(pool: &ThreadPool, csr: &Csr) -> Vec<i64> {
             if color[u].load(Ordering::Relaxed) >= 0 {
                 return;
             }
-            let my_id = csr.id_of(u as u32);
+            let my_id = g.id_of(u as u32);
             let my_pri = hash_id(my_id);
             let mut is_max = true;
-            for &v in csr.neighbors(u as u32) {
+            for &v in g.row(u as u32) {
                 if v as usize == u || color[v as usize].load(Ordering::Relaxed) >= 0 {
                     continue;
                 }
-                let vid = csr.id_of(v);
+                let vid = g.id_of(v);
                 let vp = hash_id(vid);
                 if vp > my_pri || (vp == my_pri && vid > my_id) {
                     is_max = false;
@@ -609,8 +618,8 @@ pub fn gcolor(pool: &ThreadPool, csr: &Csr) -> Vec<i64> {
                 }
             }
             if is_max {
-                let mut used: Vec<i64> = csr
-                    .neighbors(u as u32)
+                let mut used: Vec<i64> = g
+                    .row(u as u32)
                     .iter()
                     .filter_map(|&v| {
                         let c = color[v as usize].load(Ordering::Relaxed);
@@ -639,8 +648,8 @@ pub fn gcolor(pool: &ThreadPool, csr: &Csr) -> Vec<i64> {
 }
 
 /// Parallel triangle count over a symmetrized, adjacency-sorted CSR.
-pub fn tc(pool: &ThreadPool, csr: &Csr) -> u64 {
-    let n = csr.num_vertices();
+pub fn tc<G: Rows>(pool: &ThreadPool, g: &G) -> u64 {
+    let n = g.num_vertices();
     parfor::parallel_reduce(
         pool,
         0..n,
@@ -649,12 +658,12 @@ pub fn tc(pool: &ThreadPool, csr: &Csr) -> u64 {
         |u| {
             let u = u as u32;
             let mut count = 0u64;
-            for &v in csr.neighbors(u) {
+            for &v in g.row(u) {
                 if v <= u {
                     continue;
                 }
                 // merge-intersect N(u) and N(v) above v
-                let (a, b) = (csr.neighbors(u), csr.neighbors(v));
+                let (a, b) = (g.row(u), g.row(v));
                 let (mut i, mut j) = (0, 0);
                 while i < a.len() && j < b.len() {
                     match a[i].cmp(&b[j]) {
@@ -680,6 +689,7 @@ pub fn tc(pool: &ThreadPool, csr: &Csr) -> u64 {
 mod tests {
     use super::*;
     use graphbig_datagen::Dataset;
+    use graphbig_framework::csr::{BiCsr, Csr};
     use graphbig_framework::PropertyGraph;
 
     /// Levels and visited count of a never-cancelled dir-opt BFS from 0.
@@ -715,7 +725,7 @@ mod tests {
     #[test]
     fn parallel_dcentr_matches_sequential() {
         let (mut g, csr) = ldbc(300);
-        let scores = dcentr(&pool(), &BiCsr::directed(csr.clone()));
+        let scores = dcentr(&pool(), &csr, &csr.transpose());
         crate::dcentr::run(&mut g);
         for (dense, &s) in scores.iter().enumerate() {
             let id = csr.id_of(dense as u32);
@@ -739,7 +749,7 @@ mod tests {
             let old: Vec<u64> = (0..n as u32)
                 .map(|u| ((csr.degree(u) + transpose.degree(u)) as f64 / denom).to_bits())
                 .collect();
-            let new = dcentr(&pool(), &BiCsr::directed(csr));
+            let new = dcentr(&pool(), &csr, &transpose);
             assert_eq!(new.iter().map(|s| s.to_bits()).collect::<Vec<_>>(), old);
         }
     }
@@ -906,7 +916,7 @@ mod tests {
         let csr = Csr::from_edges(0, &[]);
         assert_eq!(bfs(&pool(), &csr, 0).1, 0);
         assert_eq!(dir_opt(&pool(), &BiCsr::directed(csr.clone())).1, 0);
-        assert!(dcentr(&pool(), &BiCsr::directed(csr.clone())).is_empty());
+        assert!(dcentr(&pool(), &csr, &csr.transpose()).is_empty());
         let never = CancelToken::never();
         assert_eq!(ccomp(&pool(), &csr, &never), Ok(Vec::new()));
         assert_eq!(kcore(&pool(), &csr, &never), Ok(Vec::new()));

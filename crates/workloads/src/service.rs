@@ -3,14 +3,16 @@
 //! The per-bench binaries used to each carry their own match over
 //! [`Workload`] deciding which CSR view (directed / symmetric / sorted) and
 //! which kernel entry point to call. [`run_service`] centralizes that:
-//! one [`ServiceGraph`] precomputes every view a servable workload needs,
-//! and every kernel runs through the same
-//! `(Workload, &ThreadPool, &ServiceGraph, source, &CancelToken)`
-//! signature returning a typed [`ServiceOutput`]. The query engine
+//! every kernel runs through the same
+//! `(Workload, &ThreadPool, &graph, source, &CancelToken)` signature
+//! returning a typed [`ServiceOutput`], where the graph is any
+//! [`ServiceView`] — a [`ServiceGraph`], which precomputes every view a
+//! servable workload needs, or the query engine's base + delta-overlay
+//! graph, which derives the rows its writes changed. The engine
 //! (`crates/engine`) and the bench binaries both dispatch through here, so
 //! view-selection bugs can't diverge between them.
 
-use graphbig_framework::csr::{BiCsr, Csr};
+use graphbig_framework::csr::{BiCsr, Csr, InAdjacency, Rows};
 use graphbig_runtime::{CancelToken, Cancelled, ThreadPool};
 
 use crate::parallel;
@@ -66,6 +68,52 @@ impl ServiceGraph {
     /// Directed edges in the underlying graph.
     pub fn num_edges(&self) -> usize {
         self.bi.num_edges()
+    }
+}
+
+/// The faces of a graph [`run_service`] reads: BFS walks the traversal
+/// face, every other kernel one of the row faces. A layered view may derive
+/// a row face when asked, so [`run_service`] asks only for what it reads.
+pub trait ServiceView {
+    /// Out- and in-arcs, for direction-optimizing BFS.
+    type Traversal: InAdjacency;
+    /// A row face.
+    type Rows<'a>: Rows
+    where
+        Self: 'a;
+
+    /// The traversal face.
+    fn traversal(&self) -> &Self::Traversal;
+
+    /// Directed out rows, with weights (SPath, DCentr).
+    fn out_rows(&self) -> Self::Rows<'_>;
+
+    /// Directed in rows (DCentr).
+    fn in_rows(&self) -> Self::Rows<'_>;
+
+    /// Undirected rows — out ∪ in, each strictly ascending, no self-loops
+    /// (CComp, KCore, TC, GColor).
+    fn sym_rows(&self) -> Self::Rows<'_>;
+}
+
+impl ServiceView for ServiceGraph {
+    type Traversal = BiCsr;
+    type Rows<'a> = &'a Csr;
+
+    fn traversal(&self) -> &BiCsr {
+        &self.bi
+    }
+
+    fn out_rows(&self) -> &Csr {
+        self.bi.out()
+    }
+
+    fn in_rows(&self) -> &Csr {
+        self.bi.inc()
+    }
+
+    fn sym_rows(&self) -> &Csr {
+        &self.sym
     }
 }
 
@@ -186,15 +234,15 @@ pub fn servable(w: Workload) -> bool {
     )
 }
 
-/// Run one workload against the precomputed views with the standard
-/// serving signature. `source` matters only to the traversal-rooted
-/// kernels (BFS, SPath); the whole-graph kernels ignore it. Kernels whose
-/// runtime is a single parallel sweep (DCentr, TC, GColor) poll the token
-/// only at entry; the iterative kernels poll at every superstep.
-pub fn run_service(
+/// Run one workload against a graph's views with the standard serving
+/// signature. `source` matters only to the traversal-rooted kernels (BFS,
+/// SPath); the whole-graph kernels ignore it. Kernels whose runtime is a
+/// single parallel sweep (DCentr, TC, GColor) poll the token only at entry;
+/// the iterative kernels poll at every superstep.
+pub fn run_service<G: ServiceView>(
     w: Workload,
     pool: &ThreadPool,
-    g: &ServiceGraph,
+    g: &G,
     source: u32,
     cancel: &CancelToken,
 ) -> Result<ServiceOutput, ServiceError> {
@@ -209,36 +257,37 @@ pub fn run_service(
     }
     match w {
         Workload::Bfs => {
-            let (levels, _, _) = parallel::bfs_dir_opt(pool, g.bi(), source, cancel)?;
+            let (levels, _, _) = parallel::bfs_dir_opt(pool, g.traversal(), source, cancel)?;
             Ok(ServiceOutput::Levels(levels))
         }
         Workload::CComp => Ok(ServiceOutput::Labels(parallel::ccomp(
             pool,
-            g.sym(),
+            &g.sym_rows(),
             cancel,
         )?)),
         Workload::KCore => Ok(ServiceOutput::Cores(parallel::kcore(
             pool,
-            g.sym(),
+            &g.sym_rows(),
             cancel,
         )?)),
         Workload::SPath => Ok(ServiceOutput::Distances(parallel::spath(
             pool,
-            g.out(),
+            &g.out_rows(),
             source,
             cancel,
         )?)),
         Workload::DCentr => {
             cancel.check()?;
-            Ok(ServiceOutput::Scores(parallel::dcentr(pool, g.bi())))
+            let (out, inc) = (g.out_rows(), g.in_rows());
+            Ok(ServiceOutput::Scores(parallel::dcentr(pool, &out, &inc)))
         }
         Workload::Tc => {
             cancel.check()?;
-            Ok(ServiceOutput::Count(parallel::tc(pool, g.sym())))
+            Ok(ServiceOutput::Count(parallel::tc(pool, &g.sym_rows())))
         }
         Workload::GColor => {
             cancel.check()?;
-            Ok(ServiceOutput::Colors(parallel::gcolor(pool, g.sym())))
+            Ok(ServiceOutput::Colors(parallel::gcolor(pool, &g.sym_rows())))
         }
         other => Err(ServiceError::Unsupported(other)),
     }

@@ -75,13 +75,23 @@ cargo build "${CARGO_FLAGS[@]}" -p graphbig-bench --no-default-features
 echo "==> benchmark package (frozen surface: builds standalone, smoke-runs every workload)"
 benchmark/check.sh
 
-echo "==> overlay-native BFS (never folds the graph; within 2x of a BFS on the clean epoch)"
-grep -q '^fn run_shared_pass' crates/engine/src/exec.rs \
-  || { echo "run_shared_pass moved: point this gate at the BFS kernel step"; exit 1; }
-if sed -n '/^fn run_shared_pass/,/^}/p' crates/engine/src/exec.rs | grep -q 'materialized_for'; then
-  echo "run_shared_pass calls materialized_for: the BFS path must traverse the overlay view"
+echo "==> one read path (queries run on the live graph; only compaction folds; BFS within 2x of clean)"
+# The query-side fold, its memo and the epoch hook that cleared the memo are gone.
+if grep -rn 'materialized_for\|materialized:\|rebase_overlay' crates/engine/src; then
+  echo "the query-side fold is gone: kernels read base + overlay through OverlayView"
   exit 1
 fi
+if grep -n '\.fold(\|\.materialize(' crates/engine/src/exec.rs; then
+  echo "exec.rs folds the overlay: a query must run on the live graph (OverlayView)"
+  exit 1
+fi
+# Non-test code only: each file up to its first #[cfg(test)].
+for f in $(find crates/engine/src -name '*.rs' ! -name compact.rs); do
+  if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n '\.fold('; then
+    echo "$f calls .fold(: compaction (compact.rs) is the fold's one caller"
+    exit 1
+  fi
+done
 # Both figures come from one process and one pass of the script check.sh just built.
 "${CARGO_TARGET_DIR:-benchmark/target}/release/graphbig-benchmark" \
   --workload live_rw --seed 7 --quick --trace 1 | tail -n 1 > /tmp/live_rw_traced.json
@@ -94,14 +104,14 @@ sys.exit(overlay > 2 * clean)
 ' || { echo "a BFS over a live overlay took more than 2x a BFS on the clean epoch"; exit 1; }
 
 echo "==> row-patching fold (one fold, no edge-list rebuild; compaction under a quarter of live_rw)"
-# The fold is DeltaOverlay::materialize / ::fold and the patch_rows they call; the
-# edge-list build survives only as tests/common::reference_fold.
-grep -q 'pub fn materialize' crates/engine/src/delta.rs && grep -q '^fn patch_rows' crates/engine/src/delta.rs \
+# The fold is OverlayView::to_graph: the faces' row derivations written straight into
+# fresh arrays by patch_rows; the edge-list build survives only as tests/common::reference_fold.
+grep -q '^    fn to_graph' crates/engine/src/delta.rs && grep -q '^fn patch_rows' crates/engine/src/delta.rs \
   || { echo "the fold moved: point this gate at its body"; exit 1; }
-if { sed -n '/pub fn materialize/,/pub fn live_digest/p' crates/engine/src/delta.rs
+if { sed -n '/^    fn to_graph/,/^    }/p' crates/engine/src/delta.rs
      sed -n '/^fn patch_rows/,/^}/p' crates/engine/src/delta.rs
    } | grep -n 'from_edges\|ShardedGraph::build('; then
-  echo "DeltaOverlay::materialize rebuilds from an edge list: it must patch rows of the base CSRs"
+  echo "the fold rebuilds from an edge list: it must patch rows of the base CSRs"
   exit 1
 fi
 # A share of the traced run above, not a clock: 45.9 % when compaction rebuilt the graph.
