@@ -27,7 +27,7 @@ use graphbig::framework::csr::{BiCsr, Csr};
 use graphbig::prelude::*;
 use graphbig::runtime::CancelToken;
 use graphbig::telemetry::metrics::Registry;
-use graphbig::workloads::msbfs::{msbfs, msbfs_dir_opt};
+use graphbig::workloads::msbfs::msbfs_dir_opt;
 use graphbig::workloads::parallel;
 use graphbig_bench::timing::{black_box, timed, AllocRegime, Runner};
 
@@ -157,22 +157,14 @@ fn main() {
         }
     }
 
-    // The kernel in isolation: the same 64 sources, one at a time vs one
-    // 64-lane pass sharing every frontier expansion. Both directions: the
-    // push-only pair isolates the sharing, the dir-opt pair is the fight
-    // the engine actually stages (its sequential path is dir-opt too).
+    // The kernel in isolation: the same 64 sources, one direction-optimized
+    // run at a time vs one 64-lane pass sharing every frontier expansion —
+    // the fight the engine actually stages (its sequential path is
+    // direction-optimized too).
     let pool = ThreadPool::new(1);
-    let bi = BiCsr::directed(csr.clone());
+    let bi = BiCsr::directed(csr);
     let never = CancelToken::never();
     let sources: Vec<u32> = (0..64u32).map(|i| (i * 977) % (1 << 16)).collect();
-    r.bench("kernel/bfs64_sequential", || {
-        for &s in &sources {
-            black_box(parallel::bfs(&pool, &csr, s));
-        }
-    });
-    r.bench("kernel/bfs64_msbfs", || {
-        black_box(msbfs(&pool, &csr, &sources));
-    });
     r.bench("kernel/bfs64_dir_opt_sequential", || {
         for &s in &sources {
             black_box(parallel::bfs_dir_opt(&pool, &bi, s, &never).unwrap());

@@ -38,12 +38,14 @@
 //! cache entries; 0 disables), `--no-adaptive` (charge static cost
 //! estimates instead of feedback-corrected ones), `--aging-limit N`
 //! (dequeues a starving lower lane may be skipped before it is served
-//! first; 0 = strict priority), `--batch-max N` (requests coalesced into
-//! one shared-traversal batch; 1 disables) with `--batch-window-us N`
-//! (how long an executor holds a batch open for late joiners; 0 drains
-//! only what is already queued), `--slo <path>` (a [`SloSpec`] JSON file
-//! with per-class p99/p999 targets in microseconds; overrides the mix
-//! file's `slo` member). Targets are stamped onto every stats line and
+//! first; 0 = strict priority), `--batch-max N` (BFS requests coalesced
+//! into one shared multi-source pass; 1 disables) with
+//! `--batch-window-us N` (how long an executor holds a BFS group open for
+//! late joiners; 0 drains only what is already queued). Both are BFS
+//! only: point reads have no pass to share and never wait for a group.
+//! `--slo <path>` names a [`SloSpec`] JSON file with per-class p99/p999
+//! targets in microseconds; it overrides the mix file's `slo` member.
+//! Targets are stamped onto every stats line and
 //! checked against the exact end-of-run latencies — the verdict lands in
 //! the manifest as `slo.checked`/`slo.violations`, which
 //! `graphbig-report --check` gates on.

@@ -79,13 +79,16 @@ pub struct EngineConfig {
     /// the delta overlay into a freshly published epoch. 0 disables the
     /// compactor thread (compaction happens only via [`Engine::compact`]).
     pub compact_threshold: usize,
-    /// Maximum queued requests an executor coalesces into one shared batch
-    /// (BFS batches are additionally capped at the MS-BFS lane width, 64).
-    /// 0 or 1 disables coalescing entirely.
+    /// Maximum queued BFS requests an executor coalesces into one shared
+    /// multi-source pass, capped at the MS-BFS lane width (64). 0 or 1
+    /// disables coalescing. BFS only: point reads (`Degree` / `KHop`) run
+    /// inline in microseconds and have no pass to share, so they never
+    /// wait to form a group.
     pub batch_max: usize,
-    /// Microseconds an executor holds a freshly-dequeued batchable request
-    /// open for late joiners before running the batch. 0 (the default)
-    /// coalesces only what is already queued and never adds latency.
+    /// Microseconds an executor holds a freshly-dequeued BFS request open
+    /// for late BFS joiners before running the pass. 0 (the default)
+    /// coalesces only what is already queued and never adds latency. Never
+    /// applies to point reads or analytics, which always run alone.
     pub batch_window_us: u64,
 }
 

@@ -1,10 +1,10 @@
 //! The executor side: pop, form a group, dequeue it, run it.
 //!
 //! There is one path. An executor pops a leader under the lane-aging
-//! policy, [`form_batch`] drains whatever compatible jobs may ride with it
-//! (usually none — a solo job is a group of one), every member goes
-//! through [`crate::lifecycle::dequeue`], and [`run_group`] walks each
-//! member through the same guarded run:
+//! policy; when the leader is a BFS, [`form_batch`] drains the queued BFS
+//! requests that may ride with it (usually none — a solo job is a group of
+//! one). Every member goes through [`crate::lifecycle::dequeue`], and
+//! [`run_group`] walks each member through the same guarded run:
 //!
 //! `engine.run.pre` → cache probe → `engine.overlay.read` → **kernel** →
 //! cache insert (`engine.cache.insert`) → `engine.run.post` →
@@ -15,6 +15,14 @@
 //! multi-source pass; everyone else runs [`run_query_uncached`] alone. So a
 //! request's failpoint decisions, terminal status and cache footprint are
 //! the same whether or not the scheduler happened to coalesce it.
+//!
+//! BFS is the only kind that coalesces, because it is the only one with a
+//! pass to share: 64 traversals walk each adjacency list once instead of
+//! 64 times. A `Degree` / `KHop` runs inline in nanoseconds to
+//! microseconds. Grouping point reads could buy only access locality, and
+//! holding their group open for `batch_window_us` would make every one of
+//! them wait out the window.
+//!
 //! Over a live overlay every kernel runs on the live graph, an
 //! [`OverlayView`] of the pinned base; no query folds the graph.
 
@@ -27,7 +35,6 @@ use graphbig_telemetry::recorder::{self, EventKind};
 use graphbig_workloads::service::{self, ServiceError, ServiceOutput};
 use graphbig_workloads::{msbfs, Workload};
 
-use crate::batch::{self, BatchKind};
 use crate::compact::incremental_ccomp;
 use crate::delta::{DeltaOverlay, OverlayView};
 use crate::engine::{Query, QueryOutput, QueryStatus};
@@ -50,25 +57,15 @@ pub(crate) fn executor_loop(sh: &Shared) {
                 lanes = sh.available.wait(lanes).unwrap_or_else(|e| e.into_inner());
             }
         };
-        // Shared-traversal batching: coalesce compatible queued requests
-        // behind this one. Only on the live path — a draining engine sheds
+        // Shared-traversal batching: coalesce queued BFS requests behind a
+        // BFS leader. Only on the live path — a draining engine sheds
         // queries instead.
-        let opened = Instant::now();
-        let mates = if draining {
-            Vec::new()
-        } else {
+        let mates = if !draining && bfs_source(&leader.query).is_some() {
             form_batch(sh, &leader)
+        } else {
+            Vec::new()
         };
-        let leader_rid = (!mates.is_empty()).then(|| {
-            let size = 1 + mates.len() as u64;
-            sh.metrics.batch_size.record(size);
-            sh.metrics
-                .batch_coalesce_us
-                .record(opened.elapsed().as_micros() as u64);
-            let lane_idx = lane(leader.class) as u8;
-            recorder::record_lane(EventKind::BatchStart, lane_idx, leader.request_id, size);
-            leader.request_id
-        });
+        let leader_rid = (!mates.is_empty()).then_some(leader.request_id);
         let leader = dequeue(sh, leader, leader_rid, draining);
         let mates = mates
             .into_iter()
@@ -78,29 +75,37 @@ pub(crate) fn executor_loop(sh: &Shared) {
     }
 }
 
-/// Drain jobs compatible with `leader` from its lane (FIFO order
-/// preserved); empty when the leader is not batchable or coalescing is off
-/// (`batch_max <= 1`). Members must share the leader's batch kind and
-/// epoch, and the group stops growing if the live overlay's `(epoch,
-/// delta-seq)` moves mid-window — one group executes against exactly one
-/// graph state. With `batch_window_us == 0` this coalesces only what is
-/// already queued and never waits.
+/// The source of a BFS run, the one query kind that coalesces; `None` for
+/// every other query, which always runs alone.
+fn bfs_source(query: &Query) -> Option<u32> {
+    match *query {
+        Query::Run {
+            workload: Workload::Bfs,
+            source,
+        } => Some(source),
+        _ => None,
+    }
+}
+
+/// Drain the BFS jobs that may ride with the BFS `leader` from its lane
+/// (FIFO order preserved), up to `batch_max` members capped at the MS-BFS
+/// lane width; empty when coalescing is off (`batch_max <= 1`). A group is
+/// BFS on the leader's pinned epoch, and it stops growing if the live
+/// overlay's `(epoch, delta-seq)` moves mid-window. With
+/// `batch_window_us == 0` this coalesces only what is already queued and
+/// never waits. A group that formed is measured (`engine.batch.*`) and
+/// marked with the leader's `BatchStart`.
 fn form_batch(sh: &Shared, leader: &Job) -> Vec<Job> {
-    let kind = batch::kind_of(&leader.query);
-    let cap = match kind {
-        Some(BatchKind::Bfs) => sh.cfg.batch_max.min(msbfs::MSBFS_LANES),
-        Some(BatchKind::Point) => sh.cfg.batch_max,
-        None => 0,
-    };
+    let cap = sh.cfg.batch_max.min(msbfs::MSBFS_LANES);
     if cap <= 1 {
         return Vec::new();
     }
+    let opened = Instant::now();
     let epoch = leader.snapshot.epoch();
     let ov = sh.buffer.current();
     let state = (ov.epoch(), ov.seq());
     let lane_idx = lane(leader.class);
     let window = Duration::from_micros(sh.cfg.batch_window_us);
-    let opened = Instant::now();
     let mut mates: Vec<Job> = Vec::new();
     loop {
         {
@@ -112,7 +117,7 @@ fn form_batch(sh: &Shared, leader: &Job) -> Vec<Job> {
             let mut i = 0;
             while i < queue.len() && mates.len() + 1 < cap {
                 let compatible =
-                    batch::kind_of(&queue[i].query) == kind && queue[i].snapshot.epoch() == epoch;
+                    bfs_source(&queue[i].query).is_some() && queue[i].snapshot.epoch() == epoch;
                 if compatible {
                     mates.push(queue.remove(i).expect("index is in bounds"));
                 } else {
@@ -132,6 +137,19 @@ fn form_batch(sh: &Shared, leader: &Job) -> Vec<Job> {
             break; // a mutation moved the graph state: close the group
         }
         std::thread::sleep((window - elapsed).min(Duration::from_micros(50)));
+    }
+    if !mates.is_empty() {
+        let size = 1 + mates.len() as u64;
+        sh.metrics.batch_size.record(size);
+        sh.metrics
+            .batch_coalesce_us
+            .record(opened.elapsed().as_micros() as u64);
+        recorder::record_lane(
+            EventKind::BatchStart,
+            lane_idx as u8,
+            leader.request_id,
+            size,
+        );
     }
     mates
 }
@@ -156,23 +174,13 @@ enum Probe<'a> {
     Miss(Option<&'a DeltaOverlay>),
 }
 
-/// Run every member of a dequeued group — the leader and whatever mates
-/// were coalesced behind it, usually none — to its terminal status.
-/// Members share an epoch and a batch kind (a group of one trivially
-/// does). Point members run in ascending vertex order — shards are
-/// contiguous ascending vertex ranges, so that is also shard order — and a
-/// sweep walks each shard's slice of the CSR once instead of hopping
-/// between shards per request; the win is pure access locality, every
-/// result is identical to running that member alone.
-pub(crate) fn run_group(sh: &Shared, leader: Pending, mut mates: Vec<Pending>) {
+/// Run every member of a dequeued group — the leader and whatever BFS
+/// mates were coalesced behind it, usually none — to its terminal status.
+/// The graph state is sampled once here: every member reads that one
+/// `(epoch, delta-seq)` and caches under it.
+pub(crate) fn run_group(sh: &Shared, leader: Pending, mates: Vec<Pending>) {
     let epoch = leader.job.snapshot.epoch();
-    let shares_pass = batch::kind_of(&leader.job.query) == Some(BatchKind::Bfs);
-    let mut leader = Some(leader);
-    if !mates.is_empty() && !shares_pass {
-        // The leader sorts with its mates, so it joins them in the `Vec`.
-        mates.insert(0, leader.take().expect("leader not yet moved"));
-        mates.sort_by_key(|p| batch::point_vertex(&p.job.query));
-    }
+    let shares_pass = bfs_source(&leader.job.query).is_some();
     let ov = sh.buffer.current();
     let key = (ov.epoch() == epoch).then(|| (epoch, ov.seq()));
     let view = View {
@@ -181,7 +189,7 @@ pub(crate) fn run_group(sh: &Shared, leader: Pending, mut mates: Vec<Pending>) {
     };
     // BFS members waiting for the shared pass (never allocated otherwise).
     let mut pass: Vec<Pending> = Vec::new();
-    for mut p in leader.into_iter().chain(mates) {
+    for mut p in std::iter::once(leader).chain(mates) {
         let started = Instant::now();
         // One panic guard around everything this member runs on its own. A
         // panic — injected via `engine.run.pre` / `engine.run.post` /
@@ -245,7 +253,7 @@ fn run_shared_pass(sh: &Shared, pass: Vec<Pending>, view: &View<'_>) {
     }
     let sources: Vec<u32> = pass
         .iter()
-        .map(|p| batch::point_vertex(&p.job.query))
+        .map(|p| bfs_source(&p.job.query).expect("only a BFS rides the pass"))
         .collect();
     let tokens: Vec<&CancelToken> = pass.iter().map(|p| &p.job.token).collect();
     let started = Instant::now();
@@ -430,9 +438,27 @@ fn run_overlay_service(
 
 #[cfg(test)]
 mod tests {
+    use super::bfs_source;
     use crate::engine::tests::{csr, manual_compaction_cfg, quiet_cfg};
     use crate::{Engine, EngineConfig, Mutation, Query, QueryOutput, QueryStatus};
     use graphbig_telemetry::metrics::{MetricValue, Registry};
+    use graphbig_workloads::Workload;
+
+    #[test]
+    fn only_bfs_runs_have_a_bfs_source() {
+        let run = |workload| Query::Run {
+            workload,
+            source: 3,
+        };
+        assert_eq!(bfs_source(&run(Workload::Bfs)), Some(3));
+        // Point lookups run inline and whole-graph kernels gain nothing
+        // from source coalescing: neither ever forms a group.
+        assert_eq!(bfs_source(&Query::Degree { vertex: 3 }), None);
+        assert_eq!(bfs_source(&Query::KHop { source: 3, hops: 2 }), None);
+        for w in Workload::ALL.into_iter().filter(|&w| w != Workload::Bfs) {
+            assert_eq!(bfs_source(&run(w)), None, "{w}");
+        }
+    }
 
     #[test]
     fn cache_serves_identical_results_and_publish_invalidates() {

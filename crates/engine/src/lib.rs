@@ -29,8 +29,8 @@
 //!   kernel pool, cooperative deadlines/cancellation, per-class latency
 //!   metrics in the telemetry registry. Behind it, one request path:
 //!   `lifecycle` (admit, dequeue, finish — each stage written once),
-//!   `exec` (executor loop, group formation, the guarded run; a solo job
-//!   is a group of one) and `compact` (folding the overlay).
+//!   `exec` (executor loop, BFS group formation, the guarded run; a solo
+//!   job is a group of one) and `compact` (folding the overlay).
 //! - [`traffic`]: seeded multi-tenant request mixes, the closed-loop
 //!   driver behind the `graphbig-serve` binary and `benches/engine.rs`,
 //!   and the sequential oracle that cross-checks every concurrent result.
@@ -58,7 +58,6 @@ extern crate self as graphbig_engine;
 mod test_common;
 
 pub mod admission;
-mod batch;
 pub mod cache;
 mod compact;
 pub mod delta;

@@ -32,6 +32,7 @@ use graphbig_workloads::service::{self, ServiceError};
 use graphbig_workloads::{CostClass, Workload};
 
 use crate::engine::{Engine, Query, QueryOutput, QueryResponse, QueryStatus};
+use crate::lifecycle::{lane, WRITE_LANE};
 use crate::shard::ShardedGraph;
 use crate::slo::SloSpec;
 
@@ -677,7 +678,6 @@ fn drive_mix(engine: &Engine, spec: &MixSpec, plan: &FaultPlan) -> TrafficReport
     let mut missed = [0u64; 4];
     let mut cancelled = [0u64; 4];
     let mut failed = [0u64; 4];
-    const WRITE_LANE: usize = 3;
     for (i, outcome) in &outcomes {
         match outcome {
             Outcome::Rejected(crate::admission::RejectReason::QueueFull { .. }) => {
@@ -693,10 +693,7 @@ fn drive_mix(engine: &Engine, spec: &MixSpec, plan: &FaultPlan) -> TrafficReport
             }
             Outcome::Response(r, digest) => {
                 admitted += 1;
-                let lane = CostClass::ALL
-                    .iter()
-                    .position(|c| *c == r.class)
-                    .expect("known class");
+                let lane = lane(r.class);
                 match &r.status {
                     QueryStatus::Completed(_) => {
                         completed[lane] += 1;

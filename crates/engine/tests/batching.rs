@@ -5,26 +5,32 @@
 //! same request run alone. These tests pin that contract at both layers:
 //!
 //! * **Kernel**: for seeded random graphs and source sets, every lane of
-//!   [`msbfs`] is bit-identical to the [`parallel::bfs`] per-source
-//!   oracle — including duplicate sources, out-of-range sources, and the
-//!   boundary batch sizes 1, 63, 64, and 65 (the last straddling two
+//!   [`msbfs_dir_opt`] is bit-identical to the [`parallel::bfs`]
+//!   per-source oracle — including duplicate sources, out-of-range
+//!   sources, and the boundary batch sizes 1, 15, 16 (both sides of the
+//!   shared-pass crossover), 63, 64, and 65 (the last straddling two
 //!   passes).
 //! * **Engine**: a queued BFS storm through the coalescing executor path
 //!   fans results back to individual tickets whose digests match a
 //!   sequential [`service::run_service`] replay, while the flight
 //!   recorder shows the `BatchStart`/`BatchJoin` lifecycle and the
-//!   `engine.batch.*` metrics land in the registry.
+//!   `engine.batch.*` metrics land in the registry. Point reads never
+//!   coalesce, however long the window.
+
+use std::time::{Duration, Instant};
 
 use graphbig_datagen::prop::{self, Config};
 use graphbig_datagen::rng::Rng;
 use graphbig_datagen::Dataset;
 use graphbig_engine::traffic::sequential_digests;
 use graphbig_engine::{Engine, EngineConfig, Mutation, Query, QueryOutput, QueryStatus, Ticket};
-use graphbig_framework::csr::Csr;
+use graphbig_framework::csr::{BiCsr, Csr};
 use graphbig_runtime::{CancelToken, ThreadPool};
 use graphbig_telemetry::metrics::Registry;
 use graphbig_telemetry::recorder::{self, EventKind};
-use graphbig_workloads::msbfs::{msbfs, MSBFS_LANES};
+use graphbig_workloads::msbfs::{
+    msbfs_dir_opt, msbfs_dir_opt_cancellable, MIN_SHARED_LANES, MSBFS_LANES,
+};
 use graphbig_workloads::service::{self, ServiceOutput};
 use graphbig_workloads::{parallel, Workload};
 
@@ -64,7 +70,11 @@ fn every_lane_of_a_batched_pass_matches_the_sequential_oracle() {
             let mut rng = Rng::seed_from_u64(seed);
             let (n, edges) = random_edges(&mut rng);
             let csr = Csr::from_edges(n, &edges);
-            let lanes = 1 + rng.u64_below(MSBFS_LANES as u64) as usize;
+            let bi = BiCsr::directed(csr.clone());
+            // Wide enough to ride the shared pass, not the per-source
+            // fallback.
+            let lanes = MIN_SHARED_LANES
+                + rng.u64_below((MSBFS_LANES - MIN_SHARED_LANES + 1) as u64) as usize;
             let sources: Vec<u32> = (0..lanes)
                 .map(|_| {
                     // ~1 in 8 sources lands out of range; in-range draws
@@ -76,16 +86,8 @@ fn every_lane_of_a_batched_pass_matches_the_sequential_oracle() {
                     }
                 })
                 .collect();
-            let batched = msbfs(&pool, &csr, &sources);
+            let batched = msbfs_dir_opt(&pool, &bi, &sources);
             assert_eq!(batched.len(), sources.len());
-            // The direction-optimized pass (what the engine runs) must be
-            // bit-identical to the push-only pass on every lane.
-            let bi = graphbig_framework::csr::BiCsr::directed(csr.clone());
-            assert_eq!(
-                graphbig_workloads::msbfs::msbfs_dir_opt(&pool, &bi, &sources),
-                batched,
-                "pull phase perturbed a lane"
-            );
             for (l, &s) in sources.iter().enumerate() {
                 let (solo, _) = parallel::bfs(&pool, &csr, s);
                 assert_eq!(
@@ -104,15 +106,17 @@ fn boundary_batch_sizes_match_the_oracle() {
     let pool = ThreadPool::new(2);
     let n = 300u32;
     let csr = Csr::from_graph(&Dataset::Ldbc.generate_with_vertices(n as usize));
-    // 1 = degenerate batch, 63/64 = the lane-width boundary, 65 = two
-    // passes. Sources spread over 0..320 so a few are out of range; an
-    // explicit duplicate rides every batch big enough to hold one.
-    for lanes in [1usize, 63, 64, 65] {
+    let bi = BiCsr::directed(csr.clone());
+    // 1 = degenerate batch, 15/16 = the shared-pass crossover, 63/64 = the
+    // lane-width boundary, 65 = two passes. Sources spread over 0..320 so a
+    // few are out of range; an explicit duplicate rides every batch big
+    // enough to hold one.
+    for lanes in [1usize, MIN_SHARED_LANES - 1, MIN_SHARED_LANES, 63, 64, 65] {
         let mut sources: Vec<u32> = (0..lanes).map(|i| (i as u32 * 97 + 250) % 320).collect();
         if lanes >= 4 {
             sources[3] = sources[0];
         }
-        let batched = msbfs(&pool, &csr, &sources);
+        let batched = msbfs_dir_opt(&pool, &bi, &sources);
         for (l, &s) in sources.iter().enumerate() {
             let (solo, _) = parallel::bfs(&pool, &csr, s);
             if s >= n {
@@ -133,15 +137,15 @@ fn boundary_batch_sizes_match_the_oracle() {
 
 #[test]
 fn cancelling_one_lane_mid_pass_leaves_every_other_lane_exact() {
-    use graphbig_workloads::msbfs::msbfs_cancellable;
     let pool = ThreadPool::new(2);
     let csr = Csr::from_graph(&Dataset::Ldbc.generate_with_vertices(500));
-    let sources: Vec<u32> = (0..16u32).map(|i| i * 29 % 500).collect();
+    let bi = BiCsr::directed(csr.clone());
+    let sources: Vec<u32> = (0..MIN_SHARED_LANES as u32).map(|i| i * 29 % 500).collect();
     let tokens: Vec<CancelToken> = sources.iter().map(|_| CancelToken::new()).collect();
     tokens[5].cancel();
     tokens[11].cancel();
     let refs: Vec<&CancelToken> = tokens.iter().collect();
-    let out = msbfs_cancellable(&pool, &csr, &sources, &refs);
+    let out = msbfs_dir_opt_cancellable(&pool, &bi, &sources, &refs);
     for (l, &s) in sources.iter().enumerate() {
         if l == 5 || l == 11 {
             assert!(out[l].is_err(), "fired lane {l} must retire cancelled");
@@ -358,5 +362,71 @@ fn batch_max_one_disables_coalescing() {
         reg.histogram("engine.batch.size").snapshot().count,
         0,
         "batching disabled yet a batch formed"
+    );
+}
+
+/// Point reads never coalesce. Eight `Degree` / `KHop` reads queue behind a
+/// stalled executor on an engine whose batch window is two seconds: each
+/// runs alone as soon as the executor frees up, none waits out the window,
+/// and no group is ever measured.
+#[test]
+fn queued_point_reads_run_alone_and_never_wait_out_the_window() {
+    const WINDOW_US: u64 = 2_000_000;
+    let reg = Registry::new();
+    let csr = Csr::from_graph(&Dataset::Ldbc.generate_with_vertices(2000));
+    let engine = Engine::with_registry(
+        EngineConfig {
+            executors: 1,
+            pool_threads: 2,
+            cache_capacity: 0,
+            batch_window_us: WINDOW_US,
+            ..EngineConfig::default()
+        },
+        csr,
+        &reg,
+    );
+    // Park the single executor behind a heavy analytics query so every
+    // read below is still queued when it frees up.
+    let blocker = engine
+        .submit(Query::Run {
+            workload: Workload::KCore,
+            source: 0,
+        })
+        .expect("stall query admitted");
+    let queries: Vec<Query> = (0..8u32)
+        .map(|i| match i % 2 {
+            0 => Query::Degree {
+                vertex: i * 211 % 2000,
+            },
+            _ => Query::KHop {
+                source: i * 211 % 2000,
+                hops: 2,
+            },
+        })
+        .collect();
+    let tickets: Vec<Ticket> = queries
+        .iter()
+        .map(|&q| engine.submit(q).expect("admitted"))
+        .collect();
+    let _ = blocker.wait();
+    let released = Instant::now();
+    let digests: Vec<Option<u64>> = tickets
+        .into_iter()
+        .map(|t| match t.wait().status {
+            QueryStatus::Completed(output) => Some(output.digest()),
+            _ => None,
+        })
+        .collect();
+    let waited = released.elapsed();
+    let oracle = sequential_digests(engine.store().snapshot().graph(), engine.pool(), &queries);
+    assert_eq!(digests, oracle, "point reads diverged from the oracle");
+    assert_eq!(
+        reg.histogram("engine.batch.size").snapshot().count,
+        0,
+        "point reads formed a group"
+    );
+    assert!(
+        waited < Duration::from_micros(WINDOW_US / 4),
+        "queued point reads took {waited:?} to resolve: they waited for a group"
     );
 }

@@ -24,7 +24,7 @@
 
 use std::sync::atomic::{AtomicI32, AtomicU16, AtomicU64, Ordering};
 
-use graphbig_framework::csr::{Adjacency, BiCsr, InAdjacency};
+use graphbig_framework::csr::{Adjacency, InAdjacency};
 use graphbig_runtime::frontier::ChunkedSink;
 use graphbig_runtime::{parfor, CancelToken, Cancelled, ThreadPool};
 
@@ -54,8 +54,9 @@ const ALPHA: u64 = 4;
 /// step costs roughly one full in-edge sweep per level *regardless* of
 /// lane count, so a thin batch pays nearly the 64-lane price to answer a
 /// handful of requests. Measured on LDBC-16k the shared pass overtakes
-/// per-source runs somewhere around a dozen lanes; 16 keeps a margin.
-const MIN_SHARED_LANES: usize = 16;
+/// per-source runs somewhere around a dozen lanes; 16 keeps a margin. A
+/// narrower batch never reaches the shared pass.
+pub const MIN_SHARED_LANES: usize = 16;
 
 /// One shared top-down expansion over all live lanes. For each frontier
 /// vertex `u` with visit mask `m`, each out-neighbor `v` adopts the lanes
@@ -192,8 +193,16 @@ fn ms_pull_step<C: LevelCell, G: InAdjacency>(
     produced.into_inner()
 }
 
-/// Batched BFS from up to [`MSBFS_LANES`] sources in one shared pass, with
-/// per-lane cooperative cancellation.
+/// Batched, direction-optimized BFS from up to [`MSBFS_LANES`] sources in
+/// one shared pass, with per-lane cooperative cancellation.
+///
+/// Level by level the pass picks the top-down step or — once the union
+/// frontier's out-edges pass the ALPHA threshold — the bottom-up step over
+/// `g`'s in-edges. Levels are shortest hop distances either way, so
+/// per-lane output is bit-identical to the single-source kernels; the pull
+/// phase only changes how fast the pass gets there. Fewer than
+/// [`MIN_SHARED_LANES`] sources run one by one through
+/// [`crate::parallel::bfs_dir_opt`] instead, with the same output.
 ///
 /// Returns one result per source, index-aligned: `Ok(levels)` with `-1`
 /// for unreached vertices, `Ok(Vec::new())` for an out-of-range source
@@ -205,23 +214,6 @@ fn ms_pull_step<C: LevelCell, G: InAdjacency>(
 ///
 /// # Panics
 /// If `sources.len() > MSBFS_LANES` or `cancels.len() != sources.len()`.
-pub fn msbfs_cancellable<G: Adjacency>(
-    pool: &ThreadPool,
-    g: &G,
-    sources: &[u32],
-    cancels: &[&CancelToken],
-) -> Vec<Result<Vec<i64>, Cancelled>> {
-    // Push-only: no in-view, so its type is never used — any will do.
-    drive(pool, g, None::<&BiCsr>, sources, cancels)
-}
-
-/// Direction-optimized [`msbfs_cancellable`]: level by level the pass
-/// picks the top-down step or — once the union frontier's out-edges pass
-/// the ALPHA threshold — the bottom-up step over `g`'s in-edges. Levels
-/// are shortest hop distances either way, so per-lane output is still
-/// bit-identical to the single-source oracle; the pull phase only changes
-/// how fast the pass gets there. This is the variant the engine's batcher
-/// runs, because its sequential comparator is itself direction-optimized.
 pub fn msbfs_dir_opt_cancellable<G: InAdjacency>(
     pool: &ThreadPool,
     g: &G,
@@ -244,22 +236,20 @@ pub fn msbfs_dir_opt_cancellable<G: InAdjacency>(
             })
             .collect();
     }
-    drive(pool, g, Some(g), sources, cancels)
+    drive(pool, g, sources, cancels)
 }
 
-/// One pass over `out`, pulling over `inc` (the same graph's in-view) on the
-/// levels where that is cheaper; `None` keeps every level top-down.
-fn drive<G: Adjacency, I: InAdjacency>(
+/// One shared pass over `g`, pulling over its in-edges on the levels where
+/// that is cheaper.
+fn drive<G: InAdjacency>(
     pool: &ThreadPool,
-    out: &G,
-    inc: Option<&I>,
+    g: &G,
     sources: &[u32],
     cancels: &[&CancelToken],
 ) -> Vec<Result<Vec<i64>, Cancelled>> {
     let lanes = sources.len();
     assert!(lanes <= MSBFS_LANES, "at most {MSBFS_LANES} lanes per pass");
-    assert_eq!(lanes, cancels.len(), "one token per lane");
-    let n = out.num_vertices();
+    let n = g.num_vertices();
     let mut active = 0u64;
     for (l, &s) in sources.iter().enumerate() {
         if (s as usize) < n {
@@ -282,11 +272,11 @@ fn drive<G: Adjacency, I: InAdjacency>(
         // — a 2x cost paid only on path-shaped graphs no serving mix
         // resembles.
         if let Some(results) =
-            drive_in::<AtomicU16, G, I>(scratch, pool, out, inc, sources, cancels, lanes, n, active)
+            drive_in::<AtomicU16, G>(scratch, pool, g, sources, cancels, lanes, n, active)
         {
             return results;
         }
-        drive_in::<AtomicI32, G, I>(scratch, pool, out, inc, sources, cancels, lanes, n, active)
+        drive_in::<AtomicI32, G>(scratch, pool, g, sources, cancels, lanes, n, active)
             .expect("i32 marks outlast any BFS depth")
     })
 }
@@ -420,11 +410,10 @@ thread_local! {
 }
 
 #[allow(clippy::too_many_arguments)]
-fn drive_in<C: LevelCell, G: Adjacency, I: InAdjacency>(
+fn drive_in<C: LevelCell, G: InAdjacency>(
     scratch: &mut Scratch,
     pool: &ThreadPool,
-    out: &G,
-    inc: Option<&I>,
+    g: &G,
     sources: &[u32],
     cancels: &[&CancelToken],
     lanes: usize,
@@ -481,18 +470,17 @@ fn drive_in<C: LevelCell, G: Adjacency, I: InAdjacency>(
             }
             // Direction choice, per level: pull once the union frontier's
             // out-edges pass the ALPHA fraction of all edges.
-            let pull = inc.filter(|_| {
-                let scout: u64 = frontier.iter().map(|&u| out.out_degree(u) as u64).sum();
-                scout > out.num_edges() as u64 / ALPHA
-            });
-            let produced = match pull {
-                Some(inc) => ms_pull_step(
-                    pool, inc, active, seen, visit, visit_next, levels, n, lanes, level,
-                ),
-                None => ms_step(
-                    pool, out, active, seen, visit, visit_next, levels, lanes, &frontier, level,
+            let scout: u64 = frontier.iter().map(|&u| g.out_degree(u) as u64).sum();
+            let pull = scout > g.num_edges() as u64 / ALPHA;
+            let produced = if pull {
+                ms_pull_step(
+                    pool, g, active, seen, visit, visit_next, levels, n, lanes, level,
+                )
+            } else {
+                ms_step(
+                    pool, g, active, seen, visit, visit_next, levels, lanes, &frontier, level,
                     &sink, &mut next,
-                ),
+                )
             };
             // Lanes with no discoveries this level have drained: early exit.
             active &= produced;
@@ -500,7 +488,7 @@ fn drive_in<C: LevelCell, G: Adjacency, I: InAdjacency>(
             parfor::parallel_for(pool, 0..old.len(), 4096, |i| {
                 visit[old[i] as usize].store(0, Ordering::Relaxed);
             });
-            if pull.is_some() {
+            if pull {
                 // The pull step discovers by owner, not by frontier scan:
                 // rebuild the sparse frontier from the non-zero visit words.
                 next.clear();
@@ -588,24 +576,9 @@ fn drive_in<C: LevelCell, G: Adjacency, I: InAdjacency>(
     )
 }
 
-/// Batched BFS over any number of sources: chunks into passes of
-/// [`MSBFS_LANES`] lanes, no cancellation. Returns per-source levels,
-/// index-aligned with `sources`.
-pub fn msbfs<G: Adjacency>(pool: &ThreadPool, g: &G, sources: &[u32]) -> Vec<Vec<i64>> {
-    let never = CancelToken::never();
-    sources
-        .chunks(MSBFS_LANES)
-        .flat_map(|chunk| {
-            let cancels: Vec<&CancelToken> = chunk.iter().map(|_| &never).collect();
-            msbfs_cancellable(pool, g, chunk, &cancels)
-                .into_iter()
-                .map(|r| r.expect("never token cannot cancel"))
-        })
-        .collect()
-}
-
-/// Direction-optimized [`msbfs`]: any number of sources, chunked into
-/// 64-lane passes, no cancellation.
+/// Batched, direction-optimized BFS over any number of sources: chunks into
+/// passes of [`MSBFS_LANES`] lanes, no cancellation. Returns per-source
+/// levels, index-aligned with `sources`.
 pub fn msbfs_dir_opt<G: InAdjacency>(pool: &ThreadPool, g: &G, sources: &[u32]) -> Vec<Vec<i64>> {
     let never = CancelToken::never();
     sources
@@ -624,19 +597,26 @@ mod tests {
     use super::*;
     use crate::parallel;
     use graphbig_datagen::Dataset;
-    use graphbig_framework::csr::Csr;
+    use graphbig_framework::csr::{BiCsr, Csr};
 
-    fn csr(n: usize) -> Csr {
-        Csr::from_graph(&Dataset::Ldbc.generate_with_vertices(n))
+    fn graph(n: usize) -> BiCsr {
+        BiCsr::directed(Csr::from_graph(&Dataset::Ldbc.generate_with_vertices(n)))
+    }
+
+    /// `lanes` sources spread over `0..n`: enough of them to ride the shared
+    /// pass rather than the per-source fallback.
+    fn spread(lanes: usize, n: u32) -> Vec<u32> {
+        (0..lanes as u32).map(|i| i * 37 % n).collect()
     }
 
     #[test]
     fn every_lane_matches_single_source_bfs() {
-        let g = csr(300);
+        let g = graph(300);
         let pool = ThreadPool::new(4);
-        // Duplicates and an unreachable-ish high vertex included.
+        // Duplicates and an unreachable-ish high vertex included; 70 lanes
+        // are one 64-lane shared pass plus a 6-lane per-source remainder.
         let sources: Vec<u32> = (0..70u32).map(|i| (i * 13) % 300).collect();
-        let batched = msbfs(&pool, &g, &sources);
+        let batched = msbfs_dir_opt(&pool, &g, &sources);
         assert_eq!(batched.len(), sources.len());
         for (l, &s) in sources.iter().enumerate() {
             let (solo, _) = parallel::bfs(&pool, &g, s);
@@ -646,57 +626,67 @@ mod tests {
 
     #[test]
     fn duplicate_sources_produce_identical_lanes() {
-        let g = csr(120);
+        let g = graph(120);
         let pool = ThreadPool::new(2);
-        let out = msbfs(&pool, &g, &[7, 7, 7]);
-        assert_eq!(out[0], out[1]);
-        assert_eq!(out[1], out[2]);
+        let out = msbfs_dir_opt(&pool, &g, &[7; MIN_SHARED_LANES]);
+        assert!(out.iter().all(|lane| *lane == out[0]));
+        assert_eq!(out[0], parallel::bfs(&pool, &g, 7).0);
     }
 
     #[test]
     fn out_of_range_sources_return_empty_like_single_source() {
-        let g = csr(50);
+        let g = graph(50);
         let pool = ThreadPool::new(2);
-        let out = msbfs(&pool, &g, &[0, 999, 3]);
-        assert_eq!(out[0], parallel::bfs(&pool, &g, 0).0);
+        let mut sources = spread(MIN_SHARED_LANES, 50);
+        sources[1] = 999;
+        let out = msbfs_dir_opt(&pool, &g, &sources);
         assert!(out[1].is_empty(), "matches parallel::bfs's contract");
-        assert_eq!(out[2], parallel::bfs(&pool, &g, 3).0);
+        for (l, &s) in sources.iter().enumerate().filter(|&(l, _)| l != 1) {
+            assert_eq!(out[l], parallel::bfs(&pool, &g, s).0, "lane {l}");
+        }
     }
 
     #[test]
     fn cancelling_one_lane_leaves_the_others_bit_identical() {
-        let g = csr(400);
+        let g = graph(400);
         let pool = ThreadPool::new(2);
         let live = CancelToken::new();
         let dead = CancelToken::new();
         dead.cancel();
-        let out = msbfs_cancellable(&pool, &g, &[1, 2, 3], &[&live, &dead, &live]);
+        let sources = spread(MIN_SHARED_LANES, 400);
+        let mut tokens = vec![&live; MIN_SHARED_LANES];
+        tokens[1] = &dead;
+        let out = msbfs_dir_opt_cancellable(&pool, &g, &sources, &tokens);
         assert!(out[1].is_err(), "fired lane retires with Cancelled");
-        assert_eq!(out[0].as_ref().unwrap(), &parallel::bfs(&pool, &g, 1).0);
-        assert_eq!(out[2].as_ref().unwrap(), &parallel::bfs(&pool, &g, 3).0);
+        for (l, &s) in sources.iter().enumerate().filter(|&(l, _)| l != 1) {
+            let lane = out[l].as_ref().unwrap();
+            assert_eq!(lane, &parallel::bfs(&pool, &g, s).0, "lane {l}");
+        }
     }
 
     #[test]
     fn lane_results_are_thread_count_independent() {
-        let g = csr(250);
+        let g = graph(250);
         let sources: Vec<u32> = (0..64u32).map(|i| i * 3 % 250).collect();
-        let one = msbfs(&ThreadPool::new(1), &g, &sources);
-        let four = msbfs(&ThreadPool::new(4), &g, &sources);
+        let one = msbfs_dir_opt(&ThreadPool::new(1), &g, &sources);
+        let four = msbfs_dir_opt(&ThreadPool::new(4), &g, &sources);
         assert_eq!(one, four);
     }
 
+    /// The push-only pass is the single-source top-down kernel
+    /// ([`parallel::bfs`]): a lane that went through the pull phase must
+    /// still equal it, and the direction-optimized kernel, bit for bit.
     #[test]
     fn direction_optimized_lanes_match_the_push_only_pass_exactly() {
-        let g = csr(400);
-        let bi = BiCsr::directed(g.clone());
+        let g = graph(400);
         let pool = ThreadPool::new(4);
         // 64 dense lanes force the ALPHA switch into the pull phase.
         let sources: Vec<u32> = (0..64u32).map(|i| (i * 7) % 400).collect();
-        let push = msbfs(&pool, &g, &sources);
-        let pull = msbfs_dir_opt(&pool, &bi, &sources);
-        assert_eq!(push, pull, "pull phase changed a lane's levels");
+        let pull = msbfs_dir_opt(&pool, &g, &sources);
         for (l, &s) in sources.iter().enumerate() {
-            let (solo, _, _) = parallel::bfs_dir_opt(&pool, &bi, s, &CancelToken::never()).unwrap();
+            let (push, _) = parallel::bfs(&pool, &g, s);
+            assert_eq!(pull[l], push, "pull phase changed lane {l} (source {s})");
+            let (solo, _, _) = parallel::bfs_dir_opt(&pool, &g, s, &CancelToken::never()).unwrap();
             assert_eq!(pull[l], solo, "lane {l} (source {s}) diverged");
         }
     }
@@ -705,13 +695,17 @@ mod tests {
     fn depth_past_u16_marks_reruns_wide_and_stays_exact() {
         // A directed chain deeper than a u16 mark can hold: the optimistic
         // narrow pass must abandon at the overflow boundary and the wide
-        // rerun must still produce exact levels end to end.
+        // rerun must still produce exact levels end to end. The batch is
+        // wide enough to ride the shared pass; a narrower one would run
+        // per source and never reach the narrow cells.
         let n = (u16::MAX as usize) + 70;
         let edges: Vec<(u32, u32, f32)> = (0..n as u32 - 1).map(|i| (i, i + 1, 1.0)).collect();
-        let g = Csr::from_edges(n, &edges);
+        let g = BiCsr::directed(Csr::from_edges(n, &edges));
         let pool = ThreadPool::new(1);
-        let out = msbfs(&pool, &g, &[0, 40]);
-        for (lane, s) in [(0usize, 0i64), (1, 40)] {
+        let sources: Vec<u32> = (0..MIN_SHARED_LANES as u32).map(|l| l * 40).collect();
+        let out = msbfs_dir_opt(&pool, &g, &sources);
+        for (lane, &s) in sources.iter().enumerate() {
+            let s = i64::from(s);
             let expect: Vec<i64> = (0..n as i64)
                 .map(|v| if v < s { -1 } else { v - s })
                 .collect();
@@ -719,15 +713,17 @@ mod tests {
         }
     }
 
+    /// Below [`MIN_SHARED_LANES`] the pass runs each source on its own; that
+    /// fallback keeps the same contract: an out-of-range lane is empty, a
+    /// fired lane is `Cancelled`, a live lane equals the push kernel.
     #[test]
     fn direction_optimized_pass_cancels_and_skips_like_the_push_pass() {
-        let g = csr(300);
-        let bi = BiCsr::directed(g.clone());
+        let g = graph(300);
         let pool = ThreadPool::new(2);
         let live = CancelToken::new();
         let dead = CancelToken::new();
         dead.cancel();
-        let out = msbfs_dir_opt_cancellable(&pool, &bi, &[5, 900, 8], &[&live, &live, &dead]);
+        let out = msbfs_dir_opt_cancellable(&pool, &g, &[5, 900, 8], &[&live, &live, &dead]);
         assert!(out[1].as_ref().unwrap().is_empty(), "out-of-range lane");
         assert!(out[2].is_err(), "fired lane retires with Cancelled");
         assert_eq!(out[0].as_ref().unwrap(), &parallel::bfs(&pool, &g, 5).0);

@@ -18,7 +18,7 @@
 
 use graphbig_datagen::prop::{self, Config};
 use graphbig_datagen::rng::Rng;
-use graphbig_framework::csr::Csr;
+use graphbig_framework::csr::{BiCsr, Csr};
 use graphbig_runtime::{CancelToken, ThreadPool};
 use graphbig_workloads::service::{run_service, ServiceGraph, ServiceOutput};
 use graphbig_workloads::Workload;
@@ -55,6 +55,13 @@ fn random_edges(rng: &mut Rng) -> (usize, Vec<(u32, u32, f32)>) {
         edges.push((u, v, w));
     }
     (n, edges)
+}
+
+/// A batch width that rides the shared MS-BFS pass rather than its
+/// per-source fallback.
+fn shared_pass_lanes(rng: &mut Rng) -> usize {
+    use graphbig_workloads::msbfs::{MIN_SHARED_LANES, MSBFS_LANES};
+    MIN_SHARED_LANES + rng.u64_below((MSBFS_LANES - MIN_SHARED_LANES + 1) as u64) as usize
 }
 
 fn run(pool: &ThreadPool, g: &ServiceGraph, w: Workload, source: u32) -> ServiceOutput {
@@ -177,7 +184,7 @@ fn vertex_relabeling_permutes_every_output() {
 /// so batching cannot smuggle in an order dependence of its own.
 #[test]
 fn edge_order_shuffle_leaves_batched_lane_digests_bit_identical() {
-    use graphbig_workloads::msbfs::{msbfs, MSBFS_LANES};
+    use graphbig_workloads::msbfs::msbfs_dir_opt;
     let pool = ThreadPool::new(2);
     prop::check(
         "batched_edge_order_shuffle",
@@ -186,14 +193,14 @@ fn edge_order_shuffle_leaves_batched_lane_digests_bit_identical() {
         |&seed: &u64| {
             let mut rng = Rng::seed_from_u64(seed);
             let (n, edges) = random_edges(&mut rng);
-            let base = Csr::from_edges(n, &edges);
+            let base = BiCsr::directed(Csr::from_edges(n, &edges));
             let mut shuffled_edges = edges.clone();
             rng.shuffle(&mut shuffled_edges);
-            let shuffled = Csr::from_edges(n, &shuffled_edges);
-            let lanes = 1 + rng.u64_below(MSBFS_LANES as u64) as usize;
+            let shuffled = BiCsr::directed(Csr::from_edges(n, &shuffled_edges));
+            let lanes = shared_pass_lanes(&mut rng);
             let sources: Vec<u32> = (0..lanes).map(|_| rng.u64_below(n as u64) as u32).collect();
-            let a = msbfs(&pool, &base, &sources);
-            let b = msbfs(&pool, &shuffled, &sources);
+            let a = msbfs_dir_opt(&pool, &base, &sources);
+            let b = msbfs_dir_opt(&pool, &shuffled, &sources);
             for (l, &s) in sources.iter().enumerate() {
                 let da = ServiceOutput::Levels(a[l].clone()).digest();
                 let db = ServiceOutput::Levels(b[l].clone()).digest();
@@ -217,7 +224,7 @@ fn edge_order_shuffle_leaves_batched_lane_digests_bit_identical() {
 /// through π — the same equivariance the unbatched kernel satisfies.
 #[test]
 fn vertex_relabeling_permutes_every_batched_lane() {
-    use graphbig_workloads::msbfs::{msbfs, MSBFS_LANES};
+    use graphbig_workloads::msbfs::msbfs_dir_opt;
     let pool = ThreadPool::new(2);
     prop::check(
         "batched_vertex_relabeling",
@@ -232,13 +239,13 @@ fn vertex_relabeling_permutes_every_batched_lane() {
                 .iter()
                 .map(|&(u, v, w)| (perm[u as usize], perm[v as usize], w))
                 .collect();
-            let base = Csr::from_edges(n, &edges);
-            let relabeled = Csr::from_edges(n, &relabeled_edges);
-            let lanes = 1 + rng.u64_below(MSBFS_LANES as u64) as usize;
+            let base = BiCsr::directed(Csr::from_edges(n, &edges));
+            let relabeled = BiCsr::directed(Csr::from_edges(n, &relabeled_edges));
+            let lanes = shared_pass_lanes(&mut rng);
             let sources: Vec<u32> = (0..lanes).map(|_| rng.u64_below(n as u64) as u32).collect();
             let mapped: Vec<u32> = sources.iter().map(|&s| perm[s as usize]).collect();
-            let a = msbfs(&pool, &base, &sources);
-            let b = msbfs(&pool, &relabeled, &mapped);
+            let a = msbfs_dir_opt(&pool, &base, &sources);
+            let b = msbfs_dir_opt(&pool, &relabeled, &mapped);
             for l in 0..lanes {
                 for v in 0..n {
                     assert_eq!(

@@ -31,6 +31,14 @@ for site in engine.dequeue engine.run.pre engine.run.post engine.overlay.read en
   [ "$n" -eq 1 ] || { echo "failpoint $site appears $n times under crates/engine/src"; exit 1; }
 done
 
+echo "==> one coalescing rule (only BFS shares a pass; one MS-BFS entry pair)"
+# Point reads run alone (exec.rs::bfs_source); the push-only MS-BFS had no caller left.
+if [ -e crates/engine/src/batch.rs ] \
+  || grep -rn 'BatchKind\|msbfs_cancellable\|fn msbfs(' crates; then
+  echo "only a BFS coalesces, through msbfs_dir_opt(_cancellable): no batch kinds, no push-only MS-BFS"
+  exit 1
+fi
+
 echo "==> one event store (no span system, no feature gating the recorder)"
 # What the recorder costs is gated by event counts in
 # crates/engine/tests/lifecycle.rs, not by a wall-clock percentage.
