@@ -11,7 +11,7 @@
 //! * [`datagen`] — the five Table 5/7 datasets plus DAG/Bayesian inputs
 //! * [`machine`] — CPU model (caches, DTLB, branch predictor, top-down cycles)
 //! * [`simt`] — GPU model (warp divergence, coalescing, throughput)
-//! * [`runtime`] — thread pool, parallel-for, barrier
+//! * [`runtime`] — thread pool, parallel-for, cancellation
 //! * [`workloads`] — the 13 CPU workloads (Table 4)
 //! * [`engine`] — sharded, admission-controlled concurrent query engine
 //! * [`gpu`] — the 8 GPU workloads

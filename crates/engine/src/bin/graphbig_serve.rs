@@ -327,7 +327,6 @@ fn main() -> ExitCode {
         } else {
             cost_budget
         },
-        default_deadline: None,
         shards: parsed_arg("--shards", 8usize),
         adaptive_costs: !has_flag("--no-adaptive"),
         cache_capacity: parsed_arg("--cache-capacity", cfg_defaults.cache_capacity),

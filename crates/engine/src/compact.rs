@@ -4,6 +4,9 @@
 //! [`compact_inner`] folds base + overlay into a fresh sharded CSR and
 //! publishes it as a new epoch ([`crate::Engine::compact`] calls it
 //! directly, [`compactor_loop`] when the write path rings the doorbell).
+//! The store ([`crate::store::GraphStore::compact`]) decides when a fold
+//! may publish — only over the very state it folded — so a query that
+//! pinned the pre-fold state keeps reading its writes through its overlay.
 //! The fold ([`DeltaOverlay::fold`]) copies the rows the overlay left alone
 //! and re-derives the rest, so a compaction costs what was written since
 //! the last one, not the graph; the fold records a `compact.fold` phase
@@ -13,8 +16,6 @@
 //! that spares connected-components queries on an insert-only overlay
 //! even that.
 
-use std::time::Instant;
-
 use graphbig_chaos as chaos;
 use graphbig_telemetry::recorder::{self, EventKind};
 use graphbig_workloads::parallel;
@@ -22,7 +23,6 @@ use graphbig_workloads::service::ServiceError;
 
 use crate::delta::{DeltaOverlay, IncrementalCComp};
 use crate::lifecycle::{lock, Job, Shared};
-use crate::shard::ShardedGraph;
 
 /// Advance the per-epoch incremental connected-components state to this
 /// overlay's insert log and return the labels. `None` when the shared
@@ -33,14 +33,15 @@ pub(crate) fn incremental_ccomp(
     job: &Job,
     ov: &DeltaOverlay,
 ) -> Result<Option<Vec<u32>>, ServiceError> {
+    let epoch = job.snapshot.epoch();
     let mut guard = lock(&sh.inc_ccomp);
-    let needs_seed = !matches!(&*guard, Some((e, _)) if *e == ov.epoch());
+    let needs_seed = !matches!(&*guard, Some((e, _)) if *e == epoch);
     if needs_seed {
         // Seed once per epoch with a full pool run over the base graph;
         // every later clean-overlay CComp is a cheap union of the new
         // insert-log suffix instead of a whole-graph recompute.
         let base = parallel::ccomp(&sh.pool, job.snapshot.graph().service().sym(), &job.token)?;
-        *guard = Some((ov.epoch(), IncrementalCComp::new(&base)));
+        *guard = Some((epoch, IncrementalCComp::new(&base)));
     }
     let (_, inc) = guard.as_mut().expect("state seeded above");
     if inc.applied() > ov.insert_log().len() {
@@ -68,81 +69,37 @@ pub(crate) fn compactor_loop(sh: &Shared) {
             state.0 = false;
         }
         compact_inner(sh);
-        if sh.buffer.current().overlay_edges() >= sh.cfg.compact_threshold {
+        if sh.store.snapshot().overlay().overlay_edges() >= sh.cfg.compact_threshold {
             lock(doorbell).0 = true;
         }
     }
 }
 
-/// Fold the current overlay into a fresh sharded CSR and publish it as a
-/// new epoch. Materialization runs *off* the write lock (mutations keep
-/// landing); publication retries optimistically and only falls back to
-/// folding under the lock — the measured "compaction pause" — when writers
-/// keep winning the race. Returns the serving epoch (unchanged when there
-/// was nothing to fold).
+/// Fold the published overlay into a fresh sharded CSR and publish it as a
+/// new epoch, then sweep the cache. The fold runs off the store's writer
+/// lock (mutations keep landing); see [`crate::store::GraphStore::compact`]
+/// for when it may publish. Returns the serving epoch (unchanged when
+/// there was nothing to fold).
 pub(crate) fn compact_inner(sh: &Shared) -> u64 {
-    let ov0 = sh.buffer.current();
-    if ov0.is_empty() {
-        return sh.store.epoch();
+    let snap = sh.store.snapshot();
+    if snap.overlay().is_empty() {
+        return snap.epoch();
     }
     sh.metrics.compact_started.inc();
-    recorder::record(EventKind::CompactStart, ov0.epoch(), ov0.seq());
+    recorder::record(EventKind::CompactStart, snap.epoch(), snap.seq());
     let _ = chaos::failpoint!("engine.compact.pre");
-    let mut attempts = 0;
-    let epoch = loop {
-        attempts += 1;
-        if attempts > 3 {
-            // Writers keep beating us to the buffer: fold while holding
-            // the write lock. This is the stop-the-world pause the bench
-            // reports; the optimistic path below keeps it rare.
-            let _w = lock(&sh.write_lock);
-            let snap = sh.store.snapshot();
-            let cur = sh.buffer.current();
-            if cur.is_empty() {
-                break 0;
-            }
-            let pause = Instant::now();
-            let (graph, _) = cur.fold(snap.graph(), sh.cfg.shards);
-            break publish_folded(sh, graph, pause);
-        }
-        let snap = sh.store.snapshot();
-        let cur = sh.buffer.current();
-        if cur.is_empty() {
-            break 0; // another writer already folded or replaced the graph
-        }
-        if cur.epoch() != snap.epoch() {
-            continue; // raced a publish; re-grab a consistent pair
-        }
-        let (graph, _) = cur.fold(snap.graph(), sh.cfg.shards);
-        let pause = Instant::now();
-        let _w = lock(&sh.write_lock);
-        if sh.buffer.current().seq() == cur.seq() && sh.store.epoch() == snap.epoch() {
-            break publish_folded(sh, graph, pause);
-        }
-        // A batch landed while we folded; retry with the fresh log.
-    };
-    let _ = chaos::failpoint!("engine.compact.post");
-    recorder::record(EventKind::CompactEnd, ov0.epoch(), epoch);
-    sh.metrics.compact_completed.inc();
-    if epoch == 0 {
-        sh.store.epoch()
-    } else {
-        epoch
+    let folded = sh
+        .store
+        .compact(|from| from.overlay().fold(from.graph(), sh.cfg.shards).0);
+    if let Some((_, pause)) = folded {
+        sh.cache.invalidate();
+        sh.metrics.compact_pause_us.record(pause.as_micros() as u64);
     }
-}
-
-/// Publish an already-folded graph as the next epoch, reset the overlay
-/// onto it (sequence counter preserved), and sweep the cache. The caller
-/// holds the write lock; `pause` marks when the write path stalled.
-fn publish_folded(sh: &Shared, graph: ShardedGraph, pause: Instant) -> u64 {
-    let n_total = graph.num_vertices() as u32;
-    let epoch = sh.store.publish(graph);
-    sh.buffer.reset(epoch, n_total);
-    sh.cache.invalidate();
-    sh.metrics
-        .compact_pause_us
-        .record(pause.elapsed().as_micros() as u64);
-    epoch
+    let _ = chaos::failpoint!("engine.compact.post");
+    let published = folded.map(|(epoch, _)| epoch);
+    recorder::record(EventKind::CompactEnd, snap.epoch(), published.unwrap_or(0));
+    sh.metrics.compact_completed.inc();
+    published.unwrap_or_else(|| sh.store.epoch())
 }
 
 #[cfg(test)]

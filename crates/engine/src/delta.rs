@@ -1,12 +1,13 @@
-//! Live write path: the concurrent mutation buffer and delta overlay.
+//! Live write path: the delta overlay and the live graph it makes.
 //!
-//! The [`GraphStore`](crate::store::GraphStore) publishes *immutable*
-//! epochs; this module is how writes happen between publishes. A
-//! [`MutationBuffer`] accepts batches of [`Mutation`]s and folds each batch
-//! into a fresh copy-on-write [`DeltaOverlay`] stamped with a globally
-//! monotone delta-sequence number. Readers grab the current overlay `Arc`
-//! (wait-free apart from one short mutex) and evaluate reads against
-//! *base CSR + overlay* without ever blocking a writer. Point queries —
+//! A [`DeltaOverlay`] is every write applied on top of one base graph. It
+//! is immutable once published: [`DeltaOverlay::with_batch`] folds a batch
+//! of [`Mutation`]s into a copy-on-write successor stamped with the next
+//! delta-sequence number. The engine's [`GraphStore`](crate::store::GraphStore)
+//! publishes overlay and base together as one state, which every query
+//! pins at admission; [`MutationBuffer`] is the same batch step over a
+//! bare overlay, for oracles and benches that replay writes without an
+//! engine. Reads evaluate *base CSR + overlay*. Point queries —
 //! degree, k-hop — walk the overlay's live rows directly. Every workload
 //! kernel runs on an [`OverlayView`], the live graph: BFS traversals
 //! (single-source, direction-optimized and the shared multi-source pass)
@@ -128,7 +129,7 @@ pub enum Mutation {
     },
 }
 
-/// What one [`MutationBuffer::apply`] call did.
+/// What one applied batch ([`DeltaOverlay::with_batch`]) did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MutationReceipt {
     /// Delta-sequence number the overlay advanced to.
@@ -139,14 +140,15 @@ pub struct MutationReceipt {
     pub applied: usize,
 }
 
-/// An immutable view of all mutations applied on top of one base epoch.
+/// An immutable view of all mutations applied on top of one base graph.
 ///
-/// Readers hold an `Arc<DeltaOverlay>` and combine it with the matching
-/// epoch's [`ShardedGraph`]; writers never touch a published overlay — the
-/// buffer clones it, applies the batch, and swaps the `Arc`.
+/// Readers hold an `Arc<DeltaOverlay>` and combine it with the base it was
+/// applied to (the engine pairs them in one
+/// [`EpochSnapshot`](crate::store::EpochSnapshot)); writers never touch a
+/// published overlay — [`DeltaOverlay::with_batch`] clones it and applies
+/// the batch to the clone.
 #[derive(Debug, Clone)]
 pub struct DeltaOverlay {
-    epoch: u64,
     seq: u64,
     base_n: u32,
     added_vertices: u32,
@@ -170,10 +172,9 @@ pub struct DeltaOverlay {
 }
 
 impl DeltaOverlay {
-    /// An empty overlay over `base_n` vertices of `epoch`, at `seq`.
-    pub fn empty(epoch: u64, seq: u64, base_n: u32) -> Self {
+    /// An empty overlay over `base_n` base vertices, at `seq`.
+    pub fn empty(seq: u64, base_n: u32) -> Self {
         DeltaOverlay {
-            epoch,
             seq,
             base_n,
             added_vertices: 0,
@@ -185,11 +186,6 @@ impl DeltaOverlay {
             insert_log: Vec::new(),
             dirty: false,
         }
-    }
-
-    /// Epoch of the base snapshot this overlay applies to.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Delta-sequence number: globally monotone across epochs, bumped once
@@ -265,8 +261,29 @@ impl DeltaOverlay {
             .is_some_and(|row| row.iter().any(|&(t, _)| t == v))
     }
 
-    /// Apply one mutation in place (buffer-internal: published overlays are
-    /// immutable). Returns true when state changed.
+    /// The next overlay generation: this one with `batch` applied against
+    /// `base` (the graph this overlay sits on) at the next delta-seq, and
+    /// the receipt naming it under `epoch`. Even an all-no-op batch bumps
+    /// `seq` — sequence numbers count batches, not effects.
+    pub fn with_batch(
+        &self,
+        base: &ShardedGraph,
+        batch: &[Mutation],
+        epoch: u64,
+    ) -> (DeltaOverlay, MutationReceipt) {
+        let mut next = self.clone();
+        next.seq += 1;
+        let applied = batch.iter().filter(|&&m| next.apply_one(base, m)).count();
+        let receipt = MutationReceipt {
+            seq: next.seq,
+            epoch,
+            applied,
+        };
+        (next, receipt)
+    }
+
+    /// Apply one mutation in place (only on an unpublished successor:
+    /// published overlays are immutable). Returns true when state changed.
     fn apply_one(&mut self, base: &ShardedGraph, m: Mutation) -> bool {
         match m {
             Mutation::AddVertex => {
@@ -666,7 +683,7 @@ fn derive_sym(x: u32, out: &impl Rows, inc: &impl Rows, both: &mut Vec<u32>, row
 /// slice and a marked one through the overlay's hash maps; kernels that
 /// revisit rows read [`PatchedCsr`] faces, whose weighted out and in rows
 /// also re-derive every row holding a patched weight. The marks live here
-/// because [`MutationBuffer::apply`] clones the overlay per write.
+/// because [`DeltaOverlay::with_batch`] clones the overlay per write.
 pub struct OverlayView<'a> {
     base: &'a ShardedGraph,
     overlay: &'a DeltaOverlay,
@@ -675,7 +692,7 @@ pub struct OverlayView<'a> {
 }
 
 impl<'a> OverlayView<'a> {
-    /// View `base` (the graph of the overlay's epoch) through `overlay`.
+    /// View `base` (the graph the overlay sits on) through `overlay`.
     pub fn new(base: &'a ShardedGraph, overlay: &'a DeltaOverlay) -> Self {
         let (bi, n) = (base.service().bi(), overlay.n_total());
         let (mut out, mut inc) = (Marks::new(n), Marks::new(n));
@@ -942,24 +959,27 @@ fn digest_rows(n: u32, mut fill: impl FnMut(u32, &mut Vec<(u32, f32)>)) -> u64 {
     h
 }
 
-/// The write front door: batches in, copy-on-write overlays out.
+/// A bare overlay that accepts batches: one base, one epoch, no engine.
+/// The write oracle and the benches replay mutations through it; the
+/// engine's writes go through [`GraphStore::mutate`](crate::store::GraphStore::mutate)
+/// instead, which pairs the overlay with its base. Both apply a batch with
+/// [`DeltaOverlay::with_batch`].
 ///
 /// One mutex guards the current overlay `Arc`. Writers clone the overlay,
 /// apply their batch, and swap — readers holding the old `Arc` keep a
-/// consistent view for free. The sequence number is *globally* monotone:
-/// compaction resets the overlay contents to empty at the new epoch but
-/// never rewinds `seq`, so `(epoch, seq)` pairs are never reused — exactly
-/// what the result cache needs for structural invalidation.
+/// consistent view for free.
 pub struct MutationBuffer {
+    epoch: u64,
     current: Mutex<Arc<DeltaOverlay>>,
 }
 
 impl MutationBuffer {
-    /// A buffer whose first overlay is empty over `base_n` vertices of
-    /// `epoch`, at sequence 0.
+    /// A buffer whose first overlay is empty over `base_n` vertices, at
+    /// sequence 0; its receipts name `epoch`.
     pub fn new(epoch: u64, base_n: u32) -> Self {
         MutationBuffer {
-            current: Mutex::new(Arc::new(DeltaOverlay::empty(epoch, 0, base_n))),
+            epoch,
+            current: Mutex::new(Arc::new(DeltaOverlay::empty(0, base_n))),
         }
     }
 
@@ -972,42 +992,14 @@ impl MutationBuffer {
         Arc::clone(&self.lock())
     }
 
-    /// Fold `batch` into a new overlay generation against `base` (which
-    /// must be the graph of the overlay's epoch). Even an all-no-op batch
-    /// bumps `seq` — sequence numbers count batches, not effects.
+    /// Fold `batch` into a new overlay generation against `base` (the
+    /// graph this buffer's overlays sit on); see
+    /// [`DeltaOverlay::with_batch`].
     pub fn apply(&self, base: &ShardedGraph, batch: &[Mutation]) -> MutationReceipt {
         let mut guard = self.lock();
-        let mut next = (**guard).clone();
-        next.seq += 1;
-        let applied = batch.iter().filter(|&&m| next.apply_one(base, m)).count();
-        let receipt = MutationReceipt {
-            seq: next.seq,
-            epoch: next.epoch,
-            applied,
-        };
+        let (next, receipt) = guard.with_batch(base, batch, self.epoch);
         *guard = Arc::new(next);
         receipt
-    }
-
-    /// Swap in an empty overlay targeting `epoch` over `base_n` vertices,
-    /// preserving `seq` — the post-publish step of compaction (and of any
-    /// full publish, which discards buffered mutations along with the base
-    /// they applied to).
-    pub fn reset(&self, epoch: u64, base_n: u32) -> u64 {
-        let mut guard = self.lock();
-        let seq = guard.seq;
-        *guard = Arc::new(DeltaOverlay::empty(epoch, seq, base_n));
-        seq
-    }
-
-    /// Retarget the overlay to `epoch` without touching its contents — for
-    /// a republish, which stamps a new epoch on the *same* graph, so every
-    /// buffered mutation stays valid.
-    pub fn retarget(&self, epoch: u64) {
-        let mut guard = self.lock();
-        let mut next = (**guard).clone();
-        next.epoch = epoch;
-        *guard = Arc::new(next);
     }
 }
 
@@ -1514,16 +1506,23 @@ mod tests {
         let buf = MutationBuffer::new(1, 40);
         assert_eq!(buf.apply(&b, &[Mutation::AddVertex]).seq, 1);
         assert_eq!(buf.apply(&b, &[]).seq, 2, "empty batches still bump seq");
-        let seq = buf.reset(2, 41);
-        assert_eq!(seq, 2, "reset preserves seq");
-        let ov = buf.current();
-        assert!(ov.is_empty());
-        assert_eq!((ov.epoch(), ov.seq(), ov.base_n()), (2, 2, 41));
-        assert_eq!(buf.apply(&b, &[Mutation::AddVertex]).seq, 3);
-        buf.retarget(9);
-        let ov = buf.current();
-        assert_eq!((ov.epoch(), ov.seq()), (9, 3));
-        assert!(!ov.is_empty(), "retarget keeps buffered mutations");
+        // The engine's store resets the overlay on publish and keeps it on
+        // republish; neither rewinds seq.
+        let store = crate::store::GraphStore::new(base(40));
+        store.mutate(&[Mutation::AddVertex]);
+        store.mutate(&[]);
+        assert_eq!(store.publish(base(41)), 2);
+        let s = store.snapshot();
+        assert!(s.overlay().is_empty());
+        assert_eq!((s.epoch(), s.seq(), s.overlay().base_n()), (2, 2, 41));
+        assert_eq!(store.mutate(&[Mutation::AddVertex]).0.seq, 3);
+        assert_eq!(store.republish(), 3);
+        let s = store.snapshot();
+        assert_eq!((s.epoch(), s.seq()), (3, 3));
+        assert!(
+            !s.overlay().is_empty(),
+            "republish keeps buffered mutations"
+        );
     }
 
     #[test]

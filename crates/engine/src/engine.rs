@@ -13,12 +13,13 @@
 //! cancels the query instead of completing it late.
 //!
 //! The live write path rides alongside: [`Engine::mutate`] folds a batch
-//! into the [`MutationBuffer`]'s copy-on-write overlay (billed through
-//! admission under the `write` cost class, synchronously — mutations never
-//! queue behind reads), point queries and kernels read *base + overlay*,
-//! and a background compactor ([`Engine::compact`]) materializes the
-//! overlay into a fresh CSR published as a new epoch while in-flight
-//! queries keep their pinned snapshot.
+//! into the store's copy-on-write overlay (billed through admission under
+//! the `write` cost class, synchronously — mutations never queue behind
+//! reads), and a background compactor ([`Engine::compact`]) folds the
+//! overlay into a fresh CSR published as a new epoch. The [`GraphStore`]
+//! publishes base and overlay as one state, which a query pins at
+//! admission: it reads exactly the writes that completed before it was
+//! admitted, whatever is published while it waits.
 //!
 //! This file is the front door only. What happens to a request after it is
 //! admitted is written once each in `lifecycle.rs` (admit, dequeue, finish,
@@ -41,7 +42,7 @@ use graphbig_workloads::{CostClass, Workload};
 use crate::admission::{AdmissionController, RejectReason};
 use crate::cache::ResultCache;
 use crate::compact::{compact_inner, compactor_loop};
-use crate::delta::{DeltaOverlay, Mutation, MutationBuffer, MutationReceipt};
+use crate::delta::{DeltaOverlay, Mutation, MutationReceipt};
 use crate::exec::{executor_loop, run_group};
 use crate::lifecycle::{
     admit, dequeue, lane, lock, EngineMetrics, Job, Lanes, Resolver, Shared, WRITE_LANE,
@@ -62,8 +63,6 @@ pub struct EngineConfig {
     pub queue_capacity: usize,
     /// In-flight cost budget (units of [`Workload::cost_estimate`]).
     pub cost_budget: u64,
-    /// Deadline applied by [`Engine::submit`] when the caller sets none.
-    pub default_deadline: Option<Duration>,
     /// Shard count for the graph store's partitions.
     pub shards: usize,
     /// Scale static cost estimates by the feedback model's observed
@@ -99,7 +98,6 @@ impl Default for EngineConfig {
             pool_threads: 4,
             queue_capacity: 64,
             cost_budget: u64::MAX,
-            default_deadline: None,
             shards: 8,
             adaptive_costs: true,
             cache_capacity: 1024,
@@ -278,7 +276,6 @@ impl Engine {
     /// An engine with metrics in a caller-owned registry (tests, benches).
     pub fn with_registry(cfg: EngineConfig, csr: Csr, reg: &Registry) -> Self {
         let graph = ShardedGraph::build(csr, cfg.shards);
-        let base_n = graph.num_vertices() as u32;
         let metrics = EngineMetrics::new(reg);
         let shared = Arc::new(Shared {
             store: GraphStore::new(graph),
@@ -293,8 +290,6 @@ impl Engine {
                 metrics.cache_miss.clone(),
                 metrics.cache_evict.clone(),
             ),
-            buffer: MutationBuffer::new(1, base_n),
-            write_lock: Mutex::new(()),
             inc_ccomp: Mutex::new(None),
             compact_doorbell: (Mutex::new((false, false)), Condvar::new()),
             metrics,
@@ -320,9 +315,9 @@ impl Engine {
         }
     }
 
-    /// Submit with the configured default deadline (if any).
+    /// Submit with no deadline.
     pub fn submit(&self, query: Query) -> Result<Ticket, RejectReason> {
-        self.submit_with_deadline(query, self.shared.cfg.default_deadline)
+        self.submit_with_deadline(query, None)
     }
 
     /// Submit with an explicit per-query deadline (`None` = no deadline).
@@ -401,17 +396,14 @@ impl Engine {
     }
 
     /// Publish a new graph as the next epoch (resharded with the engine's
-    /// shard count). In-flight queries keep the epoch they were admitted
+    /// shard count). In-flight queries keep the state they were admitted
     /// under. Any buffered mutations against the *old* graph are
-    /// discarded: the caller is replacing the dataset wholesale.
+    /// discarded — the caller is replacing the dataset wholesale — and the
+    /// delta-seq carries on.
     pub fn publish(&self, csr: Csr) -> u64 {
         let sh = &*self.shared;
         let _ = chaos::failpoint!("engine.publish");
-        let graph = ShardedGraph::build(csr, sh.cfg.shards);
-        let base_n = graph.num_vertices() as u32;
-        let _w = lock(&sh.write_lock);
-        let epoch = sh.store.publish(graph);
-        sh.buffer.reset(epoch, base_n);
+        let epoch = sh.store.publish(ShardedGraph::build(csr, sh.cfg.shards));
         // Epoch keying already makes old entries unreachable; the sweep
         // reclaims their memory promptly.
         sh.cache.invalidate();
@@ -425,9 +417,7 @@ impl Engine {
     pub fn republish(&self) -> u64 {
         let sh = &*self.shared;
         let _ = chaos::failpoint!("engine.publish");
-        let _w = lock(&sh.write_lock);
         let epoch = sh.store.republish();
-        sh.buffer.retarget(epoch);
         sh.cache.invalidate();
         epoch
     }
@@ -460,18 +450,7 @@ impl Engine {
         // Failpoint `engine.mutate`: delay inside the write path, widening
         // the compaction-vs-mutation race window under chaos.
         let _ = chaos::failpoint!("engine.mutate", tag);
-        let receipt = {
-            let _w = lock(&sh.write_lock);
-            let snap = sh.store.snapshot();
-            // A publish that bypassed the engine (direct store access)
-            // orphans the overlay; rebase on the live epoch rather than
-            // feeding a future compaction a stale base.
-            if sh.buffer.current().epoch() != snap.epoch() {
-                sh.buffer
-                    .reset(snap.epoch(), snap.graph().num_vertices() as u32);
-            }
-            sh.buffer.apply(snap.graph(), batch)
-        };
+        let (receipt, published) = sh.store.mutate(batch);
         sh.admission.on_finish(cost);
         let us = start.elapsed().as_micros() as u64;
         recorder::record_lane(EventKind::Mutate, WRITE_LANE as u8, request_id, receipt.seq);
@@ -482,7 +461,7 @@ impl Engine {
         sh.metrics.resolved.inc();
         sh.slo.record(WRITE_LANE, "write", us);
         let threshold = sh.cfg.compact_threshold;
-        if threshold > 0 && sh.buffer.current().overlay_edges() >= threshold {
+        if threshold > 0 && published.overlay().overlay_edges() >= threshold {
             let (doorbell, cv) = &sh.compact_doorbell;
             lock(doorbell).0 = true;
             cv.notify_one();
@@ -491,10 +470,10 @@ impl Engine {
     }
 
     /// Fold the current delta overlay into a fresh sharded CSR and publish
-    /// it as a new epoch; the overlay resets onto the new epoch with its
-    /// sequence counter intact. In-flight queries keep their pinned
-    /// snapshots. Returns the epoch serving reads afterwards (unchanged
-    /// when the overlay was already empty). Safe to call concurrently with
+    /// it as a new epoch with an empty overlay and its sequence counter
+    /// intact. In-flight queries keep their pinned state, writes included.
+    /// Returns the epoch serving reads afterwards (unchanged when the
+    /// overlay was already empty). Safe to call concurrently with
     /// mutations, queries, and itself.
     pub fn compact(&self) -> u64 {
         compact_inner(&self.shared)
@@ -504,13 +483,13 @@ impl Engine {
     /// mutation batch and is never reused across compactions or
     /// publishes — `(epoch, delta_seq)` names one exact graph state.
     pub fn delta_seq(&self) -> u64 {
-        self.shared.buffer.current().seq()
+        self.shared.store.snapshot().seq()
     }
 
-    /// The current delta overlay (size, epoch, and digest accessors for
-    /// tests, stats lines, and the serve binary's write-path report).
+    /// The published delta overlay (size and digest accessors for tests,
+    /// stats lines, and the serve binary's write-path report).
     pub fn overlay(&self) -> Arc<DeltaOverlay> {
-        self.shared.buffer.current()
+        Arc::clone(self.shared.store.snapshot().overlay())
     }
 
     /// Executor threads still running (the chaos invariant "no executor

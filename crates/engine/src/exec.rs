@@ -16,6 +16,11 @@
 //! request's failpoint decisions, terminal status and cache footprint are
 //! the same whether or not the scheduler happened to coalesce it.
 //!
+//! Every member reads the state it pinned at admission — base and overlay
+//! as one [`crate::store::EpochSnapshot`] — and caches under its
+//! `(epoch, delta-seq)`. A group's members all pinned the same state, so a
+//! BFS group never spans a write.
+//!
 //! BFS is the only kind that coalesces, because it is the only one with a
 //! pass to share: 64 traversals walk each adjacency list once instead of
 //! 64 times. A `Degree` / `KHop` runs inline in nanoseconds to
@@ -39,6 +44,7 @@ use crate::compact::incremental_ccomp;
 use crate::delta::{DeltaOverlay, OverlayView};
 use crate::engine::{Query, QueryOutput, QueryStatus};
 use crate::lifecycle::{dequeue, finish_job, lane, lock, terminal_status, Job, Pending, Shared};
+use crate::store::EpochSnapshot;
 
 pub(crate) fn executor_loop(sh: &Shared) {
     loop {
@@ -89,9 +95,9 @@ fn bfs_source(query: &Query) -> Option<u32> {
 
 /// Drain the BFS jobs that may ride with the BFS `leader` from its lane
 /// (FIFO order preserved), up to `batch_max` members capped at the MS-BFS
-/// lane width; empty when coalescing is off (`batch_max <= 1`). A group is
-/// BFS on the leader's pinned epoch, and it stops growing if the live
-/// overlay's `(epoch, delta-seq)` moves mid-window. With
+/// lane width; empty when coalescing is off (`batch_max <= 1`). A mate is
+/// a BFS that pinned the leader's graph state, so a BFS admitted after a
+/// write never joins a group formed before it. With
 /// `batch_window_us == 0` this coalesces only what is already queued and
 /// never waits. A group that formed is measured (`engine.batch.*`) and
 /// marked with the leader's `BatchStart`.
@@ -101,9 +107,6 @@ fn form_batch(sh: &Shared, leader: &Job) -> Vec<Job> {
         return Vec::new();
     }
     let opened = Instant::now();
-    let epoch = leader.snapshot.epoch();
-    let ov = sh.buffer.current();
-    let state = (ov.epoch(), ov.seq());
     let lane_idx = lane(leader.class);
     let window = Duration::from_micros(sh.cfg.batch_window_us);
     let mut mates: Vec<Job> = Vec::new();
@@ -116,8 +119,8 @@ fn form_batch(sh: &Shared, leader: &Job) -> Vec<Job> {
             let queue = &mut lanes.queues[lane_idx];
             let mut i = 0;
             while i < queue.len() && mates.len() + 1 < cap {
-                let compatible =
-                    bfs_source(&queue[i].query).is_some() && queue[i].snapshot.epoch() == epoch;
+                let compatible = bfs_source(&queue[i].query).is_some()
+                    && Arc::ptr_eq(&queue[i].snapshot, &leader.snapshot);
                 if compatible {
                     mates.push(queue.remove(i).expect("index is in bounds"));
                 } else {
@@ -131,10 +134,6 @@ fn form_batch(sh: &Shared, leader: &Job) -> Vec<Job> {
         let elapsed = opened.elapsed();
         if elapsed >= window {
             break;
-        }
-        let cur = sh.buffer.current();
-        if (cur.epoch(), cur.seq()) != state {
-            break; // a mutation moved the graph state: close the group
         }
         std::thread::sleep((window - elapsed).min(Duration::from_micros(50)));
     }
@@ -154,16 +153,10 @@ fn form_batch(sh: &Shared, leader: &Job) -> Vec<Job> {
     mates
 }
 
-/// The graph state one group executes against, sampled once per group.
-struct View<'a> {
-    /// `(epoch, delta-seq)` the group's results cache under. `None` when a
-    /// publish or compaction raced the group between admission and
-    /// execution: the live overlay no longer describes the pinned base, so
-    /// the group serves the pinned snapshot as-is and bypasses the cache —
-    /// no key names this transitional view.
-    key: Option<(u64, u64)>,
-    /// The overlay reads go through, when there is one to apply.
-    overlay: Option<&'a DeltaOverlay>,
+/// The overlay reads of `snapshot` go through, when there is one to apply.
+fn live(snapshot: &EpochSnapshot) -> Option<&DeltaOverlay> {
+    let overlay = snapshot.overlay();
+    (!overlay.is_empty()).then_some(&**overlay)
 }
 
 /// What the pre-kernel steps decided for one member.
@@ -176,17 +169,9 @@ enum Probe<'a> {
 
 /// Run every member of a dequeued group — the leader and whatever BFS
 /// mates were coalesced behind it, usually none — to its terminal status.
-/// The graph state is sampled once here: every member reads that one
-/// `(epoch, delta-seq)` and caches under it.
+/// Every member reads the one graph state the group pinned.
 pub(crate) fn run_group(sh: &Shared, leader: Pending, mates: Vec<Pending>) {
-    let epoch = leader.job.snapshot.epoch();
     let shares_pass = bfs_source(&leader.job.query).is_some();
-    let ov = sh.buffer.current();
-    let key = (ov.epoch() == epoch).then(|| (epoch, ov.seq()));
-    let view = View {
-        key,
-        overlay: (key.is_some() && !ov.is_empty()).then_some(&*ov),
-    };
     // BFS members waiting for the shared pass (never allocated otherwise).
     let mut pass: Vec<Pending> = Vec::new();
     for mut p in std::iter::once(leader).chain(mates) {
@@ -199,21 +184,21 @@ pub(crate) fn run_group(sh: &Shared, leader: Pending, mates: Vec<Pending>) {
         // query keep going. `None` = the member rides the shared pass.
         let outcome = match p.forced.take() {
             Some(forced) => Some(forced),
-            None => guard(|| match before_kernel(sh, &p.job, &view) {
+            None => guard(|| match before_kernel(sh, &p.job) {
                 Probe::Hit(output) => {
                     let status = QueryStatus::Completed(output);
-                    Some(after_kernel(sh, &p.job, status, None))
+                    Some(after_kernel(sh, &p.job, status, false))
                 }
                 // A `StaleRead` member no longer reads the group's graph
                 // state: it leaves the pass and runs alone on the stale base.
                 Probe::Miss(overlay)
-                    if shares_pass && overlay.is_some() == view.overlay.is_some() =>
+                    if shares_pass && overlay.is_some() == live(&p.job.snapshot).is_some() =>
                 {
                     None
                 }
                 Probe::Miss(overlay) => {
                     let status = run_query_uncached(sh, &p.job, overlay);
-                    Some(after_kernel(sh, &p.job, status, view.key))
+                    Some(after_kernel(sh, &p.job, status, true))
                 }
             })
             .unwrap_or_else(Some),
@@ -224,7 +209,7 @@ pub(crate) fn run_group(sh: &Shared, leader: Pending, mates: Vec<Pending>) {
         }
     }
     if !pass.is_empty() {
-        run_shared_pass(sh, pass, &view);
+        run_shared_pass(sh, pass);
     }
 }
 
@@ -238,7 +223,7 @@ pub(crate) fn run_group(sh: &Shared, leader: Pending, mates: Vec<Pending>) {
 /// The pass never folds a graph: over a live overlay the kernel traverses
 /// one [`OverlayView`] built here for the whole group, otherwise the pinned
 /// base's `BiCsr` — two instantiations of the same generic kernel.
-fn run_shared_pass(sh: &Shared, pass: Vec<Pending>, view: &View<'_>) {
+fn run_shared_pass(sh: &Shared, pass: Vec<Pending>) {
     let snapshot = Arc::clone(&pass[0].job.snapshot);
     // Traced members get the same `KernelStart` marker `run_service`
     // records (arg = Bfs's index in the workload registry).
@@ -257,7 +242,7 @@ fn run_shared_pass(sh: &Shared, pass: Vec<Pending>, view: &View<'_>) {
         .collect();
     let tokens: Vec<&CancelToken> = pass.iter().map(|p| &p.job.token).collect();
     let started = Instant::now();
-    let kernel = guard(|| match view.overlay {
+    let kernel = guard(|| match live(&snapshot) {
         Some(ov) => {
             let live = OverlayView::new(snapshot.graph(), ov);
             msbfs::msbfs_dir_opt_cancellable(&sh.pool, &live, &sources, &tokens)
@@ -281,7 +266,7 @@ fn run_shared_pass(sh: &Shared, pass: Vec<Pending>, view: &View<'_>) {
                     }
                     Err(_) => terminal_status(&p.job.token),
                 };
-                guard(|| after_kernel(sh, &p.job, status, view.key)).unwrap_or_else(|failed| failed)
+                guard(|| after_kernel(sh, &p.job, status, true)).unwrap_or_else(|failed| failed)
             }
         };
         finish_job(sh, p, status, exec_us);
@@ -304,7 +289,7 @@ fn guard<T>(f: impl FnOnce() -> T) -> Result<T, QueryStatus> {
 
 /// The guarded run up to the kernel: `engine.run.pre`, then the cache
 /// probe, then — only when an overlay would apply — `engine.overlay.read`.
-fn before_kernel<'a>(sh: &Shared, job: &Job, view: &View<'a>) -> Probe<'a> {
+fn before_kernel<'a>(sh: &Shared, job: &'a Job) -> Probe<'a> {
     if let Some(fault) = chaos::failpoint!("engine.run.pre", job.tag) {
         if fault.is_panic() {
             panic!("{} at engine.run.pre", chaos::PANIC_MSG);
@@ -315,21 +300,20 @@ fn before_kernel<'a>(sh: &Shared, job: &Job, view: &View<'a>) -> Probe<'a> {
     // kernel entirely while the response (and its digest) stays exactly
     // what a fresh run would produce. Any mutation bumps the delta-seq,
     // making every entry cached against the older overlay unreachable.
-    if let Some((epoch, seq)) = view.key {
-        if let Some(output) = sh.cache.get(epoch, seq, &job.query) {
-            recorder::record_lane(
-                EventKind::CacheHit,
-                lane(job.class) as u8,
-                job.request_id,
-                epoch,
-            );
-            return Probe::Hit(output);
-        }
+    let (epoch, seq) = (job.snapshot.epoch(), job.snapshot.seq());
+    if let Some(output) = sh.cache.get(epoch, seq, &job.query) {
+        recorder::record_lane(
+            EventKind::CacheHit,
+            lane(job.class) as u8,
+            job.request_id,
+            epoch,
+        );
+        return Probe::Hit(output);
     }
     // Failpoint `engine.overlay.read`: a `StaleRead` fault drops the
     // overlay from this read and serves the stale base — the drill that
     // proves the rebuild oracle catches a broken overlay-read path.
-    Probe::Miss(view.overlay.filter(|_| {
+    Probe::Miss(live(&job.snapshot).filter(|_| {
         !matches!(
             chaos::failpoint!("engine.overlay.read", job.tag),
             Some(f) if f.action == FaultAction::StaleRead
@@ -337,25 +321,21 @@ fn before_kernel<'a>(sh: &Shared, job: &Job, view: &View<'a>) -> Probe<'a> {
     }))
 }
 
-/// The guarded run after the kernel: store a completed result under `key`
-/// (`None` for a cache hit or the transitional view — nothing to store),
-/// then `engine.run.post`. A stale-read result still lands under the live
-/// key; that is the drill — the oracle catches it.
-fn after_kernel(
-    sh: &Shared,
-    job: &Job,
-    status: QueryStatus,
-    key: Option<(u64, u64)>,
-) -> QueryStatus {
+/// The guarded run after the kernel: store a completed result under the
+/// job's `(epoch, delta-seq)` when `insert` (false for a cache hit —
+/// nothing to store), then `engine.run.post`. A stale-read result still
+/// lands under the live key; that is the drill — the oracle catches it.
+fn after_kernel(sh: &Shared, job: &Job, status: QueryStatus, insert: bool) -> QueryStatus {
     // The clone feeding the store is skipped outright when the cache is
     // off (`cache_capacity: 0`) — a benchmark or test that disables the
     // cache should not pay a per-result deep copy for nothing.
-    if let (Some((epoch, seq)), QueryStatus::Completed(output)) = (key, &status) {
-        if sh.cache.enabled() {
+    if let QueryStatus::Completed(output) = &status {
+        if insert && sh.cache.enabled() {
             let stored = match chaos::failpoint!("engine.cache.insert", job.tag) {
                 Some(f) if f.action == FaultAction::CorruptCache => corrupted(output),
                 _ => output.clone(),
             };
+            let (epoch, seq) = (job.snapshot.epoch(), job.snapshot.seq());
             sh.cache.insert(epoch, seq, job.query, stored);
         }
     }

@@ -7,9 +7,10 @@
 //!
 //! - [`shard`]: degree-balanced partitioning of a CSR snapshot into
 //!   contiguous [`CsrShard`]s with per-shard stats, plus the point queries
-//!   (degree, k-hop) that run against a single shard window.
-//! - [`store`]: the epoch-versioned [`GraphStore`] — queries pin an
-//!   immutable `Arc<EpochSnapshot>` while a writer publishes new epochs.
+//!   (degree, k-hop) over the whole graph.
+//! - [`store`]: the [`GraphStore`] and its one published state — a query
+//!   pins an immutable `Arc<EpochSnapshot>` (base graph *and* overlay) at
+//!   admission; writers, serialised in the store, swap in the next one.
 //! - [`admission`]: bounded queue + in-flight cost budget with typed,
 //!   synchronous [`RejectReason`]s. Budget charges run through the
 //!   feedback cost model ([`SloTracker::correction`](slo::SloTracker)),
@@ -18,12 +19,12 @@
 //!   hot requests are served bit-identically without re-running the
 //!   kernel, and both a publish and a mutation make every stale entry
 //!   unreachable by construction.
-//! - [`delta`]: the live write path — a concurrent [`MutationBuffer`]
-//!   folding batches into copy-on-write [`DeltaOverlay`]s that every query
-//!   reads alongside the base CSR (point queries directly, every kernel
-//!   through the live graph, an [`OverlayView`]), plus the incremental
-//!   connected-components kernel and the fold background compaction
-//!   publishes as a new epoch.
+//! - [`delta`]: the live write path — copy-on-write [`DeltaOverlay`]s that
+//!   every query reads alongside its base CSR (point queries directly,
+//!   every kernel through the live graph, an [`OverlayView`]), the
+//!   engine-free buffer oracles and benches replay writes through, plus
+//!   the incremental connected-components kernel and the fold background
+//!   compaction publishes as a new epoch.
 //! - [`engine`]: the [`Engine`] itself — priority lanes (point queries
 //!   never queue behind analytics), executor threads over one shared
 //!   kernel pool, cooperative deadlines/cancellation, per-class latency
@@ -32,7 +33,7 @@
 //!   `exec` (executor loop, BFS group formation, the guarded run; a solo
 //!   job is a group of one) and `compact` (folding the overlay).
 //! - [`traffic`]: seeded multi-tenant request mixes, the closed-loop
-//!   driver behind the `graphbig-serve` binary and `benches/engine.rs`,
+//!   driver behind the `graphbig-serve` binary and the engine benches,
 //!   and the sequential oracle that cross-checks every concurrent result.
 //! - [`invariants`]: the post-chaos sweep proving the engine state and
 //!   metrics are exactly consistent after a fault-injected mix

@@ -10,6 +10,10 @@
 //! in [`crate::exec`]. [`Shared`] is the state all stages (and the
 //! compactor) work against; [`EngineMetrics`] is the metric table, created
 //! eagerly so every manifest carries the same key set.
+//!
+//! A [`Job`] pins the published graph state once, at admission: every
+//! later stage reads that one [`EpochSnapshot`] — base and overlay — and
+//! names it in its response, whatever the writers published meanwhile.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -25,7 +29,7 @@ use graphbig_workloads::CostClass;
 
 use crate::admission::{AdmissionController, RejectReason};
 use crate::cache::ResultCache;
-use crate::delta::{IncrementalCComp, MutationBuffer};
+use crate::delta::IncrementalCComp;
 use crate::engine::{EngineConfig, Query, QueryResponse, QueryStatus};
 use crate::slo::{self, SloTracker};
 use crate::store::{EpochSnapshot, GraphStore};
@@ -34,6 +38,8 @@ use crate::store::{EpochSnapshot, GraphStore};
 pub(crate) struct Shared {
     /// The one copy of the sizing knobs; nothing caches a field of it.
     pub(crate) cfg: EngineConfig,
+    /// The published graph state — base and overlay as one value — and
+    /// the only place writers serialise.
     pub(crate) store: GraphStore,
     pub(crate) pool: Arc<ThreadPool>,
     pub(crate) metrics: EngineMetrics,
@@ -42,13 +48,6 @@ pub(crate) struct Shared {
     pub(crate) available: Condvar,
     pub(crate) admission: AdmissionController,
     pub(crate) cache: ResultCache,
-    /// The live write path's copy-on-write delta overlay buffer.
-    pub(crate) buffer: MutationBuffer,
-    /// Serializes the writers — mutate, compact, publish, republish — so
-    /// `buffer.current().epoch() == store.epoch()` holds outside writer
-    /// critical sections. Lock order: `write_lock` before the store's
-    /// internal lock; the buffer's own mutex is a leaf.
-    pub(crate) write_lock: Mutex<()>,
     /// Incremental connected-components state, seeded once per epoch.
     pub(crate) inc_ccomp: Mutex<Option<(u64, IncrementalCComp)>>,
     /// Background-compactor doorbell: `(work_pending, shutdown)`.
@@ -96,8 +95,8 @@ pub(crate) struct EngineMetrics {
     /// these to balance after every mix.
     pub(crate) compact_started: Counter,
     pub(crate) compact_completed: Counter,
-    /// Time the write path was blocked while a compaction folded the
-    /// overlay under the write lock (the "compaction pause").
+    /// Time a compaction held the store's writer lock (the "compaction
+    /// pause"; see [`GraphStore::compact`]).
     pub(crate) compact_pause_us: Histogram,
     /// Requests sharing each coalesced group (recorded once per formed
     /// group of size >= 2, never for a solo job; a distribution hugging 2
@@ -222,6 +221,7 @@ pub(crate) struct Job {
     /// Unscaled `Query::cost` estimate — the denominator the feedback
     /// model calibrates against.
     pub(crate) static_cost: u64,
+    /// The graph state pinned at admission: what this query reads.
     pub(crate) snapshot: Arc<EpochSnapshot>,
     pub(crate) token: CancelToken,
     pub(crate) enqueued: Instant,

@@ -308,27 +308,22 @@ fn synthetic_weight(u: u32, v: u32) -> f32 {
 /// whether the engine is still mid-overlay or the compactor already
 /// folded.
 pub fn mutation_oracle_digest(base: &ShardedGraph, ops: &[MixOp]) -> u64 {
-    let buffer = crate::delta::MutationBuffer::new(1, base.num_vertices() as u32);
+    let replay = crate::delta::MutationBuffer::new(1, base.num_vertices() as u32);
     for op in ops {
         if let MixOp::Write(w) = op {
-            buffer.apply(base, &resolve_write(base, *w));
+            replay.apply(base, &resolve_write(base, *w));
         }
     }
-    buffer.current().live_digest(base)
+    replay.current().live_digest(base)
 }
 
-/// Structural digest of the engine's *current* graph state: the live
-/// overlay view when mutations are still buffered, the published epoch's
-/// graph otherwise. Comparable with [`mutation_oracle_digest`] and with
-/// [`crate::delta::structural_digest`] of any rebuilt-from-scratch graph.
+/// Structural digest of the engine's *current* graph state, the published
+/// base read through its overlay. Comparable with
+/// [`mutation_oracle_digest`] and with [`crate::delta::structural_digest`]
+/// of any rebuilt-from-scratch graph.
 pub fn live_engine_digest(engine: &Engine) -> u64 {
     let snap = engine.store().snapshot();
-    let ov = engine.overlay();
-    if ov.epoch() == snap.epoch() && !ov.is_empty() {
-        ov.live_digest(snap.graph())
-    } else {
-        crate::delta::structural_digest(snap.graph())
-    }
+    snap.overlay().live_digest(snap.graph())
 }
 
 /// Per-latency-class results of one mix replay.

@@ -328,6 +328,90 @@ fn a_burst_over_a_live_overlay_shares_one_pass_and_matches_the_folded_graph() {
     );
 }
 
+/// A BFS group never spans a write. Sixteen BFS queue behind a stalled
+/// executor, then a write adds a vertex wired from one of their sources,
+/// then the same sixteen BFS again. Each request reads the state it pinned
+/// at admission: the first sixteen the base, the last sixteen the
+/// post-write graph — two groups, however long the batch window.
+#[test]
+fn a_bfs_group_never_spans_a_write() {
+    const N: u32 = 20_000;
+    const LANES: usize = MIN_SHARED_LANES;
+    let reg = Registry::new();
+    let csr = Csr::from_graph(&Dataset::Ldbc.generate_with_vertices(N as usize));
+    let engine = Engine::with_registry(
+        EngineConfig {
+            executors: 1,
+            pool_threads: 2,
+            cache_capacity: 0,
+            compact_threshold: 0,
+            batch_window_us: 2_000,
+            ..EngineConfig::default()
+        },
+        csr,
+        &reg,
+    );
+    let base = engine.store().snapshot();
+    let sources: Vec<u32> = (0..LANES as u32).map(|i| i * 1237 % N).collect();
+    let bfs: Vec<Query> = sources
+        .iter()
+        .map(|&source| Query::Run {
+            workload: Workload::Bfs,
+            source,
+        })
+        .collect();
+    // Park the single executor on a heavy analytics query first: BFS
+    // outranks it, so the stall must have started before any BFS queues.
+    let stall = engine
+        .submit(Query::Run {
+            workload: Workload::KCore,
+            source: 0,
+        })
+        .expect("stall query admitted");
+    while engine.admission().queued() > 0 {
+        std::thread::yield_now();
+    }
+    let submit_all = || -> Vec<Ticket> {
+        bfs.iter()
+            .map(|&q| engine.submit(q).expect("admitted"))
+            .collect()
+    };
+    let before = submit_all();
+    engine
+        .mutate(&[
+            Mutation::AddVertex,
+            Mutation::AddEdge {
+                u: sources[0],
+                v: N,
+                w: 1.0,
+            },
+        ])
+        .unwrap();
+    let after = submit_all();
+    let folded = engine.overlay().materialize(base.graph(), 2);
+    let oracles = [
+        sequential_digests(base.graph(), engine.pool(), &bfs),
+        sequential_digests(&folded, engine.pool(), &bfs),
+    ];
+    for (half, (tickets, oracle)) in [before, after].into_iter().zip(oracles).enumerate() {
+        let got: Vec<Option<u64>> = tickets
+            .into_iter()
+            .map(|t| match t.wait().status {
+                QueryStatus::Completed(output) => Some(output.digest()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(got, oracle, "half {half} read the wrong graph state");
+    }
+    let _ = stall.wait();
+    let sizes = reg.histogram("engine.batch.size").snapshot();
+    assert_eq!(
+        (sizes.count, sizes.sum),
+        (2, 2 * LANES as u64),
+        "one group of {LANES} per graph state"
+    );
+}
+
 /// `batch_max: 1` disables coalescing outright — same results, no batch
 /// metrics, no batch lifecycle events.
 #[test]

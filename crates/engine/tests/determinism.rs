@@ -166,7 +166,6 @@ fn deadline_exceeded_queries_are_cancelled_not_completed() {
     let engine = Engine::with_registry(
         EngineConfig {
             pool_threads: 2,
-            default_deadline: Some(Duration::ZERO),
             ..EngineConfig::default()
         },
         csr(2_000),
@@ -174,15 +173,16 @@ fn deadline_exceeded_queries_are_cancelled_not_completed() {
     );
     let responses: Vec<_> = (0..8)
         .map(|i| {
+            let query = Query::Run {
+                workload: if i % 2 == 0 {
+                    Workload::CComp
+                } else {
+                    Workload::SPath
+                },
+                source: i,
+            };
             engine
-                .submit(Query::Run {
-                    workload: if i % 2 == 0 {
-                        Workload::CComp
-                    } else {
-                        Workload::SPath
-                    },
-                    source: i,
-                })
+                .submit_with_deadline(query, Some(Duration::ZERO))
                 .expect("admission is independent of deadlines")
         })
         .map(Ticket::wait)

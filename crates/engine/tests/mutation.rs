@@ -8,10 +8,12 @@ use graphbig_engine::traffic::{
     generate_ops, live_engine_digest, mutation_oracle_digest, resolve_write, run_mix, MixOp,
 };
 use graphbig_engine::{
-    check_chaos_invariants, structural_digest, Engine, EngineConfig, MixSpec, MutationBuffer,
+    check_chaos_invariants, structural_digest, Engine, EngineConfig, MixSpec, Mutation,
+    MutationBuffer, Query, QueryOutput, QueryResponse, QueryStatus,
 };
 use graphbig_framework::csr::Csr;
 use graphbig_telemetry::metrics::{MetricValue, Registry};
+use graphbig_workloads::Workload;
 
 fn engine(n: usize, compact_threshold: usize, reg: &Registry) -> Engine {
     let csr = Csr::from_graph(&Dataset::Ldbc.generate_with_vertices(n));
@@ -153,6 +155,58 @@ fn background_compactor_under_live_traffic_converges_on_the_oracle() {
 
     let inv = check_chaos_invariants(&eng, &report, None, &reg);
     assert!(inv.ok(), "{}", inv.render());
+}
+
+/// A read pins base *and* overlay at admission. With the one executor
+/// parked on an analytics run, a write lands, a read of the written vertex
+/// queues, and a compaction folds the write into the next epoch's base
+/// before the read runs: the read must still see the write, through the
+/// overlay of the state it pinned.
+#[test]
+fn queued_read_keeps_a_write_that_compaction_folded() {
+    let csr = Csr::from_graph(&Dataset::Ldbc.generate_with_vertices(20_000));
+    let u = 7u32;
+    let v = (0..20_000u32)
+        .find(|&v| v != u && !csr.neighbors(u).contains(&v))
+        .unwrap();
+    let eng = Engine::with_registry(
+        EngineConfig {
+            executors: 1,
+            // The stall takes one core, the compaction on this thread the
+            // other.
+            pool_threads: 1,
+            cache_capacity: 0,
+            compact_threshold: 0,
+            ..EngineConfig::default()
+        },
+        csr,
+        &Registry::new(),
+    );
+    let degree = |r: QueryResponse| match r.status {
+        QueryStatus::Completed(QueryOutput::Degree { out, .. }) => out,
+        other => panic!("{other:?}"),
+    };
+    let base = degree(eng.submit(Query::Degree { vertex: u }).unwrap().wait());
+    // GColor, not KCore: at this scale, on one pool thread of a 2-vCPU
+    // box, a KCore (~16 ms) barely outlasts the compaction (~12 ms), so the
+    // read could run before the fold published; GColor takes ~95 ms.
+    let stall = eng
+        .submit(Query::Run {
+            workload: Workload::GColor,
+            source: 0,
+        })
+        .unwrap();
+    // The executor has taken the stall once nothing is queued.
+    while eng.admission().queued() > 0 {
+        std::thread::yield_now();
+    }
+    eng.mutate(&[Mutation::AddEdge { u, v, w: 1.0 }]).unwrap();
+    let read = eng.submit(Query::Degree { vertex: u }).unwrap();
+    assert_eq!(eng.compact(), 2);
+    let r = read.wait();
+    assert_eq!(r.epoch, 1, "the read reports the state it pinned");
+    assert_eq!(degree(r), base + 1, "the read lost its write to compaction");
+    let _ = stall.wait();
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! # graphbig-runtime
 //!
 //! The parallel substrate for the CPU workloads: a persistent [`ThreadPool`]
-//! with SPMD-style parallel regions, dynamically scheduled
-//! [`parfor`] loops, and a sense-reversing [`Barrier`].
+//! with SPMD-style parallel regions and dynamically scheduled
+//! [`parfor`] loops.
 //!
 //! The paper runs its CPU workloads on a 16-core Xeon with threads pinned to
 //! hardware cores; [`ThreadPool::new`] mirrors the thread-count knob (actual
@@ -18,13 +18,11 @@
 
 #![warn(missing_docs)]
 
-pub mod barrier;
 pub mod cancel;
 pub mod frontier;
 pub mod parfor;
 pub mod pool;
 
-pub use barrier::Barrier;
 pub use cancel::{CancelToken, Cancelled};
 pub use frontier::{ChunkedSink, Frontier};
 pub use pool::ThreadPool;

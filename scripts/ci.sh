@@ -39,6 +39,16 @@ if [ -e crates/engine/src/batch.rs ] \
   exit 1
 fi
 
+echo "==> one published state (the store pairs base and overlay; a query pins both at admission)"
+# A second overlay pointer sampled at execution let a compaction strip a queued read's writes.
+# MutationBuffer stays for the write oracle (traffic.rs) and the benches.
+if grep -rn 'MutationBuffer' crates/engine/src --exclude=delta.rs --exclude=traffic.rs --exclude=lib.rs \
+  || [ "$(grep -c 'MutationBuffer' crates/engine/src/lib.rs)" -gt 1 ] \
+  || grep -rn 'fn retarget\|buffer\.current()\|write_lock' crates/engine/src; then
+  echo "only GraphStore pairs an overlay with a base: the engine reads and writes through EpochSnapshot"
+  exit 1
+fi
+
 echo "==> one event store (no span system, no feature gating the recorder)"
 # What the recorder costs is gated by event counts in
 # crates/engine/tests/lifecycle.rs, not by a wall-clock percentage.
