@@ -58,9 +58,11 @@ fn main() {
         pool_threads: 1, // the bench host is single-core; a wider pool only adds handoff
         cache_capacity: 0, // both engines time the kernel path
         queue_capacity: 1024, // the whole storm queues up front
-        // Covers the submit ramp: the first leader waits for the storm to
-        // fill its first 64 lanes instead of sailing with five. Later
-        // batches fill instantly from the backlog and never sleep.
+        // Covers the submit ramp: the first group waits for the storm to
+        // fill its 64 lanes instead of sailing with five. Groups form at
+        // admission and the window counts from a group's first member, so
+        // later groups, the partly filled tail included, are runnable by
+        // the time the executor reaches them and never wait.
         batch_window_us: 2000,
         ..EngineConfig::default()
     };

@@ -40,9 +40,10 @@
 //! (dequeues a starving lower lane may be skipped before it is served
 //! first; 0 = strict priority), `--batch-max N` (BFS requests coalesced
 //! into one shared multi-source pass; 1 disables) with
-//! `--batch-window-us N` (how long an executor holds a BFS group open for
-//! late joiners; 0 drains only what is already queued). Both are BFS
-//! only: point reads have no pass to share and never wait for a group.
+//! `--batch-window-us N` (how long a BFS group waits for joiners, counted
+//! from its first member's admission; 0 takes only what is queued; the
+//! idle time an executor spends waiting is `engine.batch.coalesce_us`).
+//! Both are BFS only: point reads never wait for a group.
 //! `--slo <path>` names a [`SloSpec`] JSON file with per-class p99/p999
 //! targets in microseconds; it overrides the mix file's `slo` member.
 //! Targets are stamped onto every stats line and

@@ -22,8 +22,8 @@
 //! admitted, whatever is published while it waits.
 //!
 //! This file is the front door only. What happens to a request after it is
-//! admitted is written once each in `lifecycle.rs` (admit, dequeue, finish,
-//! resolve), `exec.rs` (the executor loop, group formation and the guarded
+//! admitted is written once each in `lifecycle.rs` (admit, group formation,
+//! dequeue, finish, resolve), `exec.rs` (the executor loop and the guarded
 //! run) and `compact.rs` (folding the overlay).
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,9 +43,9 @@ use crate::admission::{AdmissionController, RejectReason};
 use crate::cache::ResultCache;
 use crate::compact::{compact_inner, compactor_loop};
 use crate::delta::{DeltaOverlay, Mutation, MutationReceipt};
-use crate::exec::{executor_loop, run_group};
+use crate::exec::executor_loop;
 use crate::lifecycle::{
-    admit, dequeue, lane, lock, EngineMetrics, Job, Lanes, Resolver, Shared, WRITE_LANE,
+    admit, lane, lock, EngineMetrics, Job, Lanes, Resolver, Shared, WRITE_LANE,
 };
 use crate::shard::ShardedGraph;
 use crate::slo::{self, SloTracker, StatsSnapshot};
@@ -78,16 +78,15 @@ pub struct EngineConfig {
     /// the delta overlay into a freshly published epoch. 0 disables the
     /// compactor thread (compaction happens only via [`Engine::compact`]).
     pub compact_threshold: usize,
-    /// Maximum queued BFS requests an executor coalesces into one shared
-    /// multi-source pass, capped at the MS-BFS lane width (64). 0 or 1
-    /// disables coalescing. BFS only: point reads (`Degree` / `KHop`) run
-    /// inline in microseconds and have no pass to share, so they never
-    /// wait to form a group.
+    /// Maximum BFS requests coalesced into one shared multi-source pass,
+    /// capped at the MS-BFS lane width (64). 0 or 1 disables coalescing.
+    /// BFS only: point reads have no pass to share and always run alone.
     pub batch_max: usize,
-    /// Microseconds an executor holds a freshly-dequeued BFS request open
-    /// for late BFS joiners before running the pass. 0 (the default)
-    /// coalesces only what is already queued and never adds latency. Never
-    /// applies to point reads or analytics, which always run alone.
+    /// Microseconds a BFS group waits for joiners, counted from its first
+    /// member's admission; a full group runs at once, and an executor serves
+    /// other lanes meanwhile. 0 (the default) takes only what is queued.
+    /// `engine.batch.coalesce_us` is the time an executor sat idle waiting
+    /// for joiners; a group's age shows in each member's `queue_us`.
     pub batch_window_us: u64,
 }
 
@@ -383,8 +382,9 @@ impl Engine {
         // `enqueue` is recorded before the push so an executor's `dequeue`
         // can never precede it in the event stream.
         recorder::record_lane(EventKind::Enqueue, lane_idx as u8, request_id, cost);
-        lock(&sh.lanes).queues[lane_idx].push_back(job);
-        sh.available.notify_one();
+        if lock(&sh.lanes).push(job, &sh.cfg) {
+            sh.available.notify_one();
+        }
         sh.metrics
             .stage_admit_us
             .record(admit_start.elapsed().as_micros() as u64);
@@ -572,16 +572,11 @@ impl Drop for Engine {
         }
         // Backstop: if any job is still queued after the executors exited
         // (only possible if an executor died outside its panic guard), shed
-        // it through the same draining dequeue an executor would have used,
-        // so no ticket ever hangs and the shed leaves the full lifecycle
+        // it through the same loop and draining dequeue an executor runs, so
+        // no ticket ever hangs and the shed leaves the full lifecycle
         // behind. The Resolver CAS makes this race-free against any
         // response an executor already sent.
-        let mut lanes = lock(&sh.lanes);
-        for queue in lanes.queues.iter_mut() {
-            while let Some(job) = queue.pop_front() {
-                run_group(sh, dequeue(sh, job, None, true), Vec::new());
-            }
-        }
+        executor_loop(sh);
     }
 }
 

@@ -1,10 +1,11 @@
-//! The executor side: pop, form a group, dequeue it, run it.
+//! The executor side: pop a group, dequeue it, run it.
 //!
-//! There is one path. An executor pops a leader under the lane-aging
-//! policy; when the leader is a BFS, [`form_batch`] drains the queued BFS
-//! requests that may ride with it (usually none — a solo job is a group of
-//! one). Every member goes through [`crate::lifecycle::dequeue`], and
-//! [`run_group`] walks each member through the same guarded run:
+//! There is one path. An executor pops the next runnable group — formed at
+//! admission by [`crate::lifecycle::Lanes::push`], usually a job alone —
+//! under the lane-aging policy, or sleeps until the earliest filling
+//! group's window closes. Every member goes through
+//! [`crate::lifecycle::dequeue`], and [`run_group`] walks each member
+//! through the same guarded run:
 //!
 //! `engine.run.pre` → cache probe → `engine.overlay.read` → **kernel** →
 //! cache insert (`engine.cache.insert`) → `engine.run.post` →
@@ -14,19 +15,13 @@
 //! group that miss the cache and read the group's graph state share one
 //! multi-source pass; everyone else runs [`run_query_uncached`] alone. So a
 //! request's failpoint decisions, terminal status and cache footprint are
-//! the same whether or not the scheduler happened to coalesce it.
+//! the same whether or not it was coalesced.
 //!
 //! Every member reads the state it pinned at admission — base and overlay
 //! as one [`crate::store::EpochSnapshot`] — and caches under its
 //! `(epoch, delta-seq)`. A group's members all pinned the same state, so a
-//! BFS group never spans a write.
-//!
-//! BFS is the only kind that coalesces, because it is the only one with a
-//! pass to share: 64 traversals walk each adjacency list once instead of
-//! 64 times. A `Degree` / `KHop` runs inline in nanoseconds to
-//! microseconds. Grouping point reads could buy only access locality, and
-//! holding their group open for `batch_window_us` would make every one of
-//! them wait out the window.
+//! BFS group never spans a write. Only a BFS coalesces: it is the one kind
+//! with a pass to share, and a point read would only wait out the window.
 //!
 //! Over a live overlay every kernel runs on the live graph, an
 //! [`OverlayView`] of the pinned base; no query folds the graph.
@@ -43,35 +38,52 @@ use graphbig_workloads::{msbfs, Workload};
 use crate::compact::incremental_ccomp;
 use crate::delta::{DeltaOverlay, OverlayView};
 use crate::engine::{Query, QueryOutput, QueryStatus};
-use crate::lifecycle::{dequeue, finish_job, lane, lock, terminal_status, Job, Pending, Shared};
+use crate::lifecycle::{
+    dequeue, finish_job, lane, lock, terminal_status, Group, Job, Pending, Shared,
+};
 use crate::store::EpochSnapshot;
 
 pub(crate) fn executor_loop(sh: &Shared) {
     loop {
-        let (leader, draining) = {
+        let (Group { leader, mates, .. }, draining, idle_us) = {
             let mut lanes = lock(&sh.lanes);
+            // Set once this executor starts waiting out a filling group.
+            let mut idle_since = None;
             loop {
-                if let Some((job, aged)) = lanes.pop(sh.cfg.lane_aging_limit) {
+                if let Some((group, aged)) = lanes.pop(sh.cfg.lane_aging_limit) {
                     if aged {
                         sh.metrics.lane_aged.inc();
                     }
-                    break (job, lanes.shutdown);
+                    let idle = idle_since.map_or(Duration::ZERO, |t: Instant| t.elapsed());
+                    break (group, lanes.shutdown, idle.as_micros() as u64);
                 }
                 if lanes.shutdown {
                     return;
                 }
-                lanes = sh.available.wait(lanes).unwrap_or_else(|e| e.into_inner());
+                // Sleep until the earliest window closes; a runnable job or
+                // the join that fills a group wakes it sooner.
+                lanes = match lanes.next_due() {
+                    Some(due) => {
+                        let now = Instant::now();
+                        idle_since.get_or_insert(now);
+                        let timeout = due.saturating_duration_since(now);
+                        let waited = sh.available.wait_timeout(lanes, timeout);
+                        waited.unwrap_or_else(|e| e.into_inner()).0
+                    }
+                    None => sh.available.wait(lanes).unwrap_or_else(|e| e.into_inner()),
+                };
             }
         };
-        // Shared-traversal batching: coalesce queued BFS requests behind a
-        // BFS leader. Only on the live path — a draining engine sheds
-        // queries instead.
-        let mates = if !draining && bfs_source(&leader.query).is_some() {
-            form_batch(sh, &leader)
-        } else {
-            Vec::new()
-        };
-        let leader_rid = (!mates.is_empty()).then_some(leader.request_id);
+        // A group of two or more is measured (`coalesce_us`: this executor's
+        // idle wait for joiners) and marked; a draining engine sheds.
+        let leader_rid = (!draining && !mates.is_empty()).then(|| {
+            let size = 1 + mates.len() as u64;
+            sh.metrics.batch_size.record(size);
+            sh.metrics.batch_coalesce_us.record(idle_us);
+            let lane_idx = lane(leader.class) as u8;
+            recorder::record_lane(EventKind::BatchStart, lane_idx, leader.request_id, size);
+            leader.request_id
+        });
         let leader = dequeue(sh, leader, leader_rid, draining);
         let mates = mates
             .into_iter()
@@ -83,7 +95,7 @@ pub(crate) fn executor_loop(sh: &Shared) {
 
 /// The source of a BFS run, the one query kind that coalesces; `None` for
 /// every other query, which always runs alone.
-fn bfs_source(query: &Query) -> Option<u32> {
+pub(crate) fn bfs_source(query: &Query) -> Option<u32> {
     match *query {
         Query::Run {
             workload: Workload::Bfs,
@@ -91,66 +103,6 @@ fn bfs_source(query: &Query) -> Option<u32> {
         } => Some(source),
         _ => None,
     }
-}
-
-/// Drain the BFS jobs that may ride with the BFS `leader` from its lane
-/// (FIFO order preserved), up to `batch_max` members capped at the MS-BFS
-/// lane width; empty when coalescing is off (`batch_max <= 1`). A mate is
-/// a BFS that pinned the leader's graph state, so a BFS admitted after a
-/// write never joins a group formed before it. With
-/// `batch_window_us == 0` this coalesces only what is already queued and
-/// never waits. A group that formed is measured (`engine.batch.*`) and
-/// marked with the leader's `BatchStart`.
-fn form_batch(sh: &Shared, leader: &Job) -> Vec<Job> {
-    let cap = sh.cfg.batch_max.min(msbfs::MSBFS_LANES);
-    if cap <= 1 {
-        return Vec::new();
-    }
-    let opened = Instant::now();
-    let lane_idx = lane(leader.class);
-    let window = Duration::from_micros(sh.cfg.batch_window_us);
-    let mut mates: Vec<Job> = Vec::new();
-    loop {
-        {
-            let mut lanes = lock(&sh.lanes);
-            if lanes.shutdown {
-                break;
-            }
-            let queue = &mut lanes.queues[lane_idx];
-            let mut i = 0;
-            while i < queue.len() && mates.len() + 1 < cap {
-                let compatible = bfs_source(&queue[i].query).is_some()
-                    && Arc::ptr_eq(&queue[i].snapshot, &leader.snapshot);
-                if compatible {
-                    mates.push(queue.remove(i).expect("index is in bounds"));
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        if mates.len() + 1 >= cap || sh.cfg.batch_window_us == 0 {
-            break;
-        }
-        let elapsed = opened.elapsed();
-        if elapsed >= window {
-            break;
-        }
-        std::thread::sleep((window - elapsed).min(Duration::from_micros(50)));
-    }
-    if !mates.is_empty() {
-        let size = 1 + mates.len() as u64;
-        sh.metrics.batch_size.record(size);
-        sh.metrics
-            .batch_coalesce_us
-            .record(opened.elapsed().as_micros() as u64);
-        recorder::record_lane(
-            EventKind::BatchStart,
-            lane_idx as u8,
-            leader.request_id,
-            size,
-        );
-    }
-    mates
 }
 
 /// The overlay reads of `snapshot` go through, when there is one to apply.

@@ -3,13 +3,14 @@
 //! Every request walks `admit → enqueue → dequeue → run → finish`, and each
 //! of those stages owns its four parallel concerns — counter, stage
 //! histogram, flight-recorder event, failpoint — in exactly one function
-//! here: [`admit`] (queries and mutations alike), [`dequeue`] (executor
-//! loop, batch followers and the shutdown backstop alike) and
-//! [`finish_job`] (every terminal status, grouped or not), ending in the
-//! one-shot [`Resolver`]. The guarded run between dequeue and finish lives
-//! in [`crate::exec`]. [`Shared`] is the state all stages (and the
-//! compactor) work against; [`EngineMetrics`] is the metric table, created
-//! eagerly so every manifest carries the same key set.
+//! here: [`admit`] (queries and mutations alike), [`dequeue`] (leaders,
+//! followers and the shutdown shed alike) and [`finish_job`] (every
+//! terminal status, grouped or not), ending in the one-shot [`Resolver`].
+//! Enqueue is [`Lanes::push`], where BFS groups form, each due when full
+//! or `batch_window_us` after its first admission. The guarded run between
+//! dequeue and finish lives in [`crate::exec`]. [`Shared`] is the state
+//! all stages (and the compactor) work against; [`EngineMetrics`] is the
+//! metric table, created eagerly so every manifest carries the same keys.
 //!
 //! A [`Job`] pins the published graph state once, at admission: every
 //! later stage reads that one [`EpochSnapshot`] — base and overlay — and
@@ -19,18 +20,19 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use graphbig_chaos::{self as chaos, FaultAction};
 use graphbig_runtime::{CancelToken, ThreadPool};
 use graphbig_telemetry::metrics::{Counter, Histogram, Registry};
 use graphbig_telemetry::recorder::{self, EventKind};
-use graphbig_workloads::CostClass;
+use graphbig_workloads::{msbfs, CostClass};
 
 use crate::admission::{AdmissionController, RejectReason};
 use crate::cache::ResultCache;
 use crate::delta::IncrementalCComp;
 use crate::engine::{EngineConfig, Query, QueryResponse, QueryStatus};
+use crate::exec::bfs_source;
 use crate::slo::{self, SloTracker};
 use crate::store::{EpochSnapshot, GraphStore};
 
@@ -102,8 +104,8 @@ pub(crate) struct EngineMetrics {
     /// group of size >= 2, never for a solo job; a distribution hugging 2
     /// means coalescing barely engages).
     pub(crate) batch_size: Histogram,
-    /// Microseconds an executor spent draining and (optionally) waiting
-    /// for group mates between popping the leader and dequeueing the group.
+    /// Microseconds an executor sat idle waiting for a group's joiners
+    /// before popping it (0 when it was already full or due).
     pub(crate) batch_coalesce_us: Histogram,
 }
 
@@ -144,12 +146,7 @@ impl EngineMetrics {
 
 /// Priority lane index of a cost class (its position in [`CostClass::ALL`]).
 pub(crate) fn lane(class: CostClass) -> usize {
-    match class {
-        CostClass::Point => 0,
-        CostClass::Traversal => 1,
-        CostClass::Analytics => 2,
-        CostClass::Write => 3,
-    }
+    class as usize
 }
 
 /// Index of the write lane (mutations bill here without queueing).
@@ -244,24 +241,34 @@ pub(crate) struct Pending {
 }
 
 /// Pick the lane to serve next. Strict priority (lowest index first)
-/// except that any occupied lane whose skip counter has reached `limit`
+/// except that any runnable lane whose skip counter has reached `limit`
 /// is served ahead of everything else (lowest such index on ties) — the
 /// aging rule that keeps an analytics queue moving under a point-query
 /// storm. `limit == 0` disables aging. Pure so the policy is unit-testable
 /// without an engine.
-fn select_lane(occupied: [bool; 4], skips: [u64; 4], limit: u64) -> Option<usize> {
+fn select_lane(runnable: [bool; 4], skips: [u64; 4], limit: u64) -> Option<usize> {
     if limit > 0 {
-        if let Some(aged) = (0..4).find(|&l| occupied[l] && skips[l] >= limit) {
+        if let Some(aged) = (0..4).find(|&l| runnable[l] && skips[l] >= limit) {
             return Some(aged);
         }
     }
-    (0..4).find(|&l| occupied[l])
+    (0..4).find(|&l| runnable[l])
+}
+
+/// One lane entry: a job on its own, or a BFS group formed at admission —
+/// the first member at its FIFO position, the BFS that joined it behind.
+pub(crate) struct Group {
+    pub(crate) leader: Job,
+    pub(crate) mates: Vec<Job>,
+    /// While a BFS group fills: its first admission plus `batch_window_us`.
+    /// `None` once it may run — full, or a job alone.
+    due: Option<Instant>,
 }
 
 #[derive(Default)]
 pub(crate) struct Lanes {
-    pub(crate) queues: [VecDeque<Job>; 4],
-    /// Consecutive times each lane was occupied yet passed over. Serving a
+    queues: [VecDeque<Group>; 4],
+    /// Consecutive times each lane was runnable yet passed over. Serving a
     /// lane resets its counter; lanes below the served one age by one.
     skips: [u64; 4],
     /// High-water mark of any skip counter — the starvation invariant
@@ -271,20 +278,64 @@ pub(crate) struct Lanes {
 }
 
 impl Lanes {
-    /// Pop the next job under the aging policy. The flag reports whether
-    /// the job was served out of strict priority order (an "aged" serve).
-    pub(crate) fn pop(&mut self, aging_limit: u64) -> Option<(Job, bool)> {
-        let occupied = [0, 1, 2, 3].map(|l| !self.queues[l].is_empty());
-        let served = select_lane(occupied, self.skips, aging_limit)?;
-        let aged = occupied.iter().take(served).any(|&o| o);
-        for (l, &occ) in occupied.iter().enumerate().skip(served + 1) {
-            if occ {
+    /// Queue `job`. A BFS joins its lane's open group for the same pinned
+    /// state (so a group never spans a write) while it has room — `batch_max`
+    /// capped at the MS-BFS lane width — or else opens one. True when an
+    /// executor should look: the job is runnable, filled its group or opened
+    /// one (whose due an idle executor must learn); a join wakes nobody.
+    pub(crate) fn push(&mut self, job: Job, cfg: &EngineConfig) -> bool {
+        let cap = cfg.batch_max.min(msbfs::MSBFS_LANES);
+        let queue = &mut self.queues[lane(job.class)];
+        let mut due = None;
+        if bfs_source(&job.query).is_some() && cap > 1 {
+            let open = queue.iter_mut().rev().find(|g| {
+                bfs_source(&g.leader.query).is_some()
+                    && Arc::ptr_eq(&g.leader.snapshot, &job.snapshot)
+            });
+            if let Some(group) = open.filter(|g| g.mates.len() + 1 < cap) {
+                group.mates.push(job);
+                let full = group.mates.len() + 1 == cap;
+                if full {
+                    group.due = None;
+                }
+                return full;
+            }
+            due = Some(job.enqueued + Duration::from_micros(cfg.batch_window_us));
+        }
+        queue.push_back(Group {
+            leader: job,
+            mates: Vec::new(),
+            due,
+        });
+        true
+    }
+
+    /// Pop the next group under the aging policy; the flag reports an aged
+    /// serve (out of strict priority order). A lane is runnable when its
+    /// front group is due (all are once the engine shuts down), so a filling
+    /// group never holds an executor: the other lanes are served meanwhile.
+    pub(crate) fn pop(&mut self, aging_limit: u64) -> Option<(Group, bool)> {
+        let due = |g: &Group| g.due.is_none_or(|due| due <= Instant::now());
+        let runnable = [0, 1, 2, 3].map(|l| {
+            self.queues[l]
+                .front()
+                .is_some_and(|g| self.shutdown || due(g))
+        });
+        let served = select_lane(runnable, self.skips, aging_limit)?;
+        let aged = runnable.iter().take(served).any(|&r| r);
+        for (l, &r) in runnable.iter().enumerate().skip(served + 1) {
+            if r {
                 self.skips[l] += 1;
                 self.max_skip = self.max_skip.max(self.skips[l]);
             }
         }
         self.skips[served] = 0;
         Some((self.queues[served].pop_front().unwrap(), aged))
+    }
+
+    /// When the earliest filling group falls due (`None`: none is filling).
+    pub(crate) fn next_due(&self) -> Option<Instant> {
+        self.queues.iter().filter_map(|q| q.front()?.due).min()
     }
 }
 
@@ -486,6 +537,14 @@ mod tests {
     }
 
     #[test]
+    fn lanes_follow_the_cost_class_order() {
+        for (i, class) in CostClass::ALL.into_iter().enumerate() {
+            assert_eq!(lane(class), i, "{class:?}");
+        }
+        assert_eq!(lane(CostClass::Write), WRITE_LANE);
+    }
+
+    #[test]
     fn lane_skip_counts_are_bounded_by_the_aging_limit() {
         // Model a point-query storm directly on the Lanes state machine:
         // lane 0 never empties, lane 2 holds a steady backlog. Without
@@ -515,12 +574,12 @@ mod tests {
         };
         let mut analytics_served = 0u64;
         for round in 0..100 {
-            lanes.queues[0].push_back(stub(CostClass::Point));
+            lanes.push(stub(CostClass::Point), &EngineConfig::default());
             if lanes.queues[2].is_empty() {
-                lanes.queues[2].push_back(stub(CostClass::Analytics));
+                lanes.push(stub(CostClass::Analytics), &EngineConfig::default());
             }
-            let (job, aged) = lanes.pop(limit).unwrap();
-            if job.class == CostClass::Analytics {
+            let (group, aged) = lanes.pop(limit).unwrap();
+            if group.leader.class == CostClass::Analytics {
                 analytics_served += 1;
                 assert!(aged, "analytics only gets served via aging here");
             }

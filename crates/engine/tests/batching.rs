@@ -271,8 +271,9 @@ fn a_burst_over_a_live_overlay_shares_one_pass_and_matches_the_folded_graph() {
             pool_threads: 2,
             cache_capacity: 0,
             compact_threshold: 0,
-            // The leader holds the group open until the whole burst has
-            // arrived (the window only bounds a lost race).
+            // The group runs once the whole burst has joined it (the
+            // window, counted from the first admission, only bounds a lost
+            // race).
             batch_max: LANES,
             batch_window_us: 5_000_000,
             ..EngineConfig::default()
@@ -512,5 +513,122 @@ fn queued_point_reads_run_alone_and_never_wait_out_the_window() {
     assert!(
         waited < Duration::from_micros(WINDOW_US / 4),
         "queued point reads took {waited:?} to resolve: they waited for a group"
+    );
+}
+
+/// A group's window counts from its first admission, not from when an
+/// executor reaches it. Sixteen plus four BFS queue behind a ~95 ms stall
+/// on an engine whose window is 20 ms: the full group and the tail group
+/// are both runnable by the time the executor frees up, so neither waits,
+/// and no executor sits idle for a joiner.
+#[test]
+fn a_tail_group_past_its_window_runs_at_once() {
+    const N: u32 = 20_000;
+    const LANES: usize = MIN_SHARED_LANES;
+    let reg = Registry::new();
+    let csr = Csr::from_graph(&Dataset::Ldbc.generate_with_vertices(N as usize));
+    let engine = Engine::with_registry(
+        EngineConfig {
+            executors: 1,
+            pool_threads: 1,
+            cache_capacity: 0,
+            batch_max: LANES,
+            batch_window_us: 20_000,
+            ..EngineConfig::default()
+        },
+        csr,
+        &reg,
+    );
+    // GColor, not KCore: at this scale a KCore (~16 ms) would not outlast
+    // the window; GColor takes ~95 ms.
+    let stall = engine
+        .submit(Query::Run {
+            workload: Workload::GColor,
+            source: 0,
+        })
+        .expect("stall query admitted");
+    while engine.admission().queued() > 0 {
+        std::thread::yield_now();
+    }
+    let queries: Vec<Query> = (0..LANES as u32 + 4)
+        .map(|i| Query::Run {
+            workload: Workload::Bfs,
+            source: i * 1237 % N,
+        })
+        .collect();
+    let tickets: Vec<Ticket> = queries
+        .iter()
+        .map(|&q| engine.submit(q).expect("admitted"))
+        .collect();
+    assert_eq!(
+        engine.admission().queued(),
+        queries.len(),
+        "every BFS is queued behind the stall"
+    );
+    let oracle = sequential_digests(engine.store().snapshot().graph(), engine.pool(), &queries);
+    let got: Vec<Option<u64>> = tickets
+        .into_iter()
+        .map(|t| match t.wait().status {
+            QueryStatus::Completed(output) => Some(output.digest()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(got, oracle, "grouped BFS diverged from the oracle");
+    let _ = stall.wait();
+    let sizes = reg.histogram("engine.batch.size").snapshot();
+    assert_eq!(
+        (sizes.count, sizes.sum),
+        (2, queries.len() as u64),
+        "a group of {LANES} and a tail of 4"
+    );
+    let idle = reg.histogram("engine.batch.coalesce_us").snapshot();
+    assert!(
+        idle.sum < 5_000,
+        "the executor waited {} us for groups already past their window",
+        idle.sum
+    );
+}
+
+/// A group still filling is not runnable, so it never holds an executor:
+/// a point read submitted while a lone BFS waits out a 300 ms window is
+/// served at once, and resolves long before the BFS.
+#[test]
+fn a_filling_group_does_not_hold_the_executor() {
+    const WINDOW_US: u64 = 300_000;
+    let csr = Csr::from_graph(&Dataset::Ldbc.generate_with_vertices(2000));
+    let engine = Engine::with_registry(
+        EngineConfig {
+            executors: 1,
+            pool_threads: 2,
+            batch_window_us: WINDOW_US,
+            ..EngineConfig::default()
+        },
+        csr,
+        &Registry::new(),
+    );
+    let started = Instant::now();
+    let bfs = engine
+        .submit(Query::Run {
+            workload: Workload::Bfs,
+            source: 7,
+        })
+        .expect("admitted");
+    std::thread::sleep(Duration::from_millis(5));
+    let degree = engine
+        .submit(Query::Degree { vertex: 7 })
+        .expect("admitted");
+    let read = degree.wait();
+    let read_done = started.elapsed();
+    assert!(matches!(read.status, QueryStatus::Completed(_)));
+    assert!(
+        read.queue_us < 50_000,
+        "the read queued {} us behind a filling group",
+        read.queue_us
+    );
+    let traversal = bfs.wait();
+    assert!(matches!(traversal.status, QueryStatus::Completed(_)));
+    assert!(
+        read_done < Duration::from_micros(traversal.queue_us + traversal.exec_us),
+        "the read resolved at {read_done:?}, after the BFS"
     );
 }

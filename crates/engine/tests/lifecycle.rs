@@ -410,8 +410,9 @@ fn solo_and_coalesced_runs_log_the_same_lifecycle() {
 
     // Coalesced: warm BFS(5), then park the single executor behind a heavy
     // query so the next three requests are dequeued as one group. Should
-    // the executor come back before all three are queued, the leader holds
-    // the group open until they are (the window only bounds a lost race).
+    // the executor come back before all three are queued, the group is not
+    // runnable until they are (the window, counted from the first
+    // admission, only bounds a lost race).
     let reg = Registry::new();
     let cfg = EngineConfig {
         batch_max: 3,

@@ -39,6 +39,19 @@ if [ -e crates/engine/src/batch.rs ] \
   exit 1
 fi
 
+echo "==> one batching clock (BFS groups form at admission; the window counts from the first admission)"
+# An executor that formed groups after popping a leader slept out the window with the members queued.
+if grep -rn 'fn form_batch' crates/engine/src; then
+  echo "form_batch is gone: Lanes::push forms groups at admission"
+  exit 1
+fi
+for f in exec.rs lifecycle.rs engine.rs; do
+  if sed '/^#\[cfg(test)\]/,$d' "crates/engine/src/$f" | grep -n 'thread::sleep\|queue\.remove('; then
+    echo "crates/engine/src/$f sleeps or scans a lane: an idle executor waits on available until the earliest due"
+    exit 1
+  fi
+done
+
 echo "==> one published state (the store pairs base and overlay; a query pins both at admission)"
 # A second overlay pointer sampled at execution let a compaction strip a queued read's writes.
 # MutationBuffer stays for the write oracle (traffic.rs) and the benches.
