@@ -34,9 +34,9 @@
 //! digest-identical to a single-threaded sequential replay of the same
 //! write stream over the starting snapshot.
 //!
-//! Adaptive-serving flags: `--cache-capacity N` (epoch-keyed result
-//! cache entries; 0 disables), `--no-adaptive` (charge static cost
-//! estimates instead of feedback-corrected ones), `--aging-limit N`
+//! Admission charges each query its static `Query::cost` estimate against
+//! `--cost-budget`. Serving flags: `--cache-capacity N` (epoch-keyed result
+//! cache entries; 0 disables), `--aging-limit N`
 //! (dequeues a starving lower lane may be skipped before it is served
 //! first; 0 = strict priority), `--batch-max N` (BFS requests coalesced
 //! into one shared multi-source pass; 1 disables) with
@@ -60,6 +60,9 @@
 //! always-on flight recorder auto-dumps on an invariant violation, a
 //! non-injected panic, or an oracle mismatch.
 //!
+//! An unknown flag, a flag missing its value, or a value its flag cannot
+//! parse exits with status 2 before any graph is built.
+//!
 //! This binary intentionally does not depend on `graphbig-bench` (which
 //! depends on the engine through `graphbig`), so it carries its own tiny
 //! flag parsing and builds the [`RunManifest`] directly.
@@ -82,18 +85,56 @@ use graphbig_framework::csr::Csr;
 use graphbig_telemetry::recorder;
 use graphbig_telemetry::{self as telemetry, MetricSink, MetricValue, RunManifest, TableData};
 
+/// The one list of flags this binary knows: switches stand alone, every
+/// other flag takes a value.
+const SWITCHES: &str = "--oracle --quiet";
+const VALUE_FLAGS: &str = "--dataset --vertices --mix --requests --clients --seed \
+    --point-weight --traversal-weight --analytics-weight --write-weight \
+    --write-delete-percent --deadline-ms --hot-sources --khop-hops --executors \
+    --pool-threads --queue-capacity --cost-budget --shards --compact-threshold \
+    --cache-capacity --aging-limit --batch-max --batch-window-us --slo --faults \
+    --emit --trace --flight-dump --stats-interval";
+
+/// Report a command-line error and exit with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
+}
+
+/// Reject any argument that is not a known flag, and a value flag given
+/// last with no value, so a mistyped or retired flag is never ignored.
+fn check_args() {
+    let known = |list: &str, arg: &str| list.split_whitespace().any(|f| f == arg);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        if known(SWITCHES, &arg) {
+            continue;
+        }
+        if !known(VALUE_FLAGS, &arg) {
+            usage_error(&format!("unknown flag {arg}"));
+        }
+        if args.next().is_none() {
+            usage_error(&format!("{arg} needs a value"));
+        }
+    }
+}
+
 fn arg_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+    std::env::args().skip_while(|a| a != flag).nth(1)
+}
+
+/// The value of `flag` parsed as `T`, if given; a value that does not
+/// parse is an error, never a silent default.
+fn opt_arg<T: std::str::FromStr>(flag: &str) -> Option<T> {
+    let v = arg_value(flag)?;
+    Some(
+        v.parse()
+            .unwrap_or_else(|_| usage_error(&format!("{flag} {v}: bad value"))),
+    )
 }
 
 fn parsed_arg<T: std::str::FromStr>(flag: &str, default: T) -> T {
-    arg_value(flag)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    opt_arg(flag).unwrap_or(default)
 }
 
 fn has_flag(flag: &str) -> bool {
@@ -119,8 +160,8 @@ fn load_mix() -> Result<MixSpec, String> {
                 "--write-delete-percent",
                 defaults.write_delete_percent,
             ),
-            deadline_ms: arg_value("--deadline-ms").and_then(|v| v.parse().ok()),
-            hot_sources: arg_value("--hot-sources").and_then(|v| v.parse().ok()),
+            deadline_ms: opt_arg("--deadline-ms"),
+            hot_sources: opt_arg("--hot-sources"),
             khop_hops: parsed_arg("--khop-hops", defaults.khop_hops),
             slo: None,
         }
@@ -271,6 +312,7 @@ fn render(table: &TableData) -> String {
 }
 
 fn main() -> ExitCode {
+    check_args();
     if let Some(path) = arg_value("--flight-dump") {
         recorder::set_auto_dump_path(&path);
     }
@@ -293,15 +335,8 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let vertices: usize = parsed_arg("--vertices", 1usize << 16);
-    let spec = match load_mix() {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let plan = match load_faults() {
-        Ok(p) => p,
+    let (spec, plan) = match load_mix().and_then(|spec| Ok((spec, load_faults()?))) {
+        Ok(loaded) => loaded,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
@@ -318,18 +353,14 @@ fn main() -> ExitCode {
         }
     }
     let cost_budget: u64 = parsed_arg("--cost-budget", 0u64);
+    let stats_interval: u64 = parsed_arg("--stats-interval", 0u64);
     let cfg_defaults = EngineConfig::default();
     let cfg = EngineConfig {
         executors: parsed_arg("--executors", 2usize),
         pool_threads: parsed_arg("--pool-threads", 4usize),
         queue_capacity: parsed_arg("--queue-capacity", 64usize),
-        cost_budget: if cost_budget == 0 {
-            u64::MAX
-        } else {
-            cost_budget
-        },
+        cost_budget: Some(cost_budget).filter(|&b| b > 0).unwrap_or(u64::MAX),
         shards: parsed_arg("--shards", 8usize),
-        adaptive_costs: !has_flag("--no-adaptive"),
         cache_capacity: parsed_arg("--cache-capacity", cfg_defaults.cache_capacity),
         lane_aging_limit: parsed_arg("--aging-limit", cfg_defaults.lane_aging_limit),
         compact_threshold: parsed_arg("--compact-threshold", cfg_defaults.compact_threshold),
@@ -357,7 +388,6 @@ fn main() -> ExitCode {
     // Pinned before any traffic: writes resolve against this snapshot, and
     // the write oracle replays against it after the mix drains.
     let base_snapshot = engine.store().snapshot();
-    let stats_interval: u64 = parsed_arg("--stats-interval", 0u64);
     // Every stats line carries the per-lane SLO targets (0 = none), so a
     // live reader can compare window quantiles against targets in place.
     let slo_spec = spec.slo.unwrap_or_default();
@@ -572,7 +602,6 @@ fn main() -> ExitCode {
         manifest.param("cost_budget", cost_budget);
         manifest.param("shards", cfg.shards);
         manifest.param("cache_capacity", cfg.cache_capacity);
-        manifest.param("adaptive_costs", cfg.adaptive_costs);
         manifest.param("aging_limit", cfg.lane_aging_limit);
         manifest.param("batch_max", cfg.batch_max);
         manifest.param("batch_window_us", cfg.batch_window_us);

@@ -65,9 +65,6 @@ pub struct EngineConfig {
     pub cost_budget: u64,
     /// Shard count for the graph store's partitions.
     pub shards: usize,
-    /// Scale static cost estimates by the feedback model's observed
-    /// correction factor at admission (see [`SloTracker::correction`]).
-    pub adaptive_costs: bool,
     /// Total entries in the epoch-keyed result cache (0 disables caching).
     pub cache_capacity: usize,
     /// Dequeues a non-empty lower-priority lane tolerates being passed
@@ -98,7 +95,6 @@ impl Default for EngineConfig {
             queue_capacity: 64,
             cost_budget: u64::MAX,
             shards: 8,
-            adaptive_costs: true,
             cache_capacity: 1024,
             lane_aging_limit: 32,
             compact_threshold: 4096,
@@ -349,17 +345,8 @@ impl Engine {
         );
         let class = query.class();
         let lane_idx = lane(class);
-        let static_cost = query.cost(n, m);
-        // Feedback cost model: charge the budget what this key has been
-        // *observed* to cost relative to the global calibration, not what
-        // the static formula guesses. Bounded by the correction clamp, so
-        // an adjusted cost is always within [1/4, 4]x the static one.
-        let cost = if sh.cfg.adaptive_costs {
-            sh.slo.adaptive_cost(slo::query_key(&query), static_cost)
-        } else {
-            static_cost
-        };
-        admit(sh, lane_idx, cost, static_cost, tag, request_id)?;
+        let cost = query.cost(n, m);
+        admit(sh, lane_idx, cost, tag, request_id)?;
         let token = match deadline {
             Some(d) => CancelToken::with_timeout(d),
             None => CancelToken::new(),
@@ -371,7 +358,6 @@ impl Engine {
             query,
             class,
             cost,
-            static_cost,
             snapshot,
             token: token.clone(),
             enqueued: Instant::now(),
@@ -445,7 +431,7 @@ impl Engine {
         let start = Instant::now();
         let request_id = recorder::next_request_id();
         let cost = (batch.len() as u64).max(1);
-        admit(sh, WRITE_LANE, cost, cost, tag, request_id)?;
+        admit(sh, WRITE_LANE, cost, tag, request_id)?;
         sh.admission.on_start();
         // Failpoint `engine.mutate`: delay inside the write path, widening
         // the compaction-vs-mutation race window under chaos.

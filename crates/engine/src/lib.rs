@@ -12,9 +12,8 @@
 //!   pins an immutable `Arc<EpochSnapshot>` (base graph *and* overlay) at
 //!   admission; writers, serialised in the store, swap in the next one.
 //! - [`admission`]: bounded queue + in-flight cost budget with typed,
-//!   synchronous [`RejectReason`]s. Budget charges run through the
-//!   feedback cost model ([`SloTracker::correction`](slo::SloTracker)),
-//!   which scales static estimates by observed per-key latency.
+//!   synchronous [`RejectReason`]s. A query is charged its static
+//!   `Query::cost(n, m)` estimate, a mutation its batch length.
 //! - [`cache`]: the `(epoch, delta-seq)`-keyed [`ResultCache`] — repeated
 //!   hot requests are served bit-identically without re-running the
 //!   kernel, and both a publish and a mutation make every stale entry
@@ -41,7 +40,7 @@
 //!   sweep auto-dumps the always-on flight recorder.
 //! - [`slo`]: live sliding-window latency stats ([`SloTracker`]) behind
 //!   the `engine.window.*` gauges and the `--stats-interval` snapshot
-//!   line — the observed-latency feed for SLO-aware adaptive serving.
+//!   line, for reporting only.
 //!
 //! Every request carries a process-unique id minted at admission and
 //! threaded through admission → enqueue → dequeue → run → resolve; each

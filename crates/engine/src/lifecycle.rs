@@ -213,11 +213,9 @@ impl Resolver {
 pub(crate) struct Job {
     pub(crate) query: Query,
     pub(crate) class: CostClass,
-    /// Budget cost actually charged (the feedback-adjusted estimate).
+    /// Budget cost charged at admission: `Query::cost(n, m)`, or the batch
+    /// length for a mutation.
     pub(crate) cost: u64,
-    /// Unscaled `Query::cost` estimate — the denominator the feedback
-    /// model calibrates against.
-    pub(crate) static_cost: u64,
     /// The graph state pinned at admission: what this query reads.
     pub(crate) snapshot: Arc<EpochSnapshot>,
     pub(crate) token: CancelToken,
@@ -341,21 +339,17 @@ impl Lanes {
 
 /// The admission front every request passes, reads and writes alike: the
 /// `admit` event (arg = chaos tag, so `fault_fired` events keyed by tag
-/// correlate back), the cost-adjust event, the controller's verdict, and on
-/// rejection the matching counter and `reject` event.
+/// correlate back), the controller's verdict, and on rejection the matching
+/// counter and `reject` event.
 pub(crate) fn admit(
     sh: &Shared,
     lane_idx: usize,
     cost: u64,
-    static_cost: u64,
     tag: u64,
     request_id: u64,
 ) -> Result<(), RejectReason> {
     let lane_idx = lane_idx as u8;
     recorder::record_lane(EventKind::Admit, lane_idx, request_id, tag);
-    if cost != static_cost {
-        recorder::record_lane(EventKind::CostAdjust, lane_idx, request_id, cost);
-    }
     let mut verdict = sh.admission.try_admit(cost);
     // Failpoint `engine.admit`: force a spurious rejection *after* a
     // successful admission (rolling the reservation back so the
@@ -453,13 +447,8 @@ pub(crate) fn finish_job(sh: &Shared, p: Pending, status: QueryStatus, exec_us: 
         QueryStatus::Completed(_) => {
             metrics.completed[lane_idx].inc();
             metrics.latency_us[lane_idx].record(queue_us + exec_us);
-            let key = slo::query_key(&job.query);
-            sh.slo.record(lane_idx, key, queue_us + exec_us);
-            // Feed the feedback cost model with what execution
-            // actually cost relative to the static estimate. Cache
-            // hits count too — a hot cached key genuinely is cheap,
-            // and its correction should drift toward the floor.
-            sh.slo.observe_cost(key, job.static_cost, exec_us);
+            sh.slo
+                .record(lane_idx, slo::query_key(&job.query), queue_us + exec_us);
         }
         QueryStatus::DeadlineExceeded => metrics.deadline_missed.inc(),
         QueryStatus::Cancelled => metrics.cancelled.inc(),
@@ -559,7 +548,6 @@ mod tests {
                 query: Query::Degree { vertex: 0 },
                 class,
                 cost: 1,
-                static_cost: 1,
                 snapshot: GraphStore::new(ShardedGraph::build(
                     Csr::from_graph(&Dataset::Ldbc.generate_with_vertices(8)),
                     2,

@@ -1,10 +1,11 @@
 //! Live SLO stats: sliding-window latency estimators over the serving path.
 //!
-//! End-of-run percentiles tell you how a mix went; an operator (and the
-//! ROADMAP's adaptive admission loop) needs the *current* latency picture.
-//! The [`SloTracker`] keeps, per priority lane and per workload key, a
-//! 10-second [`WindowedHistogram`] plus an [`Ewma`], fed by the executors
-//! on every completed query. Three consumers read it:
+//! End-of-run percentiles tell you how a mix went; an operator needs the
+//! *current* latency picture. The [`SloTracker`] keeps, per priority lane
+//! and per workload key, a 10-second [`WindowedHistogram`] plus an
+//! [`Ewma`], fed by the executors on every completed query. It is for
+//! reporting only: admission charges the static `Query::cost` estimate and
+//! never reads it. Three consumers read it:
 //!
 //! * [`SloTracker::publish`] — `engine.window.*` gauges in the metric
 //!   registry, with a **fixed key set** (every lane and every servable
@@ -15,15 +16,7 @@
 //!   per-lane window stats, rendered by
 //!   [`StatsSnapshot::to_json_line`] as the structured line
 //!   `graphbig-serve --stats-interval` prints;
-//! * tests/benches via [`SloTracker::lane_stats`];
-//! * the **feedback cost model** — [`SloTracker::observe_cost`] folds each
-//!   completed query's `exec_us / static_cost` ratio into a global
-//!   calibration EWMA and a per-key EWMA, and
-//!   [`SloTracker::correction`] turns the pair into a bounded factor the
-//!   engine multiplies into the static `cost_estimate` at admission. A key
-//!   that consistently runs hotter than the global calibration predicts is
-//!   charged more budget; one that runs cooler (e.g. because the result
-//!   cache absorbs it) is charged less, down to the clamp floor.
+//! * tests/benches via [`SloTracker::lane_stats`].
 //!
 //! This module also defines the [`SloSpec`] / [`ClassSlo`] JSON types: the
 //! per-class p99/p999 latency targets a mix file declares, surfaced in
@@ -47,17 +40,6 @@ const WINDOW_SLICES: usize = 8;
 const SLICE_MS: u64 = 1250;
 /// EWMA smoothing: ~5% weight per observation.
 const EWMA_ALPHA: f64 = 0.05;
-/// Feedback-model smoothing: faster than the latency EWMAs so admission
-/// adapts within a few dozen requests of a regime change.
-const FEEDBACK_ALPHA: f64 = 0.1;
-/// Lower clamp on the cost-correction factor: a key never gets cheaper
-/// than a quarter of its static estimate.
-pub const CORRECTION_MIN: f64 = 0.25;
-/// Upper clamp: a key never gets more than 4x its static estimate.
-pub const CORRECTION_MAX: f64 = 4.0;
-/// Observations (global and per-key) required before the correction
-/// leaves its neutral 1.0 — cold estimators make bad calibrators.
-pub const FEEDBACK_WARMUP: u64 = 8;
 
 /// Stable lowercase key for a workload in `engine.window.*` metric names.
 pub fn workload_key(w: Workload) -> &'static str {
@@ -113,14 +95,6 @@ struct Inner {
     /// every query shape the engine can serve — so published metric names
     /// never depend on traffic.
     workloads: BTreeMap<&'static str, (CostClass, LaneWindow)>,
-    /// Global calibration: EWMA of `exec_us / static_cost` across every
-    /// completed query — "how many microseconds one cost unit buys on this
-    /// graph/hardware".
-    unit: Ewma,
-    /// Per-key `exec_us / static_cost` EWMAs (same fixed key set as
-    /// `workloads`). The ratio of a key's EWMA to the global one is its
-    /// cost-correction factor.
-    costs: BTreeMap<&'static str, Ewma>,
 }
 
 /// Sliding-window latency stats for the serving engine, shared between the
@@ -147,10 +121,6 @@ impl SloTracker {
                 workloads.insert(workload_key(w), (w.cost_class(), LaneWindow::new()));
             }
         }
-        let costs = workloads
-            .keys()
-            .map(|&k| (k, Ewma::new(FEEDBACK_ALPHA)))
-            .collect();
         SloTracker {
             inner: Arc::new(Inner {
                 lanes: [
@@ -160,8 +130,6 @@ impl SloTracker {
                     LaneWindow::new(),
                 ],
                 workloads,
-                unit: Ewma::new(FEEDBACK_ALPHA),
-                costs,
             }),
         }
     }
@@ -174,48 +142,6 @@ impl SloTracker {
         if let Some((_, w)) = self.inner.workloads.get(key) {
             w.record(latency_us);
         }
-    }
-
-    /// Feed one completed query into the feedback cost model: fold its
-    /// `exec_us / static_cost` ratio into the global calibration EWMA and
-    /// the key's own EWMA. Zero static costs are skipped (no ratio exists);
-    /// unknown keys calibrate the global unit only.
-    pub fn observe_cost(&self, key: &str, static_cost: u64, exec_us: u64) {
-        if static_cost == 0 {
-            return;
-        }
-        let ratio = exec_us as f64 / static_cost as f64;
-        self.inner.unit.observe_f64(ratio);
-        if let Some(e) = self.inner.costs.get(key) {
-            e.observe_f64(ratio);
-        }
-    }
-
-    /// The bounded cost-correction factor for `key`: the ratio of the
-    /// key's observed µs-per-cost-unit to the global calibration, clamped
-    /// to [[`CORRECTION_MIN`], [`CORRECTION_MAX`]]. Neutral (1.0) until
-    /// both estimators have [`FEEDBACK_WARMUP`] observations, for unknown
-    /// keys, and whenever the calibration is degenerate.
-    pub fn correction(&self, key: &str) -> f64 {
-        let unit = &self.inner.unit;
-        let Some(observed) = self.inner.costs.get(key) else {
-            return 1.0;
-        };
-        if unit.count() < FEEDBACK_WARMUP || observed.count() < FEEDBACK_WARMUP {
-            return 1.0;
-        }
-        let (u, o) = (unit.value(), observed.value());
-        if !u.is_finite() || u <= 0.0 || !o.is_finite() {
-            return 1.0;
-        }
-        (o / u).clamp(CORRECTION_MIN, CORRECTION_MAX)
-    }
-
-    /// The budget cost to charge for a query of `static_cost` under `key`:
-    /// the static estimate scaled by [`SloTracker::correction`], never
-    /// below 1.
-    pub fn adaptive_cost(&self, key: &str, static_cost: u64) -> u64 {
-        ((static_cost as f64 * self.correction(key)).round() as u64).max(1)
     }
 
     /// The current window stats for one lane.
@@ -254,9 +180,7 @@ impl SloTracker {
                 w.hist.snapshot().quantile(0.99) as f64,
             );
             reg.set_gauge(&format!("{base}.ewma_us"), w.ewma.value());
-            reg.set_gauge(&format!("{base}.correction"), self.correction(key));
         }
-        reg.set_gauge("engine.feedback.unit_ratio", self.inner.unit.value());
     }
 }
 
@@ -510,54 +434,6 @@ mod tests {
         ] {
             assert!(lanes[0].get(field).is_some(), "{field}");
         }
-    }
-
-    #[test]
-    fn correction_is_neutral_until_warmed_up_and_then_clamped() {
-        let t = SloTracker::new();
-        assert_eq!(t.correction("degree"), 1.0, "cold model is neutral");
-        assert_eq!(t.adaptive_cost("degree", 100), 100);
-        // Calibrate: khop runs at exactly 1 µs per cost unit.
-        for _ in 0..FEEDBACK_WARMUP {
-            t.observe_cost("khop", 100, 100);
-        }
-        assert_eq!(
-            t.correction("degree"),
-            1.0,
-            "a key with no observations of its own stays neutral"
-        );
-        // degree consistently runs 2x hotter than its static estimate.
-        for _ in 0..FEEDBACK_WARMUP {
-            t.observe_cost("degree", 100, 200);
-        }
-        let c = t.correction("degree");
-        assert!(c > 1.0 && c <= CORRECTION_MAX, "hot key costs more: {c}");
-        assert!(t.adaptive_cost("degree", 100) > 100);
-        // An absurdly hot key pins at the upper clamp, never beyond. The
-        // unit calibration sees every sample too, so keep baseline
-        // ratio-1 traffic flowing — as real mixed traffic would — or the
-        // "unit" would chase the outlier and neutralize the correction.
-        for _ in 0..8 {
-            t.observe_cost("degree", 1, 1_000_000);
-            for _ in 0..99 {
-                t.observe_cost("khop", 100, 100);
-            }
-        }
-        assert_eq!(t.correction("degree"), CORRECTION_MAX);
-        assert_eq!(t.adaptive_cost("degree", 100), 400);
-        // An absurdly cool key pins at the floor, and costs stay >= 1.
-        for _ in 0..8 {
-            t.observe_cost("bfs", 1_000_000, 1);
-            for _ in 0..99 {
-                t.observe_cost("khop", 100, 100);
-            }
-        }
-        assert_eq!(t.correction("bfs"), CORRECTION_MIN);
-        assert_eq!(t.adaptive_cost("bfs", 100), 25);
-        assert_eq!(t.adaptive_cost("bfs", 1), 1, "adaptive cost floors at 1");
-        // Unknown keys and zero static costs are inert.
-        assert_eq!(t.correction("not-a-key"), 1.0);
-        t.observe_cost("degree", 0, 5_000);
     }
 
     #[test]

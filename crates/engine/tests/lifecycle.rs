@@ -303,11 +303,10 @@ fn lifecycle_kinds(rid: u64) -> Vec<&'static str> {
     kinds
 }
 
-/// The recorder's cost per request, as a count: with the cache and cost
-/// feedback off, a solo BFS emits its five stages, one `kernel_start` and
-/// one `kernel_step` per superstep poll — a number the kernel's own
-/// [`parallel::DirOptReport`] fixes — and a degree read the five stages
-/// alone. The same steps come out of `to_trace` as `kernel.step` spans
+/// The recorder's cost per request, as a count: with the cache off, a solo
+/// BFS emits its five stages, one `kernel_start` and one `kernel_step` per
+/// superstep poll — a number the kernel's own [`parallel::DirOptReport`]
+/// fixes — and a degree read the five stages alone. The same steps come out of `to_trace` as `kernel.step` spans
 /// inside the request's `engine.exec`, on one timeline. A raw kernel call
 /// — no trace id on its token — pays a branch per poll and records nothing,
 /// on any thread.
@@ -317,7 +316,6 @@ fn a_solo_request_emits_exactly_its_stages_and_one_step_per_poll() {
     let csr = Csr::from_graph(&Dataset::Ldbc.generate_with_vertices(2000));
     let cfg = EngineConfig {
         cache_capacity: 0,
-        adaptive_costs: false,
         ..quiet_cfg()
     };
     let eng = Engine::with_registry(cfg, csr.clone(), &Registry::new());

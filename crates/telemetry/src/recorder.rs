@@ -88,11 +88,9 @@ pub enum EventKind {
     /// kernel's payload for the step it is entering — the frontier length
     /// for BFS — or 0; the step's depth is its ordinal).
     KernelStep = 12,
-    /// The feedback cost model scaled a request's static cost estimate
-    /// (arg = adjusted cost actually charged against the budget).
-    CostAdjust = 13,
     /// The request was answered from the epoch-keyed result cache
-    /// (arg = snapshot epoch the cached entry was computed under).
+    /// (arg = snapshot epoch the cached entry was computed under). Code 13
+    /// is retired, never reused: later kinds keep their numbers.
     CacheHit = 14,
     /// A mutation batch was applied to the write buffer (id = request id,
     /// arg = the delta-sequence number it advanced the overlay to).
@@ -135,7 +133,6 @@ impl EventKind {
             EventKind::FaultFired => "fault_fired",
             EventKind::KernelStart => "kernel_start",
             EventKind::KernelStep => "kernel_step",
-            EventKind::CostAdjust => "cost_adjust",
             EventKind::CacheHit => "cache_hit",
             EventKind::Mutate => "mutate",
             EventKind::CompactStart => "compact_start",
@@ -162,7 +159,6 @@ impl EventKind {
             10 => FaultFired,
             11 => KernelStart,
             12 => KernelStep,
-            13 => CostAdjust,
             14 => CacheHit,
             15 => Mutate,
             16 => CompactStart,

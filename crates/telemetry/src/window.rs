@@ -126,13 +126,13 @@ impl Ewma {
         self.observe_f64(value as f64);
     }
 
-    /// Fold in one floating-point observation (ratios, correction factors).
+    /// Fold in one observation as `f64`.
     ///
     /// Non-finite samples are rejected outright: NaN is the estimator's
     /// "unset" sentinel, so folding in a genuinely non-finite observation
-    /// (a zero-duration division, a poisoned sample) would silently reset
-    /// the average instead of perturbing it. Rejected samples do not count.
-    pub fn observe_f64(&self, v: f64) {
+    /// (a poisoned sample) would silently reset the average instead of
+    /// perturbing it. Rejected samples do not count.
+    fn observe_f64(&self, v: f64) {
         if !v.is_finite() {
             return;
         }

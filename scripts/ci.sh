@@ -72,6 +72,14 @@ if [ -e crates/telemetry/src/span.rs ] \
   exit 1
 fi
 
+echo "==> one admission cost (a query is charged Query::cost, a write its batch length)"
+# A feedback model rescaled every charge by request history although no shipped configuration set a
+# budget. serve_cli.rs is excluded: it asserts that graphbig-serve rejects the retired flag.
+if grep -rn --exclude=serve_cli.rs 'observe_cost\|adaptive_cost\|fn correction\|CostAdjust\|static_cost\|--no-adaptive' crates; then
+  echo "admission charges the static estimate: no feedback cost model, no knob or flag to turn it off"
+  exit 1
+fi
+
 echo "==> one home for numbers (four bench targets, one result schema, one argv parser)"
 # Bench rows are `bench.*` gauges of a run manifest; graphbig-report is the one reader.
 if grep -rn 'BenchResult\|"suite"' crates/bench/src crates/bench/benches; then
