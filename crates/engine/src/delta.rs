@@ -1,22 +1,24 @@
 //! Live write path: the delta overlay and the live graph it makes.
 //!
 //! A [`DeltaOverlay`] is every write applied on top of one base graph. It
-//! is immutable once published: [`DeltaOverlay::with_batch`] folds a batch
-//! of [`Mutation`]s into a copy-on-write successor stamped with the next
-//! delta-sequence number. The engine's [`GraphStore`](crate::store::GraphStore)
-//! publishes overlay and base together as one state, which every query
-//! pins at admission; [`MutationBuffer`] is the same batch step over a
-//! bare overlay, for oracles and benches that replay writes without an
-//! engine. Reads evaluate *base CSR + overlay*. Point queries —
-//! degree, k-hop — walk the overlay's live rows directly. Every workload
-//! kernel runs on an [`OverlayView`], the live graph: BFS traversals
-//! (single-source, direction-optimized and the shared multi-source pass)
-//! walk it per visit, sending only the rows the overlay touched through
-//! the overlay; the kernels that revisit rows (SPath, KCore, TC, GColor,
-//! DCentr, CComp) read a [`PatchedCsr`] face of it, the base CSR with the
-//! touched rows re-derived into a side table. No query folds the graph:
-//! [`DeltaOverlay::fold`] is compaction's, and it derives the same rows by
-//! the same functions, straight into fresh arrays between copied runs.
+//! is immutable while anyone else can see it: [`DeltaOverlay::with_batch`]
+//! folds a batch of [`Mutation`]s into a copy-on-write successor stamped
+//! with the next delta-sequence number, and the store applies a batch in
+//! place (the same `apply_batch`) only to an overlay nobody else holds. The
+//! engine's [`GraphStore`](crate::store::GraphStore) publishes overlay and
+//! base together as one state, which every query pins at admission;
+//! [`MutationBuffer`] is the same batch step over a bare overlay, for
+//! oracles and benches that replay writes without an engine. Reads evaluate
+//! *base CSR + overlay*. Point queries — degree, k-hop — walk the overlay's
+//! live rows directly. Every workload kernel runs on an [`OverlayView`],
+//! the live graph: BFS traversals (single-source, direction-optimized and
+//! the shared multi-source pass) walk it per visit, sending only the rows
+//! the overlay touched through the overlay; the kernels that revisit rows
+//! (SPath, KCore, TC, GColor, DCentr, CComp) read a [`PatchedCsr`] face of
+//! it, the base CSR with the touched rows re-derived into a side table. No
+//! query folds the graph: [`DeltaOverlay::fold`] is compaction's, and it
+//! derives the same rows by the same functions, straight into fresh arrays
+//! between copied runs.
 //!
 //! Semantics are set-based and tombstone-wins, chosen so a mutation stream
 //! is confluent — the live edge set is always
@@ -145,7 +147,7 @@ pub struct MutationReceipt {
 /// Readers hold an `Arc<DeltaOverlay>` and combine it with the base it was
 /// applied to (the engine pairs them in one
 /// [`EpochSnapshot`](crate::store::EpochSnapshot)); writers never touch a
-/// published overlay — [`DeltaOverlay::with_batch`] clones it and applies
+/// visible overlay — [`DeltaOverlay::with_batch`] clones it and applies
 /// the batch to the clone.
 #[derive(Debug, Clone)]
 pub struct DeltaOverlay {
@@ -272,18 +274,29 @@ impl DeltaOverlay {
         epoch: u64,
     ) -> (DeltaOverlay, MutationReceipt) {
         let mut next = self.clone();
-        next.seq += 1;
-        let applied = batch.iter().filter(|&&m| next.apply_one(base, m)).count();
-        let receipt = MutationReceipt {
-            seq: next.seq,
-            epoch,
-            applied,
-        };
+        let receipt = next.apply_batch(base, batch, epoch);
         (next, receipt)
     }
 
-    /// Apply one mutation in place (only on an unpublished successor:
-    /// published overlays are immutable). Returns true when state changed.
+    /// [`DeltaOverlay::with_batch`] in place, in O(batch): only for an overlay
+    /// nobody else can see (a clone, or one only `GraphStore::mutate` holds).
+    pub(crate) fn apply_batch(
+        &mut self,
+        base: &ShardedGraph,
+        batch: &[Mutation],
+        epoch: u64,
+    ) -> MutationReceipt {
+        self.seq += 1;
+        let applied = batch.iter().filter(|&&m| self.apply_one(base, m)).count();
+        MutationReceipt {
+            seq: self.seq,
+            epoch,
+            applied,
+        }
+    }
+
+    /// Apply one mutation in place (only on an overlay nobody else can see:
+    /// a visible overlay is immutable). Returns true when state changed.
     fn apply_one(&mut self, base: &ShardedGraph, m: Mutation) -> bool {
         match m {
             Mutation::AddVertex => {
@@ -683,7 +696,7 @@ fn derive_sym(x: u32, out: &impl Rows, inc: &impl Rows, both: &mut Vec<u32>, row
 /// slice and a marked one through the overlay's hash maps; kernels that
 /// revisit rows read [`PatchedCsr`] faces, whose weighted out and in rows
 /// also re-derive every row holding a patched weight. The marks live here
-/// because [`DeltaOverlay::with_batch`] clones the overlay per write.
+/// because a visible overlay is cloned per write ([`DeltaOverlay::with_batch`]).
 pub struct OverlayView<'a> {
     base: &'a ShardedGraph,
     overlay: &'a DeltaOverlay,

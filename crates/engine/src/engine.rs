@@ -1,10 +1,11 @@
 //! The concurrent query engine: its public types and the [`Engine`] API.
 //!
 //! Submission is synchronous admission control ([`Engine::submit`] returns
-//! `Err(RejectReason)` immediately when over budget); admitted queries park
-//! in one of four priority lanes (point < traversal < analytics < write,
-//! served cheapest-first so point lookups never wait behind an analytics
-//! run) and a small crew of executor threads drains them. Heavy kernels
+//! `Err(RejectReason)` immediately when over budget). `Degree` / `KHop` run
+//! on the submitting thread; other queries park in one of four priority
+//! lanes (point < traversal < analytics < write, served cheapest-first so
+//! point-class work never waits behind analytics) and a small crew of
+//! executor threads drains them. Heavy kernels
 //! run on one shared [`ThreadPool`] — the pool's per-worker channels
 //! serialize concurrent broadcasts from different executors, so analytics
 //! queries interleave at parallel-region granularity instead of fighting
@@ -13,7 +14,7 @@
 //! cancels the query instead of completing it late.
 //!
 //! The live write path rides alongside: [`Engine::mutate`] folds a batch
-//! into the store's copy-on-write overlay (billed through admission under
+//! into the store's overlay (billed through admission under
 //! the `write` cost class, synchronously — mutations never queue behind
 //! reads), and a background compactor ([`Engine::compact`]) folds the
 //! overlay into a fresh CSR published as a new epoch. The [`GraphStore`]
@@ -24,7 +25,8 @@
 //! This file is the front door only. What happens to a request after it is
 //! admitted is written once each in `lifecycle.rs` (admit, group formation,
 //! dequeue, finish, resolve), `exec.rs` (the executor loop and the guarded
-//! run) and `compact.rs` (folding the overlay).
+//! run) and `compact.rs` (folding the overlay); a `Degree` / `KHop` walks
+//! the same `dequeue` and `run_group` on the submitting thread.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver};
@@ -43,9 +45,9 @@ use crate::admission::{AdmissionController, RejectReason};
 use crate::cache::ResultCache;
 use crate::compact::{compact_inner, compactor_loop};
 use crate::delta::{DeltaOverlay, Mutation, MutationReceipt};
-use crate::exec::executor_loop;
+use crate::exec::{executor_loop, run_group};
 use crate::lifecycle::{
-    admit, lane, lock, EngineMetrics, Job, Lanes, Resolver, Shared, WRITE_LANE,
+    admit, dequeue, lane, lock, EngineMetrics, Job, Lanes, Resolver, Shared, WRITE_LANE,
 };
 use crate::shard::ShardedGraph;
 use crate::slo::{self, SloTracker, StatsSnapshot};
@@ -54,8 +56,8 @@ use crate::store::GraphStore;
 /// Engine sizing knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Executor threads draining the lanes (each runs point queries inline
-    /// and drives pool-parallel kernels for the heavy classes).
+    /// Executor threads draining the lanes (`Degree` / `KHop` never queue:
+    /// they run on the submitting thread).
     pub executors: usize,
     /// Workers in the shared kernel thread pool.
     pub pool_threads: usize,
@@ -365,15 +367,19 @@ impl Engine {
             request_id,
             resolver: Resolver::new(tx),
         };
-        // `enqueue` is recorded before the push so an executor's `dequeue`
-        // can never precede it in the event stream.
-        recorder::record_lane(EventKind::Enqueue, lane_idx as u8, request_id, cost);
-        if lock(&sh.lanes).push(job, &sh.cfg) {
-            sh.available.notify_one();
-        }
         sh.metrics
             .stage_admit_us
             .record(admit_start.elapsed().as_micros() as u64);
+        // `enqueue` is recorded before the push so an executor's `dequeue`
+        // can never precede it in the event stream.
+        recorder::record_lane(EventKind::Enqueue, lane_idx as u8, request_id, cost);
+        if matches!(query, Query::Degree { .. } | Query::KHop { .. }) {
+            // A lookup costs less than a hand-off to an executor: it runs
+            // here, through the stages an executor walks, before returning.
+            run_group(sh, dequeue(sh, job, None, false), Vec::new());
+        } else if lock(&sh.lanes).push(job, &sh.cfg) {
+            sh.available.notify_one();
+        }
         Ok(Ticket {
             rx,
             token,
@@ -774,7 +780,15 @@ pub(crate) mod tests {
         for h in engine.executors.drain(..) {
             h.join().expect("executor exits cleanly");
         }
-        let ticket = engine.submit(Query::Degree { vertex: 0 }).unwrap();
+        // A point-class query that still queues: Degree and KHop would run
+        // on this thread.
+        let ticket = engine
+            .submit(Query::Run {
+                workload: Workload::DCentr,
+                source: 0,
+            })
+            .unwrap();
+        assert_eq!(engine.admission().queued(), 1, "the job is stranded");
         let rid = ticket.request_id();
         drop(engine);
         assert_eq!(ticket.wait().status, QueryStatus::Cancelled);

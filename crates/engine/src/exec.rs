@@ -1,9 +1,11 @@
 //! The executor side: pop a group, dequeue it, run it.
 //!
-//! There is one path. An executor pops the next runnable group — formed at
-//! admission by [`crate::lifecycle::Lanes::push`], usually a job alone —
-//! under the lane-aging policy, or sleeps until the earliest filling
-//! group's window closes. Every member goes through
+//! There is one path. [`run_group`] has two callers: the executor loop
+//! here, and the submitting thread, which runs a `Degree` / `KHop` as a
+//! group of one without queueing. An executor pops the next runnable group
+//! — formed at admission by [`crate::lifecycle::Lanes::push`], usually a
+//! job alone — under the lane-aging policy, or sleeps until the earliest
+//! filling group's window closes. Every member goes through
 //! [`crate::lifecycle::dequeue`], and [`run_group`] walks each member
 //! through the same guarded run:
 //!
@@ -313,8 +315,8 @@ fn corrupted(output: &QueryOutput) -> QueryOutput {
 fn run_query_uncached(sh: &Shared, job: &Job, overlay: Option<&DeltaOverlay>) -> QueryStatus {
     let graph = job.snapshot.graph();
     match job.query {
-        // Point queries run inline on the executor thread: waking the pool
-        // would cost more than the lookup.
+        // Point lookups never wake the pool — it would cost more than the
+        // lookup — so they run on the thread that submitted them.
         Query::Degree { vertex } => {
             let (out, inc) = match overlay {
                 Some(ov) => ov.degree(graph, vertex),

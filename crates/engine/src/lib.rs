@@ -18,14 +18,16 @@
 //!   hot requests are served bit-identically without re-running the
 //!   kernel, and both a publish and a mutation make every stale entry
 //!   unreachable by construction.
-//! - [`delta`]: the live write path — copy-on-write [`DeltaOverlay`]s that
+//! - [`delta`]: the live write path — [`DeltaOverlay`]s (copy-on-write
+//!   while visible, applied in place when nobody else holds one) that
 //!   every query reads alongside its base CSR (point queries directly,
 //!   every kernel through the live graph, an [`OverlayView`]), the
 //!   engine-free buffer oracles and benches replay writes through, plus
 //!   the incremental connected-components kernel and the fold background
 //!   compaction publishes as a new epoch.
-//! - [`engine`]: the [`Engine`] itself — priority lanes (point queries
-//!   never queue behind analytics), executor threads over one shared
+//! - [`engine`]: the [`Engine`] itself — `Degree` / `KHop` run on the
+//!   submitting thread, everything else in priority lanes (point-class work
+//!   never queues behind analytics), executor threads over one shared
 //!   kernel pool, cooperative deadlines/cancellation, per-class latency
 //!   metrics in the telemetry registry. Behind it, one request path:
 //!   `lifecycle` (admit, dequeue, finish — each stage written once),

@@ -4,8 +4,10 @@
 //! of those stages owns its four parallel concerns — counter, stage
 //! histogram, flight-recorder event, failpoint — in exactly one function
 //! here: [`admit`] (queries and mutations alike), [`dequeue`] (leaders,
-//! followers and the shutdown shed alike) and [`finish_job`] (every
-//! terminal status, grouped or not), ending in the one-shot [`Resolver`].
+//! followers, caller-thread point lookups and the shutdown shed alike) and
+//! [`finish_job`] (every terminal status, grouped or not), ending in the
+//! one-shot [`Resolver`]. A `Degree` / `KHop` walks them on the submitting
+//! thread and never enters the lanes; everything else waits in them.
 //! Enqueue is [`Lanes::push`], where BFS groups form, each due when full
 //! or `batch_window_us` after its first admission. The guarded run between
 //! dequeue and finish lives in [`crate::exec`]. [`Shared`] is the state

@@ -7,8 +7,9 @@
 //! old states free themselves when the last query holding them drops its
 //! `Arc`. This is the only place an overlay is paired with a base and the
 //! only place writers serialise: each writer (mutate, publish, republish,
-//! compact) builds the next state off the readers' lock and swaps it in.
-//! Every swap moves `(epoch, delta-seq)`, so the pair names one state.
+//! compact) builds the next state off the readers' lock and swaps it in,
+//! bar a write to a state nobody else holds, which applies in place.
+//! Every write moves `(epoch, delta-seq)`, so the pair names one state.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -118,9 +119,21 @@ impl GraphStore {
     /// Apply `batch` to the overlay as one new state (same epoch, next
     /// delta-seq). Even an all-no-op batch bumps the delta-seq. Returns the
     /// receipt and the state it published.
+    ///
+    /// In place, in O(batch), when the store holds the only reference to the
+    /// published state and its overlay (nobody can see it); otherwise on a
+    /// clone swapped in, so a visible state never changes.
     pub fn mutate(&self, batch: &[Mutation]) -> (MutationReceipt, Arc<EpochSnapshot>) {
         let _w = lock(&self.writer);
-        let cur = self.snapshot();
+        let mut current = lock(&self.current);
+        if let Some(snap) = Arc::get_mut(&mut current) {
+            if let Some(overlay) = Arc::get_mut(&mut snap.overlay) {
+                let receipt = overlay.apply_batch(&snap.graph, batch, snap.epoch);
+                return (receipt, Arc::clone(&current));
+            }
+        }
+        let cur = Arc::clone(&current);
+        drop(current);
         let (overlay, receipt) = cur.overlay.with_batch(&cur.graph, batch, cur.epoch);
         (receipt, self.swap(cur.with(cur.epoch, Arc::new(overlay))))
     }

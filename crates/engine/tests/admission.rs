@@ -8,7 +8,9 @@
 
 use graphbig_datagen::prop::{self, Config};
 use graphbig_datagen::Dataset;
-use graphbig_engine::{AdmissionController, Engine, EngineConfig, Query, QueryStatus};
+use graphbig_engine::{
+    AdmissionController, Engine, EngineConfig, Query, QueryStatus, RejectReason,
+};
 use graphbig_framework::csr::Csr;
 use graphbig_telemetry::metrics::Registry;
 use graphbig_workloads::Workload;
@@ -56,8 +58,10 @@ fn random_cost_streams_never_overcommit_a_busy_controller() {
 }
 
 /// History must not move a charge: after 64 completed Degree / KHop reads,
-/// a Degree and a KHop queued behind a GColor stall hold exactly their
-/// static estimates, as does the running GColor.
+/// a Degree and a KHop submitted while a GColor stall fills the budget are
+/// refused with exactly their static estimates requested against exactly
+/// the stall's in flight. Once the stall drains, both are admitted and
+/// complete, and nothing stays in flight.
 #[test]
 fn a_charge_depends_on_the_query_and_the_graph_alone() {
     const N: u32 = 20_000;
@@ -74,15 +78,13 @@ fn a_charge_depends_on_the_query_and_the_graph_alone() {
             hops: 2,
         },
     ];
-    let charged: u64 = std::iter::once(stall)
-        .chain(reads)
-        .map(|q| q.cost(n, m))
-        .sum();
     let engine = Engine::with_registry(
         EngineConfig {
             executors: 1,
             pool_threads: 1,
-            cost_budget: 4 * charged,
+            // The stall alone fills the budget, so any read is refused
+            // while it runs.
+            cost_budget: stall.cost(n, m),
             ..EngineConfig::default()
         },
         csr,
@@ -105,18 +107,30 @@ fn a_charge_depends_on_the_query_and_the_graph_alone() {
     assert_eq!(engine.stats_snapshot().in_flight_cost, 0);
 
     // GColor takes ~95 ms at this scale: park the one executor on it.
-    let stall = engine.submit(stall).expect("stall admitted");
+    let stall_ticket = engine.submit(stall).expect("stall admitted");
     while engine.admission().queued() > 0 {
         std::thread::yield_now();
     }
-    let tickets: Vec<_> = reads
-        .iter()
-        .map(|&q| engine.submit(q).expect("admitted"))
-        .collect();
-    assert_eq!(engine.admission().queued(), reads.len(), "both reads queue");
-    assert_eq!(engine.stats_snapshot().in_flight_cost, charged);
-    for t in tickets.into_iter().chain([stall]) {
-        assert!(matches!(t.wait().status, QueryStatus::Completed(_)));
+    for q in reads {
+        match engine.submit(q) {
+            Err(RejectReason::CostBudget {
+                requested,
+                in_flight,
+                ..
+            }) => {
+                assert_eq!(requested, q.cost(n, m), "{q:?} is charged its estimate");
+                assert_eq!(in_flight, stall.cost(n, m), "only the stall is in flight");
+            }
+            other => panic!("{q:?} must be refused under a full budget, got {other:?}"),
+        }
+    }
+    assert!(matches!(
+        stall_ticket.wait().status,
+        QueryStatus::Completed(_)
+    ));
+    for q in reads {
+        let response = engine.submit(q).expect("admitted once drained").wait();
+        assert!(matches!(response.status, QueryStatus::Completed(_)));
     }
     assert_eq!(engine.stats_snapshot().in_flight_cost, 0);
 }

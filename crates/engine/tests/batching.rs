@@ -450,15 +450,17 @@ fn batch_max_one_disables_coalescing() {
     );
 }
 
-/// Point reads never coalesce. Eight `Degree` / `KHop` reads queue behind a
-/// stalled executor on an engine whose batch window is two seconds: each
+/// Point reads never coalesce. Eight point-class `DCentr` runs queue behind
+/// a stalled executor on an engine whose batch window is two seconds: each
 /// runs alone as soon as the executor frees up, none waits out the window,
-/// and no group is ever measured.
+/// and no group is ever measured. `Degree` / `KHop` reads never queue at
+/// all: submitted during the stall, they resolve before the stall does.
 #[test]
 fn queued_point_reads_run_alone_and_never_wait_out_the_window() {
+    const N: u32 = 20_000;
     const WINDOW_US: u64 = 2_000_000;
     let reg = Registry::new();
-    let csr = Csr::from_graph(&Dataset::Ldbc.generate_with_vertices(2000));
+    let csr = Csr::from_graph(&Dataset::Ldbc.generate_with_vertices(N as usize));
     let engine = Engine::with_registry(
         EngineConfig {
             executors: 1,
@@ -470,40 +472,72 @@ fn queued_point_reads_run_alone_and_never_wait_out_the_window() {
         csr,
         &reg,
     );
-    // Park the single executor behind a heavy analytics query so every
-    // read below is still queued when it frees up.
+    // Park the single executor behind a heavy analytics query (~16 ms at
+    // this scale) so every queued read below is still queued when it frees
+    // up; a point-class job outranks analytics, so the stall must be taken
+    // first.
     let blocker = engine
         .submit(Query::Run {
             workload: Workload::KCore,
             source: 0,
         })
         .expect("stall query admitted");
-    let queries: Vec<Query> = (0..8u32)
+    while engine.admission().queued() > 0 {
+        std::thread::yield_now();
+    }
+    let queued: Vec<Query> = (0..8u32)
+        .map(|i| Query::Run {
+            workload: Workload::DCentr,
+            source: i * 211 % N,
+        })
+        .collect();
+    let queued_tickets: Vec<Ticket> = queued
+        .iter()
+        .map(|&q| engine.submit(q).expect("admitted"))
+        .collect();
+    assert_eq!(
+        engine.admission().queued(),
+        queued.len(),
+        "every DCentr queues behind the stall"
+    );
+    let lookups: Vec<Query> = (0..8u32)
         .map(|i| match i % 2 {
             0 => Query::Degree {
-                vertex: i * 211 % 2000,
+                vertex: i * 211 % N,
             },
             _ => Query::KHop {
-                source: i * 211 % 2000,
+                source: i * 211 % N,
                 hops: 2,
             },
         })
         .collect();
-    let tickets: Vec<Ticket> = queries
+    let lookup_digests: Vec<Option<u64>> = lookups
         .iter()
-        .map(|&q| engine.submit(q).expect("admitted"))
+        .map(
+            |&q| match engine.submit(q).expect("admitted").wait().status {
+                QueryStatus::Completed(output) => Some(output.digest()),
+                _ => None,
+            },
+        )
         .collect();
+    assert_eq!(
+        engine.admission().queued(),
+        queued.len(),
+        "the lookups resolved while the stall still held the executor"
+    );
     let _ = blocker.wait();
     let released = Instant::now();
-    let digests: Vec<Option<u64>> = tickets
+    let digests: Vec<Option<u64>> = queued_tickets
         .into_iter()
         .map(|t| match t.wait().status {
             QueryStatus::Completed(output) => Some(output.digest()),
             _ => None,
         })
+        .chain(lookup_digests)
         .collect();
     let waited = released.elapsed();
-    let oracle = sequential_digests(engine.store().snapshot().graph(), engine.pool(), &queries);
+    let all: Vec<Query> = queued.into_iter().chain(lookups).collect();
+    let oracle = sequential_digests(engine.store().snapshot().graph(), engine.pool(), &all);
     assert_eq!(digests, oracle, "point reads diverged from the oracle");
     assert_eq!(
         reg.histogram("engine.batch.size").snapshot().count,
@@ -590,8 +624,8 @@ fn a_tail_group_past_its_window_runs_at_once() {
 }
 
 /// A group still filling is not runnable, so it never holds an executor:
-/// a point read submitted while a lone BFS waits out a 300 ms window is
-/// served at once, and resolves long before the BFS.
+/// a queued point-class read (`DCentr`) submitted while a lone BFS waits out
+/// a 300 ms window is served at once, and resolves long before the BFS.
 #[test]
 fn a_filling_group_does_not_hold_the_executor() {
     const WINDOW_US: u64 = 300_000;
@@ -614,12 +648,21 @@ fn a_filling_group_does_not_hold_the_executor() {
         })
         .expect("admitted");
     std::thread::sleep(Duration::from_millis(5));
-    let degree = engine
-        .submit(Query::Degree { vertex: 7 })
+    assert_eq!(engine.admission().queued(), 1, "the BFS fills its group");
+    let dcentr = engine
+        .submit(Query::Run {
+            workload: Workload::DCentr,
+            source: 7,
+        })
         .expect("admitted");
-    let read = degree.wait();
+    let read = dcentr.wait();
     let read_done = started.elapsed();
     assert!(matches!(read.status, QueryStatus::Completed(_)));
+    assert_eq!(
+        engine.admission().queued(),
+        1,
+        "the read was served around the filling group"
+    );
     assert!(
         read.queue_us < 50_000,
         "the read queued {} us behind a filling group",

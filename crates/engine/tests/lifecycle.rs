@@ -453,6 +453,64 @@ fn solo_and_coalesced_runs_log_the_same_lifecycle() {
     assert_eq!(lifecycle_kinds(rids[2]), solo_hit, "follower, cache hit");
 }
 
+/// Degree and KHop run on the submitting thread: with the only executor
+/// parked on a GColor stall (~95 ms at LDBC-20000), each resolves before
+/// the stall does, with no queue time, through exactly the five stages.
+#[test]
+fn point_lookups_resolve_on_the_caller_while_the_executor_is_busy() {
+    let _g = gate();
+    let eng = engine(
+        20_000,
+        EngineConfig {
+            executors: 1,
+            pool_threads: 1,
+            ..EngineConfig::default()
+        },
+        &Registry::new(),
+    );
+    let store = eng.store().snapshot();
+    let (n, m) = (
+        store.graph().num_vertices() as u64,
+        store.graph().num_edges() as u64,
+    );
+    drop(store);
+    let stall = Query::Run {
+        workload: Workload::GColor,
+        source: 0,
+    };
+    let stall_ticket = eng.submit(stall).unwrap();
+    while eng.admission().queued() > 0 {
+        std::thread::yield_now();
+    }
+    for q in [
+        Query::Degree { vertex: 11 },
+        Query::KHop {
+            source: 13,
+            hops: 2,
+        },
+    ] {
+        let t = eng.submit(q).unwrap();
+        let rid = t.request_id();
+        let r = t.wait();
+        assert!(matches!(r.status, QueryStatus::Completed(_)), "{q:?}");
+        assert_eq!(r.queue_us, 0, "{q:?} never queued");
+        assert_eq!(
+            eng.admission().in_flight_cost(),
+            stall.cost(n, m),
+            "{q:?} resolved while the stall was still in flight"
+        );
+        assert_eq!(
+            event_kinds(rid),
+            ["admit", "enqueue", "dequeue", "run", "resolve"],
+            "{q:?}"
+        );
+    }
+    assert!(matches!(
+        stall_ticket.wait().status,
+        QueryStatus::Completed(_)
+    ));
+}
+
 /// Queries still queued when the engine shuts down are shed by the
 /// executors through the same draining dequeue: full lifecycle, status
 /// `cancelled`, and a queue-stage sample per shed job.

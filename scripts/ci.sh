@@ -31,6 +31,29 @@ for site in engine.dequeue engine.run.pre engine.run.post engine.overlay.read en
   [ "$n" -eq 1 ] || { echo "failpoint $site appears $n times under crates/engine/src"; exit 1; }
 done
 
+echo "==> one run path (executors and the caller-thread point path share run_group; one batch apply)"
+# Degree / KHop run where they are submitted, through the executors' run_group; a write nobody can
+# see applies in place through the same apply_batch a copy-on-write successor is built with.
+calls() { # calls <fn> <paths...>: non-comment lines that call <fn>, its definition excluded
+  local f=$1; shift
+  grep -rHn --include='*.rs' "$f(" "$@" | grep -v "fn $f(" | grep -v ':[0-9]*: *//' || true
+}
+body() { # body <file> <fn>: the lines of fn <fn> in <file>, signature to closing brace
+  sed -n "/^ *\(pub\(([a-z]*)\)\? \)\?fn $2(/,/^    }/p" "$1"
+}
+sites=$(calls run_group crates/engine/src)
+[ "$(echo "$sites" | grep -c .)" -eq 2 ] \
+  && echo "$sites" | grep -q '^crates/engine/src/exec.rs:' \
+  && echo "$sites" | grep -q '^crates/engine/src/engine.rs:' \
+  || { echo "run_group( must have two call sites, the executor loop (exec.rs) and the caller path (engine.rs):"; echo "$sites"; exit 1; }
+[ "$(calls apply_one crates | grep -c .)" -eq "$(body crates/engine/src/delta.rs apply_batch | grep -c 'apply_one(')" ] \
+  || { echo "apply_one( is called outside DeltaOverlay::apply_batch"; calls apply_one crates; exit 1; }
+n_with=$(body crates/engine/src/delta.rs with_batch | grep -c 'apply_batch(')
+n_mutate=$(body crates/engine/src/store.rs mutate | grep -c 'apply_batch(')
+[ "$n_with" -ge 1 ] && [ "$n_mutate" -ge 1 ] \
+  && [ "$(calls apply_batch crates | grep -c .)" -eq $((n_with + n_mutate)) ] \
+  || { echo "apply_batch( is called outside with_batch and GraphStore::mutate"; calls apply_batch crates; exit 1; }
+
 echo "==> one coalescing rule (only BFS shares a pass; one MS-BFS entry pair)"
 # Point reads run alone (exec.rs::bfs_source); the push-only MS-BFS had no caller left.
 if [ -e crates/engine/src/batch.rs ] \
