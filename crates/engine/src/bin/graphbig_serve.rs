@@ -53,7 +53,7 @@
 //!
 //! Observability flags: `--stats-interval <ms>` prints a structured
 //! stats snapshot line (schema `graphbig.stats/v1`: queue depth,
-//! in-flight cost, per-lane sliding-window p50/p99/p999 + EWMA) to stdout
+//! in-flight cost, per-lane p50/p99/p999 + mean over ~10 s) to stdout
 //! at that cadence while the mix runs, plus once before and once after;
 //! `--trace <path>` exports the flight recorder's request lifecycles as
 //! Chrome `trace_event` JSON; `--flight-dump <path>` overrides where the

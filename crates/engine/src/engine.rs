@@ -277,7 +277,7 @@ impl Engine {
         let shared = Arc::new(Shared {
             store: GraphStore::new(graph),
             pool: Arc::new(ThreadPool::new(cfg.pool_threads)),
-            slo: SloTracker::new(),
+            slo: SloTracker::new(metrics.latency_us.clone()),
             lanes: Mutex::new(Lanes::default()),
             available: Condvar::new(),
             admission: AdmissionController::new(cfg.queue_capacity, cfg.cost_budget),
@@ -356,23 +356,23 @@ impl Engine {
         .with_chaos_key(tag)
         .with_trace_id(request_id);
         let (tx, rx) = channel();
+        // `enqueue` is recorded before the push so an executor's `dequeue`
+        // can never precede it in the event stream. The stamp comes last,
+        // so the queue stage holds only the hand-off, and it ends the admit
+        // stage too (recorded once the job is handed off).
+        recorder::record_lane(EventKind::Enqueue, lane_idx as u8, request_id, cost);
+        let enqueued = Instant::now();
         let job = Job {
             query,
             class,
             cost,
             snapshot,
             token: token.clone(),
-            enqueued: Instant::now(),
+            enqueued,
             tag,
             request_id,
             resolver: Resolver::new(tx),
         };
-        sh.metrics
-            .stage_admit_us
-            .record(admit_start.elapsed().as_micros() as u64);
-        // `enqueue` is recorded before the push so an executor's `dequeue`
-        // can never precede it in the event stream.
-        recorder::record_lane(EventKind::Enqueue, lane_idx as u8, request_id, cost);
         if matches!(query, Query::Degree { .. } | Query::KHop { .. }) {
             // A lookup costs less than a hand-off to an executor: it runs
             // here, through the stages an executor walks, before returning.
@@ -380,6 +380,9 @@ impl Engine {
         } else if lock(&sh.lanes).push(job, &sh.cfg) {
             sh.available.notify_one();
         }
+        sh.metrics
+            .stage_admit_us
+            .record((enqueued - admit_start).as_micros() as u64);
         Ok(Ticket {
             rx,
             token,
@@ -451,7 +454,6 @@ impl Engine {
         sh.metrics.latency_us[WRITE_LANE].record(us);
         sh.metrics.stage_exec_us[WRITE_LANE].record(us);
         sh.metrics.resolved.inc();
-        sh.slo.record(WRITE_LANE, "write", us);
         let threshold = sh.cfg.compact_threshold;
         if threshold > 0 && published.overlay().overlay_edges() >= threshold {
             let (doorbell, cv) = &sh.compact_doorbell;
@@ -512,7 +514,8 @@ impl Engine {
         &self.shared.admission
     }
 
-    /// The live sliding-window SLO tracker the executors feed.
+    /// The live SLO tracker: windows over the lane latency histograms and
+    /// the per-key ones, computed when read.
     pub fn slo(&self) -> &SloTracker {
         &self.shared.slo
     }
@@ -541,7 +544,7 @@ impl Engine {
             t_ms: slo::now_ms(),
             queue_depth: self.shared.admission.queued() as u64,
             in_flight_cost: self.shared.admission.in_flight_cost(),
-            lanes: (0..4).map(|l| self.shared.slo.lane_stats(l)).collect(),
+            lanes: self.shared.slo.lane_stats(),
         }
     }
 }

@@ -35,7 +35,7 @@ use crate::cache::ResultCache;
 use crate::delta::IncrementalCComp;
 use crate::engine::{EngineConfig, Query, QueryResponse, QueryStatus};
 use crate::exec::bfs_source;
-use crate::slo::{self, SloTracker};
+use crate::slo::SloTracker;
 use crate::store::{EpochSnapshot, GraphStore};
 
 /// Everything the request stages, the executors and the compactor share.
@@ -431,9 +431,9 @@ pub(crate) fn dequeue(sh: &Shared, job: Job, leader: Option<u64>, draining: bool
 }
 
 /// Terminal bookkeeping for every dequeued job: exec-stage metrics, the
-/// `run` event, per-status counters and SLO feed, admission release, the
-/// `engine.resolve` / `engine.batch.fanout` failpoints, then the one-shot
-/// resolve.
+/// `run` event, per-status counters and the per-key SLO histogram,
+/// admission release, the `engine.resolve` / `engine.batch.fanout`
+/// failpoints, then the one-shot resolve.
 pub(crate) fn finish_job(sh: &Shared, p: Pending, status: QueryStatus, exec_us: u64) {
     let Pending { job, queue_us, .. } = p;
     let metrics = &sh.metrics;
@@ -449,8 +449,7 @@ pub(crate) fn finish_job(sh: &Shared, p: Pending, status: QueryStatus, exec_us: 
         QueryStatus::Completed(_) => {
             metrics.completed[lane_idx].inc();
             metrics.latency_us[lane_idx].record(queue_us + exec_us);
-            sh.slo
-                .record(lane_idx, slo::query_key(&job.query), queue_us + exec_us);
+            sh.slo.key_histogram(&job.query).record(queue_us + exec_us);
         }
         QueryStatus::DeadlineExceeded => metrics.deadline_missed.inc(),
         QueryStatus::Cancelled => metrics.cancelled.inc(),

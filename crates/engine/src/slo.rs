@@ -1,11 +1,13 @@
-//! Live SLO stats: sliding-window latency estimators over the serving path.
+//! Live SLO stats: sliding-window latency over the serving path.
 //!
 //! End-of-run percentiles tell you how a mix went; an operator needs the
-//! *current* latency picture. The [`SloTracker`] keeps, per priority lane
-//! and per workload key, a 10-second [`WindowedHistogram`] plus an
-//! [`Ewma`], fed by the executors on every completed query. It is for
-//! reporting only: admission charges the static `Query::cost` estimate and
-//! never reads it. Three consumers read it:
+//! *current* latency picture. The [`SloTracker`] keeps cumulative
+//! histograms only (per lane the engine's `engine.latency_us.<class>`, per
+//! workload key one more), and a read takes the last ~10 seconds as the
+//! difference from an older snapshot ([`HistogramSnapshot::since`]), the
+//! way a Prometheus-style scraper does, so writers do no window work. It
+//! is for reporting only: admission charges the static `Query::cost`
+//! estimate and never reads it. Three consumers read it:
 //!
 //! * [`SloTracker::publish`] — `engine.window.*` gauges in the metric
 //!   registry, with a **fixed key set** (every lane and every servable
@@ -22,150 +24,118 @@
 //! per-class p99/p999 latency targets a mix file declares, surfaced in
 //! stats lines and enforced end-of-run by `graphbig-report --check`.
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::iter::zip;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use graphbig_json::json_struct;
-use graphbig_telemetry::metrics::Registry;
-use graphbig_telemetry::{recorder, Ewma, WindowedHistogram};
-use graphbig_workloads::{CostClass, Workload};
+use graphbig_telemetry::metrics::{Histogram, HistogramSnapshot, Registry};
+use graphbig_telemetry::recorder;
+use graphbig_workloads::{service, CostClass, Workload};
 
 use crate::engine::Query;
+use crate::lifecycle::lock;
 
 /// Schema identifier of the periodic stats snapshot line.
 pub const STATS_SCHEMA: &str = "graphbig.stats/v1";
 
-/// Window geometry: 8 slices of 1250 ms = a 10-second sliding window.
-const WINDOW_SLICES: usize = 8;
+/// Window geometry: a read subtracts the newest baseline at least
+/// `WINDOW_SLICES × SLICE_MS` = 10 s old and takes a new baseline at most
+/// once per `SLICE_MS`, so reads a slice apart see 10 s to 10 s + a slice.
+const WINDOW_SLICES: u32 = 8;
 const SLICE_MS: u64 = 1250;
-/// EWMA smoothing: ~5% weight per observation.
-const EWMA_ALPHA: f64 = 0.05;
+/// Per-key metric names by histogram slot: `degree`, `khop`, then one per
+/// workload in [`Workload::ALL`] order.
+const KEYS: [&str; 2 + Workload::ALL.len()] = [
+    "degree", "khop", "bfs", "dfs", "gcons", "gup", "tmorph", "spath", "kcore", "ccomp", "gcolor",
+    "tc", "gibbs", "dcentr", "bcentr",
+];
 
 /// Stable lowercase key for a workload in `engine.window.*` metric names.
 pub fn workload_key(w: Workload) -> &'static str {
-    match w {
-        Workload::Bfs => "bfs",
-        Workload::Dfs => "dfs",
-        Workload::GCons => "gcons",
-        Workload::GUp => "gup",
-        Workload::TMorph => "tmorph",
-        Workload::SPath => "spath",
-        Workload::KCore => "kcore",
-        Workload::CComp => "ccomp",
-        Workload::GColor => "gcolor",
-        Workload::Tc => "tc",
-        Workload::Gibbs => "gibbs",
-        Workload::DCentr => "dcentr",
-        Workload::BCentr => "bcentr",
-    }
+    KEYS[2 + w as usize]
 }
 
-/// Stable lowercase key for any query shape.
-pub fn query_key(q: &Query) -> &'static str {
+/// The per-key histogram slot of a query shape.
+fn key_slot(q: &Query) -> usize {
     match q {
-        Query::Degree { .. } => "degree",
-        Query::KHop { .. } => "khop",
-        Query::Run { workload, .. } => workload_key(*workload),
-    }
-}
-
-/// One lane's (or workload key's) estimator pair.
-struct LaneWindow {
-    hist: WindowedHistogram,
-    ewma: Ewma,
-}
-
-impl LaneWindow {
-    fn new() -> LaneWindow {
-        LaneWindow {
-            hist: WindowedHistogram::new(WINDOW_SLICES, SLICE_MS),
-            ewma: Ewma::new(EWMA_ALPHA),
-        }
-    }
-
-    fn record(&self, latency_us: u64) {
-        self.hist.record(latency_us);
-        self.ewma.observe(latency_us);
+        Query::Degree { .. } => 0,
+        Query::KHop { .. } => 1,
+        Query::Run { workload, .. } => 2 + *workload as usize,
     }
 }
 
 struct Inner {
-    lanes: [LaneWindow; 4],
-    /// Per-workload-key windows. The key set is fixed at construction —
-    /// every query shape the engine can serve — so published metric names
-    /// never depend on traffic.
-    workloads: BTreeMap<&'static str, (CostClass, LaneWindow)>,
+    /// Cumulative: the four lane histograms, then one per key slot.
+    hists: Vec<Histogram>,
+    /// Snapshots of `hists` taken by reads, oldest first, starting with
+    /// the one taken at construction. Only reads take this lock.
+    baselines: Mutex<VecDeque<(Instant, Vec<HistogramSnapshot>)>>,
 }
 
 /// Sliding-window latency stats for the serving engine, shared between the
-/// executors (writers) and stats consumers (readers) via a cheap clone.
+/// request path (writers) and stats consumers (readers) via a cheap clone.
 #[derive(Clone)]
 pub struct SloTracker {
     inner: Arc<Inner>,
 }
 
-impl Default for SloTracker {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl SloTracker {
-    /// A fresh tracker with empty windows and the fixed key set.
-    pub fn new() -> SloTracker {
-        let mut workloads: BTreeMap<&'static str, (CostClass, LaneWindow)> = BTreeMap::new();
-        workloads.insert("degree", (CostClass::Point, LaneWindow::new()));
-        workloads.insert("khop", (CostClass::Point, LaneWindow::new()));
-        for w in Workload::ALL {
-            if graphbig_workloads::service::servable(w) {
-                workloads.insert(workload_key(w), (w.cost_class(), LaneWindow::new()));
-            }
-        }
+    /// A tracker over the four lane latency histograms (point, traversal,
+    /// analytics, write), which the caller records into, plus its own
+    /// per-key histograms. Windows count what they gain after construction.
+    pub fn new(lanes: [Histogram; 4]) -> SloTracker {
+        let hists: Vec<Histogram> = lanes
+            .into_iter()
+            .chain(KEYS.map(|_| Histogram::default()))
+            .collect();
+        let start = hists.iter().map(Histogram::snapshot).collect();
         SloTracker {
             inner: Arc::new(Inner {
-                lanes: [
-                    LaneWindow::new(),
-                    LaneWindow::new(),
-                    LaneWindow::new(),
-                    LaneWindow::new(),
-                ],
-                workloads,
+                hists,
+                baselines: Mutex::new(VecDeque::from([(Instant::now(), start)])),
             }),
         }
     }
 
-    /// Record one completed query's end-to-end latency (queue + exec) into
-    /// its lane window and, when the key is a known query shape, into the
-    /// per-workload window.
-    pub fn record(&self, lane: usize, key: &str, latency_us: u64) {
-        self.inner.lanes[lane].record(latency_us);
-        if let Some((_, w)) = self.inner.workloads.get(key) {
-            w.record(latency_us);
-        }
+    /// The cumulative histogram a completed query of shape `q` records its
+    /// end-to-end latency (queue + exec) into.
+    pub(crate) fn key_histogram(&self, q: &Query) -> &Histogram {
+        &self.inner.hists[4 + key_slot(q)]
     }
 
-    /// The current window stats for one lane.
-    pub fn lane_stats(&self, lane: usize) -> LaneStats {
-        let lw = &self.inner.lanes[lane];
-        let snap = lw.hist.snapshot();
-        LaneStats {
-            class: CostClass::ALL[lane],
-            count: snap.count,
-            p50_us: snap.quantile(0.5),
-            p99_us: snap.quantile(0.99),
-            p999_us: snap.quantile(0.999),
-            ewma_us: lw.ewma.value(),
-            p99_target_us: 0,
-            p999_target_us: 0,
+    /// Every histogram's window at `now`: its cumulative snapshot minus the
+    /// newest baseline at least one span older, or the construction
+    /// baseline when none is that old. Older baselines are pruned, and the
+    /// snapshot becomes a baseline when the newest one is a slice old.
+    fn window_at(&self, now: Instant) -> Vec<HistogramSnapshot> {
+        let age = |at: Instant| now.saturating_duration_since(at);
+        let span = Duration::from_millis(SLICE_MS) * WINDOW_SLICES;
+        let mut ring = lock(&self.inner.baselines);
+        let current: Vec<HistogramSnapshot> =
+            self.inner.hists.iter().map(Histogram::snapshot).collect();
+        if let Some(aged) = ring.iter().rposition(|&(at, _)| age(at) >= span) {
+            ring.drain(..aged);
         }
+        let window = zip(&current, &ring[0].1).map(|(c, b)| c.since(b)).collect();
+        if age(ring[ring.len() - 1].0) >= Duration::from_millis(SLICE_MS) {
+            ring.push_back((now, current));
+        }
+        window
+    }
+
+    /// The current window stats of the four lanes, in lane order.
+    pub fn lane_stats(&self) -> Vec<LaneStats> {
+        lane_summaries(&self.window_at(Instant::now()))
     }
 
     /// Publish the fixed `engine.window.*` gauge set into `reg`: per lane
     /// `count` / `p50_us` / `p99_us` / `p999_us` / `ewma_us`, and per
-    /// workload key `p99_us` / `ewma_us`.
+    /// workload key `p99_us` / `ewma_us` (`ewma_us` is the window mean).
     pub fn publish(&self, reg: &Registry) {
-        for lane in 0..4 {
-            let s = self.lane_stats(lane);
+        let window = self.window_at(Instant::now());
+        for s in lane_summaries(&window) {
             let base = format!("engine.window.{}", s.class.name());
             reg.set_gauge(&format!("{base}.count"), s.count as f64);
             reg.set_gauge(&format!("{base}.p50_us"), s.p50_us as f64);
@@ -173,15 +143,36 @@ impl SloTracker {
             reg.set_gauge(&format!("{base}.p999_us"), s.p999_us as f64);
             reg.set_gauge(&format!("{base}.ewma_us"), s.ewma_us);
         }
-        for (key, (class, w)) in &self.inner.workloads {
+        for (slot, (key, s)) in KEYS.iter().zip(&window[4..]).enumerate() {
+            // A workload the engine cannot serve publishes nothing.
+            let run = slot.checked_sub(2).map(|i| Workload::ALL[i]);
+            if run.is_some_and(|w| !service::servable(w)) {
+                continue;
+            }
+            let class = run.map_or(CostClass::Point, Workload::cost_class);
             let base = format!("engine.window.{}.{key}", class.name());
-            reg.set_gauge(
-                &format!("{base}.p99_us"),
-                w.hist.snapshot().quantile(0.99) as f64,
-            );
-            reg.set_gauge(&format!("{base}.ewma_us"), w.ewma.value());
+            reg.set_gauge(&format!("{base}.p99_us"), s.quantile(0.99) as f64);
+            reg.set_gauge(&format!("{base}.ewma_us"), s.mean());
         }
     }
+}
+
+/// The four lanes' summaries from a window (lanes come first in it).
+fn lane_summaries(window: &[HistogramSnapshot]) -> Vec<LaneStats> {
+    CostClass::ALL
+        .into_iter()
+        .zip(window)
+        .map(|(class, s)| LaneStats {
+            class,
+            count: s.count,
+            p50_us: s.quantile(0.5),
+            p99_us: s.quantile(0.99),
+            p999_us: s.quantile(0.999),
+            ewma_us: s.mean(),
+            p99_target_us: 0,
+            p999_target_us: 0,
+        })
+        .collect()
 }
 
 /// One lane's sliding-window latency summary.
@@ -197,7 +188,8 @@ pub struct LaneStats {
     pub p99_us: u64,
     /// Interpolated window p99.9 in microseconds.
     pub p999_us: u64,
-    /// EWMA latency in microseconds.
+    /// Mean latency over the window in microseconds (the name is kept for
+    /// the `graphbig.stats/v1` schema).
     pub ewma_us: f64,
     /// Declared p99 target in microseconds (0 = no target declared).
     pub p99_target_us: u64,
@@ -344,50 +336,152 @@ pub(crate) fn now_ms() -> u64 {
 mod tests {
     use super::*;
 
+    /// A tracker over fresh lane histograms, the handles to record into,
+    /// and the instant of its construction baseline.
+    fn tracker() -> (SloTracker, [Histogram; 4], Instant) {
+        let lanes: [Histogram; 4] = std::array::from_fn(|_| Histogram::default());
+        let t = SloTracker::new(lanes.clone());
+        let start = t.inner.baselines.lock().unwrap()[0].0;
+        (t, lanes, start)
+    }
+
+    const SLICE: Duration = Duration::from_millis(SLICE_MS);
+
     #[test]
     fn keys_cover_every_query_shape() {
-        assert_eq!(query_key(&Query::Degree { vertex: 0 }), "degree");
-        assert_eq!(query_key(&Query::KHop { source: 0, hops: 2 }), "khop");
-        assert_eq!(
-            query_key(&Query::Run {
-                workload: Workload::Bfs,
-                source: 0
-            }),
-            "bfs"
-        );
-        // Every workload has a distinct key.
-        let keys: std::collections::BTreeSet<_> =
-            Workload::ALL.iter().map(|&w| workload_key(w)).collect();
-        assert_eq!(keys.len(), 13);
+        assert_eq!(key_slot(&Query::Degree { vertex: 0 }), 0);
+        assert_eq!(key_slot(&Query::KHop { source: 0, hops: 2 }), 1);
+        // Every workload has its own lowercase key and slot.
+        for w in Workload::ALL {
+            assert_eq!(workload_key(w), format!("{w:?}").to_lowercase());
+        }
+        let slots: std::collections::BTreeSet<_> = Workload::ALL
+            .into_iter()
+            .map(|workload| {
+                key_slot(&Query::Run {
+                    workload,
+                    source: 0,
+                })
+            })
+            .chain([0, 1])
+            .collect();
+        assert_eq!(slots, (0..KEYS.len()).collect());
     }
 
     #[test]
     fn tracker_records_into_lane_and_workload_windows() {
-        let t = SloTracker::new();
+        let (t, lanes, _) = tracker();
+        let bfs = Query::Run {
+            workload: Workload::Bfs,
+            source: 0,
+        };
         for _ in 0..50 {
-            t.record(1, "bfs", 1000);
+            lanes[1].record(1000);
+            t.key_histogram(&bfs).record(1000);
         }
-        let s = t.lane_stats(1);
+        let stats = t.lane_stats();
+        let s = &stats[1];
         assert_eq!(s.class, CostClass::Traversal);
         assert_eq!(s.count, 50);
         assert!(s.p50_us >= 512 && s.p50_us <= 1024, "{}", s.p50_us);
         assert!(s.p999_us >= s.p50_us);
         assert!((s.ewma_us - 1000.0).abs() < 1e-9);
-        // Other lanes unaffected.
-        assert_eq!(t.lane_stats(0).count, 0);
-        assert_eq!(t.lane_stats(0).ewma_us, 0.0);
-        // Unknown keys still land in the lane window.
-        t.record(0, "not-a-workload", 5);
-        assert_eq!(t.lane_stats(0).count, 1);
+        // Other lanes and keys unaffected.
+        assert_eq!(stats[0].count, 0);
+        assert_eq!(stats[0].ewma_us, 0.0);
+        let window = t.window_at(Instant::now());
+        assert_eq!(window[4 + key_slot(&bfs)].count, 50);
+        assert_eq!(window[4 + key_slot(&Query::Degree { vertex: 0 })].count, 0);
+    }
+
+    #[test]
+    fn observations_older_than_the_span_fall_out() {
+        let (t, lanes, start) = tracker();
+        for _ in 0..50 {
+            lanes[0].record(7);
+        }
+        // A slice after construction, so this read's snapshot becomes a
+        // baseline.
+        let t0 = start + SLICE;
+        assert_eq!(t.window_at(t0)[0].count, 50);
+        let later = t0 + Duration::from_secs(11);
+        assert_eq!(t.window_at(later)[0].count, 0, "window expired");
+        lanes[0].record(9);
+        let fresh = t.window_at(later + Duration::from_secs(1));
+        assert_eq!(fresh[0].count, 1, "a fresh observation counts");
+    }
+
+    #[test]
+    fn a_read_without_an_old_enough_baseline_covers_all_history() {
+        let (t, lanes, start) = tracker();
+        lanes[2].record(100);
+        assert_eq!(t.window_at(start + Duration::from_secs(5))[2].count, 1);
+        lanes[2].record(200);
+        // The baseline taken at 5 s is too young: subtract construction's.
+        let w = t.window_at(start + Duration::from_millis(9_900));
+        assert_eq!((w[2].count, w[2].sum), (2, 300));
+    }
+
+    #[test]
+    fn the_baseline_ring_stays_bounded_however_often_it_is_read() {
+        let (t, lanes, start) = tracker();
+        // One observation and one read every 100 ms for a minute.
+        for ms in (0..60_000).step_by(100) {
+            lanes[0].record(1);
+            let count = t.window_at(start + Duration::from_millis(ms))[0].count;
+            let len = t.inner.baselines.lock().unwrap().len();
+            assert!(
+                len <= WINDOW_SLICES as usize + 1,
+                "{len} baselines at {ms} ms"
+            );
+            // Past the first span a window covers 10 s to 10 s + a slice
+            // (plus the 100 ms read spacing).
+            if ms >= 11_300 {
+                assert!((100..=113).contains(&count), "{count} at {ms} ms");
+            }
+        }
+    }
+
+    #[test]
+    fn window_quantiles_match_a_histogram_of_only_the_windowed_observations() {
+        let (t, lanes, start) = tracker();
+        for v in 1..=500 {
+            lanes[1].record(v * 3);
+        }
+        let t0 = start + SLICE;
+        t.window_at(t0); // the baseline the later read subtracts
+        let alone = Histogram::default();
+        for v in 1..=300u64 {
+            lanes[1].record(v * v % 5000 + 20);
+            alone.record(v * v % 5000 + 20);
+        }
+        let window = t.window_at(t0 + Duration::from_secs(10));
+        let want = alone.snapshot();
+        assert_eq!(window[1], want);
+        let s = &lane_summaries(&window)[1];
+        assert_eq!(s.count, 300);
+        assert_eq!(s.p50_us, want.quantile(0.5));
+        assert_eq!(s.p99_us, want.quantile(0.99));
+        assert_eq!(s.p999_us, want.quantile(0.999));
+        assert_eq!(s.ewma_us, want.mean());
     }
 
     #[test]
     fn published_gauge_set_is_fixed_and_traffic_independent() {
         let quiet = Registry::new();
-        SloTracker::new().publish(&quiet);
-        let busy_tracker = SloTracker::new();
-        busy_tracker.record(0, "degree", 10);
-        busy_tracker.record(2, "ccomp", 90_000);
+        tracker().0.publish(&quiet);
+        let (busy_tracker, lanes, _) = tracker();
+        lanes[0].record(10);
+        busy_tracker
+            .key_histogram(&Query::Degree { vertex: 0 })
+            .record(10);
+        lanes[2].record(90_000);
+        busy_tracker
+            .key_histogram(&Query::Run {
+                workload: Workload::CComp,
+                source: 0,
+            })
+            .record(90_000);
         let busy = Registry::new();
         busy_tracker.publish(&busy);
         let quiet_keys: Vec<String> = quiet.snapshot().into_keys().collect();
@@ -401,17 +495,21 @@ mod tests {
         assert!(quiet_keys.contains(&"engine.window.analytics.ccomp.p99_us".to_string()));
         assert!(quiet_keys.contains(&"engine.window.point.degree.ewma_us".to_string()));
         assert!(quiet_keys.contains(&"engine.window.write.p99_us".to_string()));
+        assert_eq!(
+            busy.snapshot()["engine.window.analytics.ccomp.ewma_us"],
+            graphbig_telemetry::MetricValue::Gauge(90_000.0)
+        );
     }
 
     #[test]
     fn stats_line_is_compact_json_with_the_schema() {
-        let t = SloTracker::new();
-        t.record(0, "degree", 42);
+        let (t, lanes, _) = tracker();
+        lanes[0].record(42);
         let snap = StatsSnapshot {
             t_ms: now_ms(),
             queue_depth: 3,
             in_flight_cost: 17,
-            lanes: (0..4).map(|l| t.lane_stats(l)).collect(),
+            lanes: t.lane_stats(),
         };
         let line = snap.to_json_line();
         assert!(!line.contains('\n'));
@@ -460,12 +558,11 @@ mod tests {
 
     #[test]
     fn stats_snapshot_carries_slo_targets() {
-        let t = SloTracker::new();
         let mut snap = StatsSnapshot {
             t_ms: 0,
             queue_depth: 0,
             in_flight_cost: 0,
-            lanes: (0..4).map(|l| t.lane_stats(l)).collect(),
+            lanes: tracker().0.lane_stats(),
         };
         snap.apply_slo(&SloSpec {
             point: Some(ClassSlo {

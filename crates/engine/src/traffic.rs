@@ -569,7 +569,9 @@ fn drive_mix(engine: &Engine, spec: &MixSpec, plan: &FaultPlan) -> TrafficReport
     // later op means.
     let base = engine.store().snapshot();
     let ops = generate_ops(spec, base.graph().num_vertices() as u32);
-    let clients = spec.clients.max(1);
+    // A client past the request count would get no request: start at most
+    // one thread per request. Request `i` keeps its client and RNG seed.
+    let clients = spec.clients.clamp(1, spec.requests.max(1));
     let deadline = spec.deadline_ms.map(Duration::from_millis);
     let start = Instant::now();
     let per_client: Vec<(Vec<(usize, Outcome)>, u64)> = std::thread::scope(|scope| {
@@ -1055,6 +1057,22 @@ mod tests {
         let checked = verify_against_oracle(&report, &oracle).expect("no mismatches");
         assert_eq!(checked, report.completed_digests.len() as u64);
         assert_eq!(checked, 60, "no deadline set: everything completes");
+    }
+
+    #[test]
+    fn more_clients_than_requests_start_one_thread_per_request() {
+        let engine = Engine::with_registry(EngineConfig::default(), csr(256), &Registry::new());
+        let spec = MixSpec {
+            requests: 8,
+            clients: 1_000_000,
+            ..MixSpec::default()
+        };
+        let report = run_mix(&engine, &spec);
+        assert_eq!(report.admitted, 8);
+        let snapshot = engine.store().snapshot();
+        let queries = generate_requests(&spec, snapshot.graph().num_vertices() as u32);
+        let oracle = sequential_digests(snapshot.graph(), engine.pool(), &queries);
+        assert_eq!(verify_against_oracle(&report, &oracle), Ok(8));
     }
 
     #[test]

@@ -15,10 +15,10 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use graphbig_datagen::Dataset;
-use graphbig_engine::{Engine, EngineConfig, Query, QueryStatus};
+use graphbig_engine::{Engine, EngineConfig, Mutation, Query, QueryStatus};
 use graphbig_framework::csr::{BiCsr, Csr};
 use graphbig_runtime::CancelToken;
-use graphbig_telemetry::metrics::Registry;
+use graphbig_telemetry::metrics::{MetricValue, Registry};
 use graphbig_telemetry::recorder::{self, EventKind, RecorderEvent};
 use graphbig_workloads::{parallel, Workload};
 
@@ -558,6 +558,52 @@ fn shutdown_shed_requests_log_the_full_lifecycle() {
             .count,
         6,
         "shed jobs record the queue stage like every other dequeue"
+    );
+}
+
+/// The live windows read the engine's own lane latency histograms and one
+/// per-key histogram: point reads land in the point lane and their keys,
+/// writes in the write lane, and the published key set is the same as an
+/// idle engine's.
+#[test]
+fn live_windows_count_point_reads_and_writes() {
+    let _g = gate();
+    let reg = Registry::new();
+    let eng = engine(2000, quiet_cfg(), &reg);
+    for vertex in 0..8 {
+        run_to_completion(&eng, Query::Degree { vertex });
+    }
+    for source in 0..3 {
+        run_to_completion(&eng, Query::KHop { source, hops: 2 });
+    }
+    for v in 1..=2 {
+        eng.mutate(&[Mutation::AddEdge { u: 0, v, w: 1.0 }])
+            .unwrap();
+    }
+    let lanes = eng.stats_snapshot().lanes;
+    assert_eq!(lanes[0].count, 11, "8 degree + 3 k-hop reads");
+    assert_eq!(lanes[3].count, 2, "the write lane counts mutations");
+    assert_eq!(lanes[1].count + lanes[2].count, 0);
+    let published = Registry::new();
+    eng.slo().publish(&published);
+    let gauges = published.snapshot();
+    // A p99 of at most 100 reads is their maximum, and a fresh engine's
+    // first read of each shape is cold enough to take a microsecond.
+    for key in ["degree", "khop"] {
+        let name = format!("engine.window.point.{key}.p99_us");
+        assert!(
+            matches!(gauges[&name], MetricValue::Gauge(v) if v > 0.0),
+            "{name} = {:?}",
+            gauges[&name]
+        );
+    }
+    let idle = Registry::new();
+    engine(2000, quiet_cfg(), &Registry::new())
+        .slo()
+        .publish(&idle);
+    assert!(
+        idle.snapshot().into_keys().eq(gauges.into_keys()),
+        "the published key set does not depend on traffic"
     );
 }
 

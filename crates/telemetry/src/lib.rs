@@ -24,10 +24,10 @@
 //! workload, dataset, params, git revision, thread count, feature flags,
 //! the metrics snapshot, span summaries, and result tables.
 //! `graphbig-report` diffs two manifests and CI checks structure against a
-//! committed golden file. [`window`] holds the sliding-window latency
-//! estimators ([`WindowedHistogram`](window::WindowedHistogram) +
-//! [`Ewma`](window::Ewma)) behind the engine's live `engine.window.*` SLO
-//! stats.
+//! committed golden file. Histograms are cumulative; a sliding window (the
+//! engine's live `engine.window.*` SLO stats) is the difference of two
+//! snapshots, [`HistogramSnapshot::since`](metrics::HistogramSnapshot::since),
+//! taken when it is read.
 //!
 //! The crate pulls in nothing outside the workspace; [`json`] re-exports
 //! the in-tree `graphbig-json` crate (which grew out of this crate's
@@ -42,8 +42,6 @@ pub mod chrome;
 pub mod manifest;
 pub mod metrics;
 pub mod recorder;
-pub mod window;
 
 pub use manifest::{diff_metrics, structural_mismatches, RunManifest, SpanSummary, TableData};
 pub use metrics::{Counter, Histogram, MetricSink, MetricValue, Registry};
-pub use window::{Ewma, WindowedHistogram};

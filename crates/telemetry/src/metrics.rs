@@ -76,19 +76,6 @@ impl Histogram {
         inner.sum.fetch_add(value, Ordering::Relaxed);
     }
 
-    /// Reset every bucket to zero (used by sliding-window estimators when
-    /// a window slice expires). Not atomic with respect to concurrent
-    /// `record` calls: an observation racing a reset may land in either
-    /// the old or the new window, which sliding windows tolerate.
-    pub fn reset(&self) {
-        let inner = &self.0;
-        for b in &inner.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        inner.count.store(0, Ordering::Relaxed);
-        inner.sum.store(0, Ordering::Relaxed);
-    }
-
     /// Snapshot the current bucket contents.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let inner = &self.0;
@@ -170,16 +157,24 @@ impl HistogramSnapshot {
         self.buckets.last().map(|&(le, _)| le).unwrap_or(0)
     }
 
-    /// Fold another snapshot into this one (bucket-wise sum), used to merge
-    /// the live slices of a sliding-window histogram.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        self.count += other.count;
-        self.sum += other.sum;
-        for &(le, c) in &other.buckets {
-            match self.buckets.binary_search_by_key(&le, |&(b, _)| b) {
-                Ok(i) => self.buckets[i].1 += c,
-                Err(i) => self.buckets.insert(i, (le, c)),
-            }
+    /// The observations recorded after `earlier`, an older snapshot of the
+    /// same cumulative histogram: count, sum and every bucket minus
+    /// `earlier`'s. Two cumulative snapshots give the window between them
+    /// (the way a Prometheus-style scraper computes a rate).
+    pub fn since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
+        let before = |le| match earlier.buckets.binary_search_by_key(&le, |&(b, _)| b) {
+            Ok(i) => earlier.buckets[i].1,
+            Err(_) => 0,
+        };
+        HistogramSnapshot {
+            count: self.count.saturating_sub(earlier.count),
+            sum: self.sum.saturating_sub(earlier.sum),
+            buckets: self
+                .buckets
+                .iter()
+                .map(|&(le, c)| (le, c.saturating_sub(before(le))))
+                .filter(|&(_, c)| c > 0)
+                .collect(),
         }
     }
 }
@@ -516,28 +511,50 @@ mod tests {
         assert_eq!(s.quantile(0.999), 7783);
     }
 
+    /// `(a + later).since(a)` is exactly the later stream: count, sum,
+    /// buckets and quantiles of a histogram that only saw it, within the
+    /// documented 2x of its true sample p99; `x.since(x)` is empty.
     #[test]
-    fn snapshot_merge_sums_buckets() {
-        let a = Histogram::default();
-        for v in [1, 3, 900] {
-            a.record(v);
+    fn snapshot_since_subtracts_an_earlier_snapshot() {
+        // Three "lanes" with different latency shapes recorded first, then
+        // a heavy-tailed later stream with zeros in it.
+        let early: Vec<u64> = (1..=400)
+            .map(|i| i % 97 + 1)
+            .chain((1..=300).map(|i| (i * i) % 1500 + 10))
+            .collect();
+        let later: Vec<u64> = (1..=200).map(|i| i * 40).chain([0; 50]).collect();
+        let cumulative = Histogram::default();
+        let alone = Histogram::default();
+        for &v in &early {
+            cumulative.record(v);
         }
-        let b = Histogram::default();
-        for v in [3, 0, 2000] {
-            b.record(v);
+        let a = cumulative.snapshot();
+        for &v in &later {
+            cumulative.record(v);
+            alone.record(v);
         }
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged.count, 6);
-        assert_eq!(merged.sum, 2907);
-        assert_eq!(
-            merged.buckets,
-            vec![(1, 1), (2, 1), (4, 2), (1024, 1), (2048, 1)]
+        let window = cumulative.snapshot().since(&a);
+        let reference = alone.snapshot();
+        assert_eq!(window.count, 250);
+        assert_eq!(window.sum, later.iter().sum::<u64>());
+        assert_eq!(window, reference, "since must be bucket-lossless");
+        for q in [0.5, 0.9, 0.99, 0.999] {
+            assert_eq!(window.quantile(q), reference.quantile(q), "q={q}");
+        }
+        assert_eq!(window.mean(), reference.mean());
+        let mut samples = later.clone();
+        samples.sort_unstable();
+        let rank = ((0.99 * samples.len() as f64).ceil() as usize).max(1);
+        let true_p99 = samples[rank - 1];
+        let est = window.quantile(0.99);
+        assert!(
+            est >= true_p99 / 2 && est <= true_p99 * 2,
+            "windowed p99 {est} outside 2x of true sample p99 {true_p99}"
         );
-        // Merging an empty snapshot is a no-op.
-        let before = merged.clone();
-        merged.merge(&HistogramSnapshot::default());
-        assert_eq!(merged, before);
+        // Nothing recorded in between: the difference is empty.
+        let x = cumulative.snapshot();
+        assert_eq!(x.since(&x), HistogramSnapshot::default());
+        assert_eq!(x.since(&HistogramSnapshot::default()), x);
     }
 
     #[test]
@@ -611,56 +628,5 @@ mod tests {
         let reg = Registry::new();
         reg.counter("m");
         reg.histogram("m");
-    }
-
-    /// Merging per-lane stage histograms must be lossless at the bucket
-    /// level: the merged snapshot reports exactly the quantiles of the
-    /// combined stream recorded into one histogram, and both stay within
-    /// the documented 2x log2-resolution bound of the true sample p99.
-    #[test]
-    fn merged_histograms_report_the_unmerged_streams_p99() {
-        // Four "lanes" with deliberately different latency shapes, like
-        // the per-class stage histograms the engine merges for reporting.
-        let lanes: Vec<Vec<u64>> = vec![
-            (1..=400).map(|i| i % 97 + 1).collect(),
-            (1..=300).map(|i| (i * i) % 1500 + 10).collect(),
-            (1..=200).map(|i| i * 40).collect(), // the heavy tail
-            vec![0; 50],                         // an idle lane: all zeros
-        ];
-        let combined = Histogram::default();
-        let mut merged = HistogramSnapshot::default();
-        let mut samples: Vec<u64> = Vec::new();
-        for lane in &lanes {
-            let h = Histogram::default();
-            for &v in lane {
-                h.record(v);
-                combined.record(v);
-                samples.push(v);
-            }
-            merged.merge(&h.snapshot());
-        }
-        let reference = combined.snapshot();
-        assert_eq!(merged.count, reference.count);
-        assert_eq!(merged.sum, reference.sum);
-        assert_eq!(
-            merged.buckets, reference.buckets,
-            "merge must be bucket-lossless"
-        );
-        for q in [0.5, 0.9, 0.99, 0.999] {
-            assert_eq!(
-                merged.quantile(q),
-                reference.quantile(q),
-                "q={q}: merged quantile diverged from the unmerged stream"
-            );
-        }
-        // Both stay within the documented 2x of the true sample p99.
-        samples.sort_unstable();
-        let rank = ((0.99 * samples.len() as f64).ceil() as usize).max(1);
-        let true_p99 = samples[rank - 1];
-        let est = merged.quantile(0.99);
-        assert!(
-            est >= true_p99 / 2 && est <= true_p99 * 2,
-            "merged p99 {est} outside 2x of true sample p99 {true_p99}"
-        );
     }
 }

@@ -38,8 +38,9 @@ calls() { # calls <fn> <paths...>: non-comment lines that call <fn>, its definit
   local f=$1; shift
   grep -rHn --include='*.rs' "$f(" "$@" | grep -v "fn $f(" | grep -v ':[0-9]*: *//' || true
 }
-body() { # body <file> <fn>: the lines of fn <fn> in <file>, signature to closing brace
-  sed -n "/^ *\(pub\(([a-z]*)\)\? \)\?fn $2(/,/^    }/p" "$1"
+body() { # body <file> <fn>: the lines of fn <fn> in <file>, signature to the brace closing it
+  awk -v sig="fn $2(" '!on && index($0, sig) { on = 1; match($0, /^ */); stop = substr($0, 1, RLENGTH) "}" }
+                       on { print; if ($0 == stop) exit }' "$1"
 }
 sites=$(calls run_group crates/engine/src)
 [ "$(echo "$sites" | grep -c .)" -eq 2 ] \
@@ -102,6 +103,21 @@ if grep -rn --exclude=serve_cli.rs 'observe_cost\|adaptive_cost\|fn correction\|
   echo "admission charges the static estimate: no feedback cost model, no knob or flag to turn it off"
   exit 1
 fi
+
+echo "==> one latency feed (live SLO windows are read-time differences of cumulative histograms)"
+# A completed request fed a lane and a key sliding window (two clock reads, two EWMA CAS loops and
+# a BTreeMap search) on top of engine.latency_us; a read now subtracts an older snapshot instead.
+if [ -e crates/telemetry/src/window.rs ] \
+  || grep -rn 'WindowedHistogram\|Ewma' crates/*/src \
+  || grep -rn 'slo\.record(' crates/engine/src; then
+  echo "no per-request window feed: SloTracker reads engine.latency_us and its per-key histograms"
+  exit 1
+fi
+for site in "lifecycle.rs finish_job" "engine.rs mutate_tagged"; do
+  set -- $site
+  n=$(body "crates/engine/src/$1" "$2" | grep -c 'Instant::now()\|\.elapsed()' || true)
+  [ "$n" -le 2 ] || { echo "$2 reads the clock $n times (at most 2: its own stage stamp)"; exit 1; }
+done
 
 echo "==> one home for numbers (four bench targets, one result schema, one argv parser)"
 # Bench rows are `bench.*` gauges of a run manifest; graphbig-report is the one reader.
