@@ -36,9 +36,7 @@
 //!
 //! Admission charges each query its static `Query::cost` estimate against
 //! `--cost-budget`. Serving flags: `--cache-capacity N` (epoch-keyed result
-//! cache entries; 0 disables), `--aging-limit N`
-//! (dequeues a starving lower lane may be skipped before it is served
-//! first; 0 = strict priority), `--batch-max N` (BFS requests coalesced
+//! cache entries; 0 disables), `--batch-max N` (BFS requests coalesced
 //! into one shared multi-source pass; 1 disables) with
 //! `--batch-window-us N` (how long a BFS group waits for joiners, counted
 //! from its first member's admission; 0 takes only what is queued; the
@@ -92,7 +90,7 @@ const VALUE_FLAGS: &str = "--dataset --vertices --mix --requests --clients --see
     --point-weight --traversal-weight --analytics-weight --write-weight \
     --write-delete-percent --deadline-ms --hot-sources --khop-hops --executors \
     --pool-threads --queue-capacity --cost-budget --shards --compact-threshold \
-    --cache-capacity --aging-limit --batch-max --batch-window-us --slo --faults \
+    --cache-capacity --batch-max --batch-window-us --slo --faults \
     --emit --trace --flight-dump --stats-interval";
 
 /// Report a command-line error and exit with status 2.
@@ -362,7 +360,6 @@ fn main() -> ExitCode {
         cost_budget: Some(cost_budget).filter(|&b| b > 0).unwrap_or(u64::MAX),
         shards: parsed_arg("--shards", 8usize),
         cache_capacity: parsed_arg("--cache-capacity", cfg_defaults.cache_capacity),
-        lane_aging_limit: parsed_arg("--aging-limit", cfg_defaults.lane_aging_limit),
         compact_threshold: parsed_arg("--compact-threshold", cfg_defaults.compact_threshold),
         batch_max: parsed_arg("--batch-max", cfg_defaults.batch_max),
         batch_window_us: parsed_arg("--batch-window-us", cfg_defaults.batch_window_us),
@@ -602,7 +599,6 @@ fn main() -> ExitCode {
         manifest.param("cost_budget", cost_budget);
         manifest.param("shards", cfg.shards);
         manifest.param("cache_capacity", cfg.cache_capacity);
-        manifest.param("aging_limit", cfg.lane_aging_limit);
         manifest.param("batch_max", cfg.batch_max);
         manifest.param("batch_window_us", cfg.batch_window_us);
         manifest.param(
@@ -631,7 +627,6 @@ fn main() -> ExitCode {
         }
         invariants.write_to_manifest(&mut manifest);
         slo_verdict.write_to_manifest(&slo_spec, &mut manifest);
-        manifest.gauge("engine.lane.max_skip", engine.max_lane_skip() as f64);
         for class in &report.classes {
             let name = class.class.name();
             manifest.gauge(&format!("engine.p50_us.{name}"), class.p50_us as f64);

@@ -2,10 +2,10 @@
 //!
 //! Submission is synchronous admission control ([`Engine::submit`] returns
 //! `Err(RejectReason)` immediately when over budget). `Degree` / `KHop` run
-//! on the submitting thread; other queries park in one of four priority
-//! lanes (point < traversal < analytics < write, served cheapest-first so
-//! point-class work never waits behind analytics) and a small crew of
-//! executor threads drains them. Heavy kernels
+//! on the submitting thread; other queries wait in one of two FIFO queues,
+//! interactive (traversals) or analytical (whole-graph runs), and a small
+//! crew of executor threads drains them, each serving its home queue
+//! first, so neither kind waits behind the other. Heavy kernels
 //! run on one shared [`ThreadPool`] — the pool's per-worker channels
 //! serialize concurrent broadcasts from different executors, so analytics
 //! queries interleave at parallel-region granularity instead of fighting
@@ -56,12 +56,14 @@ use crate::store::GraphStore;
 /// Engine sizing knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Executor threads draining the lanes (`Degree` / `KHop` never queue:
-    /// they run on the submitting thread).
+    /// Executor threads draining the queues (`Degree` / `KHop` never queue:
+    /// they run on the submitting thread). Executor `i` serves the
+    /// interactive queue first when `i` is even, the analytical one when odd,
+    /// and the other only when its own has nothing runnable.
     pub executors: usize,
     /// Workers in the shared kernel thread pool.
     pub pool_threads: usize,
-    /// Bounded submission-queue capacity (across all lanes).
+    /// Bounded submission-queue capacity (across both queues).
     pub queue_capacity: usize,
     /// In-flight cost budget (units of [`Workload::cost_estimate`]).
     pub cost_budget: u64,
@@ -69,10 +71,6 @@ pub struct EngineConfig {
     pub shards: usize,
     /// Total entries in the epoch-keyed result cache (0 disables caching).
     pub cache_capacity: usize,
-    /// Dequeues a non-empty lower-priority lane tolerates being passed
-    /// over before it is served ahead of higher-priority lanes (0 =
-    /// strict priority, lower lanes can starve under a point-query storm).
-    pub lane_aging_limit: u64,
     /// Overlay edge-insert count at which the background compactor folds
     /// the delta overlay into a freshly published epoch. 0 disables the
     /// compactor thread (compaction happens only via [`Engine::compact`]).
@@ -83,7 +81,7 @@ pub struct EngineConfig {
     pub batch_max: usize,
     /// Microseconds a BFS group waits for joiners, counted from its first
     /// member's admission; a full group runs at once, and an executor serves
-    /// other lanes meanwhile. 0 (the default) takes only what is queued.
+    /// the other queue meanwhile. 0 (the default) takes only what is queued.
     /// `engine.batch.coalesce_us` is the time an executor sat idle waiting
     /// for joiners; a group's age shows in each member's `queue_us`.
     pub batch_window_us: u64,
@@ -98,7 +96,6 @@ impl Default for EngineConfig {
             cost_budget: u64::MAX,
             shards: 8,
             cache_capacity: 1024,
-            lane_aging_limit: 32,
             compact_threshold: 4096,
             batch_max: 64,
             batch_window_us: 0,
@@ -132,7 +129,7 @@ pub enum Query {
 }
 
 impl Query {
-    /// The priority lane / latency class this query bills to.
+    /// The cost class this query bills to (its latency class and queue).
     pub fn class(&self) -> CostClass {
         match self {
             Query::Degree { .. } | Query::KHop { .. } => CostClass::Point,
@@ -292,7 +289,7 @@ impl Engine {
             metrics,
             cfg,
         });
-        let spawn = |name: String, body: fn(&Shared)| {
+        let spawn = |name: String, body: Box<dyn FnOnce(&Shared) + Send>| {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name(name)
@@ -300,10 +297,16 @@ impl Engine {
                 .expect("spawn engine thread")
         };
         let executors = (0..shared.cfg.executors.max(1))
-            .map(|i| spawn(format!("graphbig-executor-{i}"), executor_loop))
+            .map(|i| {
+                let home = i % 2;
+                spawn(
+                    format!("graphbig-executor-{i}"),
+                    Box::new(move |sh| executor_loop(sh, home)),
+                )
+            })
             .collect();
         let compactor = (shared.cfg.compact_threshold > 0)
-            .then(|| spawn("graphbig-compactor".to_string(), compactor_loop));
+            .then(|| spawn("graphbig-compactor".to_string(), Box::new(compactor_loop)));
         Engine {
             shared,
             auto_tag: AtomicU64::new(0),
@@ -525,18 +528,6 @@ impl Engine {
         self.shared.cache.len()
     }
 
-    /// High-water mark of any lane's consecutive skip count. The aging
-    /// starvation invariant bounds this by
-    /// [`Engine::lane_aging_limit`]` + 1`.
-    pub fn max_lane_skip(&self) -> u64 {
-        lock(&self.shared.lanes).max_skip
-    }
-
-    /// The configured aging limit (0 = strict priority).
-    pub fn lane_aging_limit(&self) -> u64 {
-        self.shared.cfg.lane_aging_limit
-    }
-
     /// A point-in-time serving snapshot: queue depth, in-flight cost, and
     /// the per-lane window stats (the `--stats-interval` line's payload).
     pub fn stats_snapshot(&self) -> StatsSnapshot {
@@ -571,7 +562,7 @@ impl Drop for Engine {
         // no ticket ever hangs and the shed leaves the full lifecycle
         // behind. The Resolver CAS makes this race-free against any
         // response an executor already sent.
-        executor_loop(sh);
+        executor_loop(sh, 0);
     }
 }
 

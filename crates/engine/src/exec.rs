@@ -4,8 +4,8 @@
 //! here, and the submitting thread, which runs a `Degree` / `KHop` as a
 //! group of one without queueing. An executor pops the next runnable group
 //! — formed at admission by [`crate::lifecycle::Lanes::push`], usually a
-//! job alone — under the lane-aging policy, or sleeps until the earliest
-//! filling group's window closes. Every member goes through
+//! job alone — from its home queue, else from the other one, or sleeps
+//! until the earliest filling group's window closes. Every member goes through
 //! [`crate::lifecycle::dequeue`], and [`run_group`] walks each member
 //! through the same guarded run:
 //!
@@ -45,17 +45,15 @@ use crate::lifecycle::{
 };
 use crate::store::EpochSnapshot;
 
-pub(crate) fn executor_loop(sh: &Shared) {
+/// Serve the queues, `home` first, until shutdown leaves nothing to shed.
+pub(crate) fn executor_loop(sh: &Shared, home: usize) {
     loop {
         let (Group { leader, mates, .. }, draining, idle_us) = {
             let mut lanes = lock(&sh.lanes);
             // Set once this executor starts waiting out a filling group.
             let mut idle_since = None;
             loop {
-                if let Some((group, aged)) = lanes.pop(sh.cfg.lane_aging_limit) {
-                    if aged {
-                        sh.metrics.lane_aged.inc();
-                    }
+                if let Some(group) = lanes.pop(home) {
                     let idle = idle_since.map_or(Duration::ZERO, |t: Instant| t.elapsed());
                     break (group, lanes.shutdown, idle.as_micros() as u64);
                 }

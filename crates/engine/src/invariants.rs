@@ -212,19 +212,7 @@ pub fn check_chaos_invariants(
         },
     });
 
-    // 6. Lane aging bounds starvation: no lane's consecutive-skip counter
-    //    ever passed `aging_limit + 1` (the +1 covers one extra skip while
-    //    another already-aged lane is served first). With aging disabled
-    //    (limit 0) strict priority makes no bound claim.
-    let limit = engine.lane_aging_limit();
-    let max_skip = engine.max_lane_skip();
-    checks.push(InvariantCheck {
-        name: "lane_starvation",
-        held: limit == 0 || max_skip <= limit + 1,
-        detail: format!("max lane skip {max_skip} vs aging limit {limit}"),
-    });
-
-    // 7. Cache accounting: every hit is a completed query, so hits can
+    // 6. Cache accounting: every hit is a completed query, so hits can
     //    never exceed completions.
     let hits = counter(&snap, "engine.cache.hit");
     checks.push(InvariantCheck {
@@ -233,7 +221,7 @@ pub fn check_chaos_invariants(
         detail: format!("{hits} cache hits vs {m_completed} completions"),
     });
 
-    // 8. Write-path accounting: the delta sequence number advances exactly
+    // 7. Write-path accounting: the delta sequence number advances exactly
     //    once per applied batch, so the mutation counter and the buffer's
     //    sequence must agree (both survive compaction untouched).
     let mutations = counter(&snap, "engine.mutations");
@@ -244,7 +232,7 @@ pub fn check_chaos_invariants(
         detail: format!("{mutations} mutation batches vs delta-seq {seq}"),
     });
 
-    // 9. Compaction lifecycle: every started fold finished (published or
+    // 8. Compaction lifecycle: every started fold finished (published or
     //    yielded) — a mismatch means the compactor died mid-fold.
     let c_started = counter(&snap, "engine.compact.started");
     let c_completed = counter(&snap, "engine.compact.completed");
@@ -297,13 +285,13 @@ mod tests {
         let inv = check_chaos_invariants(&engine, &report, Some(&oracle), &reg);
         assert!(inv.ok(), "{}", inv.render());
         assert_eq!(inv.violations(), 0);
-        assert_eq!(inv.checks.len(), 9);
+        assert_eq!(inv.checks.len(), 8);
 
         let mut manifest = RunManifest::new("test");
         inv.write_to_manifest(&mut manifest);
         assert_eq!(
             manifest.metrics["chaos.invariants.checked"],
-            MetricValue::Counter(9)
+            MetricValue::Counter(8)
         );
         assert_eq!(
             manifest.metrics["chaos.invariants.violations"],

@@ -26,8 +26,8 @@
 //!   the incremental connected-components kernel and the fold background
 //!   compaction publishes as a new epoch.
 //! - [`engine`]: the [`Engine`] itself — `Degree` / `KHop` run on the
-//!   submitting thread, everything else in priority lanes (point-class work
-//!   never queues behind analytics), executor threads over one shared
+//!   submitting thread, everything else in an interactive or an analytical
+//!   FIFO queue, each with executors that serve it first, over one shared
 //!   kernel pool, cooperative deadlines/cancellation, per-class latency
 //!   metrics in the telemetry registry. Behind it, one request path:
 //!   `lifecycle` (admit, dequeue, finish — each stage written once),

@@ -7,7 +7,7 @@
 //! followers, caller-thread point lookups and the shutdown shed alike) and
 //! [`finish_job`] (every terminal status, grouped or not), ending in the
 //! one-shot [`Resolver`]. A `Degree` / `KHop` walks them on the submitting
-//! thread and never enters the lanes; everything else waits in them.
+//! thread and never queues; everything else waits in one of two queues.
 //! Enqueue is [`Lanes::push`], where BFS groups form, each due when full
 //! or `batch_window_us` after its first admission. The guarded run between
 //! dequeue and finish lives in [`crate::exec`]. [`Shared`] is the state
@@ -91,8 +91,6 @@ pub(crate) struct EngineMetrics {
     pub(crate) cache_hit: Counter,
     pub(crate) cache_miss: Counter,
     pub(crate) cache_evict: Counter,
-    /// Dequeues that served an aged lane ahead of a higher-priority one.
-    pub(crate) lane_aged: Counter,
     /// Mutation batches applied (each bumps the overlay delta-seq once).
     pub(crate) mutations: Counter,
     /// Compactions entered / finished — the chaos invariant sweep requires
@@ -135,7 +133,6 @@ impl EngineMetrics {
             cache_hit: reg.counter("engine.cache.hit"),
             cache_miss: reg.counter("engine.cache.miss"),
             cache_evict: reg.counter("engine.cache.evict"),
-            lane_aged: reg.counter("engine.lane.aged"),
             mutations: reg.counter("engine.mutations"),
             compact_started: reg.counter("engine.compact.started"),
             compact_completed: reg.counter("engine.compact.completed"),
@@ -146,13 +143,25 @@ impl EngineMetrics {
     }
 }
 
-/// Priority lane index of a cost class (its position in [`CostClass::ALL`]).
+/// Lane of a cost class: its position in [`CostClass::ALL`], the index of
+/// its metrics and recorder events. Which queue it waits in is [`queue_of`].
 pub(crate) fn lane(class: CostClass) -> usize {
     class as usize
 }
 
-/// Index of the write lane (mutations bill here without queueing).
+/// Lane of the write class (mutations bill here without queueing).
 pub(crate) const WRITE_LANE: usize = 3;
+
+/// The queue a class waits in: interactive (0) for traversals, so BFS
+/// groups; analytical (1) for whole-graph runs — analytics, `DCentr` (the
+/// one point-class run that queues) and write-class runs, which resolve
+/// `Unsupported`. So a filling BFS group only ever holds up traversals.
+fn queue_of(class: CostClass) -> usize {
+    match class {
+        CostClass::Traversal => 0,
+        CostClass::Point | CostClass::Analytics | CostClass::Write => 1,
+    }
+}
 
 /// Compact status code for flight-recorder `run`/`resolve` event args.
 fn status_code(status: &QueryStatus) -> u64 {
@@ -240,22 +249,7 @@ pub(crate) struct Pending {
     pub(crate) forced: Option<QueryStatus>,
 }
 
-/// Pick the lane to serve next. Strict priority (lowest index first)
-/// except that any runnable lane whose skip counter has reached `limit`
-/// is served ahead of everything else (lowest such index on ties) — the
-/// aging rule that keeps an analytics queue moving under a point-query
-/// storm. `limit == 0` disables aging. Pure so the policy is unit-testable
-/// without an engine.
-fn select_lane(runnable: [bool; 4], skips: [u64; 4], limit: u64) -> Option<usize> {
-    if limit > 0 {
-        if let Some(aged) = (0..4).find(|&l| runnable[l] && skips[l] >= limit) {
-            return Some(aged);
-        }
-    }
-    (0..4).find(|&l| runnable[l])
-}
-
-/// One lane entry: a job on its own, or a BFS group formed at admission —
+/// One queue entry: a job on its own, or a BFS group formed at admission —
 /// the first member at its FIFO position, the BFS that joined it behind.
 pub(crate) struct Group {
     pub(crate) leader: Job,
@@ -265,27 +259,24 @@ pub(crate) struct Group {
     due: Option<Instant>,
 }
 
+/// The two FIFO queues, interactive and analytical. Each executor has a
+/// home queue it serves first, so a queue with an executor of its own
+/// waits only behind its own earlier work.
 #[derive(Default)]
 pub(crate) struct Lanes {
-    queues: [VecDeque<Group>; 4],
-    /// Consecutive times each lane was runnable yet passed over. Serving a
-    /// lane resets its counter; lanes below the served one age by one.
-    skips: [u64; 4],
-    /// High-water mark of any skip counter — the starvation invariant
-    /// bounds this by `lane_aging_limit + 1`.
-    pub(crate) max_skip: u64,
+    queues: [VecDeque<Group>; 2],
     pub(crate) shutdown: bool,
 }
 
 impl Lanes {
-    /// Queue `job`. A BFS joins its lane's open group for the same pinned
+    /// Queue `job`. A BFS joins its queue's open group for the same pinned
     /// state (so a group never spans a write) while it has room — `batch_max`
     /// capped at the MS-BFS lane width — or else opens one. True when an
     /// executor should look: the job is runnable, filled its group or opened
     /// one (whose due an idle executor must learn); a join wakes nobody.
     pub(crate) fn push(&mut self, job: Job, cfg: &EngineConfig) -> bool {
         let cap = cfg.batch_max.min(msbfs::MSBFS_LANES);
-        let queue = &mut self.queues[lane(job.class)];
+        let queue = &mut self.queues[queue_of(job.class)];
         let mut due = None;
         if bfs_source(&job.query).is_some() && cap > 1 {
             let open = queue.iter_mut().rev().find(|g| {
@@ -310,27 +301,18 @@ impl Lanes {
         true
     }
 
-    /// Pop the next group under the aging policy; the flag reports an aged
-    /// serve (out of strict priority order). A lane is runnable when its
-    /// front group is due (all are once the engine shuts down), so a filling
-    /// group never holds an executor: the other lanes are served meanwhile.
-    pub(crate) fn pop(&mut self, aging_limit: u64) -> Option<(Group, bool)> {
-        let due = |g: &Group| g.due.is_none_or(|due| due <= Instant::now());
-        let runnable = [0, 1, 2, 3].map(|l| {
-            self.queues[l]
+    /// Pop the front of queue `home`, or else the front of the other queue,
+    /// whichever is runnable first. A front is runnable when it is due (all
+    /// are once the engine shuts down), so a filling group never holds an
+    /// executor: it serves the other queue meanwhile.
+    pub(crate) fn pop(&mut self, home: usize) -> Option<Group> {
+        let served = [home, 1 - home].into_iter().find(|&q| {
+            let due = |g: &Group| g.due.is_none_or(|due| due <= Instant::now());
+            self.queues[q]
                 .front()
                 .is_some_and(|g| self.shutdown || due(g))
-        });
-        let served = select_lane(runnable, self.skips, aging_limit)?;
-        let aged = runnable.iter().take(served).any(|&r| r);
-        for (l, &r) in runnable.iter().enumerate().skip(served + 1) {
-            if r {
-                self.skips[l] += 1;
-                self.max_skip = self.max_skip.max(self.skips[l]);
-            }
-        }
-        self.skips[served] = 0;
-        Some((self.queues[served].pop_front().unwrap(), aged))
+        })?;
+        self.queues[served].pop_front()
     }
 
     /// When the earliest filling group falls due (`None`: none is filling).
@@ -495,36 +477,13 @@ mod tests {
     use crate::engine::tests::{csr, quiet_cfg};
     use crate::shard::ShardedGraph;
     use crate::Engine;
+    use graphbig_datagen::prop;
+    use graphbig_datagen::rng::Rng;
     use graphbig_datagen::Dataset;
     use graphbig_framework::csr::Csr;
     use graphbig_workloads::Workload;
     use std::sync::mpsc::channel;
     use std::time::Duration;
-
-    #[test]
-    fn select_lane_ages_starving_lanes() {
-        let all = [true, true, true, true];
-        // Strict priority while nobody has aged out.
-        assert_eq!(select_lane(all, [0; 4], 4), Some(0));
-        assert_eq!(select_lane([false, true, true, false], [0; 4], 4), Some(1));
-        assert_eq!(select_lane([false; 4], [9; 4], 4), None);
-        // A lane at the limit is served ahead of higher priorities.
-        assert_eq!(select_lane(all, [0, 0, 4, 0], 4), Some(2));
-        assert_eq!(
-            select_lane(all, [0, 4, 4, 0], 4),
-            Some(1),
-            "lowest aged wins"
-        );
-        // The write lane ages into service like any other.
-        assert_eq!(select_lane(all, [0, 0, 0, 4], 4), Some(3));
-        // An empty lane never ages into service.
-        assert_eq!(
-            select_lane([true, false, true, false], [0, 9, 0, 9], 4),
-            Some(0)
-        );
-        // Limit 0 = aging off: strict priority no matter the counters.
-        assert_eq!(select_lane(all, [0, 99, 99, 99], 0), Some(0));
-    }
 
     #[test]
     fn lanes_follow_the_cost_class_order() {
@@ -534,53 +493,62 @@ mod tests {
         assert_eq!(lane(CostClass::Write), WRITE_LANE);
     }
 
+    /// The no-starvation rule as a structure, not a count: over random
+    /// pushes (any class, all due at once) and pops (any home), a pop takes
+    /// the front of its home queue whenever that queue holds anything and
+    /// the other queue's front only when it is empty, and each queue pops
+    /// in FIFO order. So a job waits only behind earlier jobs of its own
+    /// queue, as long as its queue has an executor at home.
     #[test]
-    fn lane_skip_counts_are_bounded_by_the_aging_limit() {
-        // Model a point-query storm directly on the Lanes state machine:
-        // lane 0 never empties, lane 2 holds a steady backlog. Without
-        // aging lane 2 would starve forever; with it, lane 2 is served at
-        // least once every `limit + 1` dequeues and its skip counter never
-        // passes `limit + 1`.
-        let limit = 4u64;
-        let mut lanes = Lanes::default();
-        let stub = |class: CostClass| {
-            let (tx, _rx) = channel();
-            Job {
-                query: Query::Degree { vertex: 0 },
-                class,
-                cost: 1,
-                snapshot: GraphStore::new(ShardedGraph::build(
-                    Csr::from_graph(&Dataset::Ldbc.generate_with_vertices(8)),
-                    2,
-                ))
-                .snapshot(),
-                token: CancelToken::new(),
-                enqueued: Instant::now(),
-                tag: 0,
-                request_id: 0,
-                resolver: Resolver::new(tx),
-            }
-        };
-        let mut analytics_served = 0u64;
-        for round in 0..100 {
-            lanes.push(stub(CostClass::Point), &EngineConfig::default());
-            if lanes.queues[2].is_empty() {
-                lanes.push(stub(CostClass::Analytics), &EngineConfig::default());
-            }
-            let (group, aged) = lanes.pop(limit).unwrap();
-            if group.leader.class == CostClass::Analytics {
-                analytics_served += 1;
-                assert!(aged, "analytics only gets served via aging here");
-            }
-            assert!(
-                lanes.max_skip <= limit + 1,
-                "round {round}: skip {} exceeds bound",
-                lanes.max_skip
-            );
-        }
-        assert!(
-            analytics_served >= 100 / (limit + 2),
-            "lane 2 starved: served {analytics_served} of 100"
+    fn a_pop_serves_its_home_queue_first_and_each_queue_in_fifo_order() {
+        let snapshot = GraphStore::new(ShardedGraph::build(
+            Csr::from_graph(&Dataset::Ldbc.generate_with_vertices(8)),
+            2,
+        ))
+        .snapshot();
+        let cfg = EngineConfig::default();
+        // (push?, x): push a job of class `ALL[x % 4]`, or pop with home `x % 2`.
+        let ops =
+            |rng: &mut Rng| prop::vec_of(rng, 0..200, |r| (r.gen_bool(0.55), r.gen_range(0u32..4)));
+        prop::check(
+            "home-first FIFO queues",
+            prop::Config::with_cases(64),
+            ops,
+            |ops: &Vec<(bool, u32)>| {
+                let mut lanes = Lanes::default();
+                let mut model: [VecDeque<u64>; 2] = Default::default();
+                for (id, &(push, x)) in ops.iter().enumerate() {
+                    let id = id as u64;
+                    if push {
+                        let class = CostClass::ALL[x as usize % 4];
+                        let (tx, _rx) = channel();
+                        lanes.push(
+                            Job {
+                                query: Query::Degree { vertex: 0 },
+                                class,
+                                cost: 1,
+                                snapshot: Arc::clone(&snapshot),
+                                token: CancelToken::new(),
+                                enqueued: Instant::now(),
+                                tag: id,
+                                request_id: id,
+                                resolver: Resolver::new(tx),
+                            },
+                            &cfg,
+                        );
+                        // Interactive (0) holds the traversals, analytical (1) the rest.
+                        model[usize::from(class != CostClass::Traversal)].push_back(id);
+                    } else {
+                        let home = x as usize % 2;
+                        let want = match model[home].pop_front() {
+                            Some(id) => Some(id),
+                            None => model[1 - home].pop_front(),
+                        };
+                        let got = lanes.pop(home).map(|g| g.leader.request_id);
+                        assert_eq!(got, want, "op {id}: pop(home {home})");
+                    }
+                }
+            },
         );
     }
 

@@ -361,8 +361,9 @@ fn a_bfs_group_never_spans_a_write() {
             source,
         })
         .collect();
-    // Park the single executor on a heavy analytics query first: BFS
-    // outranks it, so the stall must have started before any BFS queues.
+    // Park the single executor on a heavy analytics query first: its home
+    // is the interactive queue, where BFS waits, so the stall must have
+    // started before any BFS queues.
     let stall = engine
         .submit(Query::Run {
             workload: Workload::KCore,
@@ -474,8 +475,8 @@ fn queued_point_reads_run_alone_and_never_wait_out_the_window() {
     );
     // Park the single executor behind a heavy analytics query (~16 ms at
     // this scale) so every queued read below is still queued when it frees
-    // up; a point-class job outranks analytics, so the stall must be taken
-    // first.
+    // up; the spin makes sure the stall runs before any read queues, so
+    // `queued()` counts exactly the reads.
     let blocker = engine
         .submit(Query::Run {
             workload: Workload::KCore,

@@ -743,7 +743,7 @@ fn bfs_heavy_mix_under_batch_faults_holds_every_invariant() {
     let _g = serial();
     // The batch fault plan from the issue: formation-time cancels raining
     // on a BFS-heavy mix with enough concurrent clients that coalescing is
-    // constantly engaged. All nine invariants — including the sequential
+    // constantly engaged. All eight invariants — including the sequential
     // oracle over every completed digest and resolved-exactly-once — must
     // hold.
     let mut form = fault(

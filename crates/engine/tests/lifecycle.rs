@@ -455,7 +455,8 @@ fn solo_and_coalesced_runs_log_the_same_lifecycle() {
 
 /// Degree and KHop run on the submitting thread: with the only executor
 /// parked on a GColor stall (~95 ms at LDBC-20000), each resolves before
-/// the stall does, with no queue time, through exactly the five stages.
+/// the stall does, through exactly the five stages, and its dequeue and
+/// run are recorded by the thread that admitted it, which is no executor.
 #[test]
 fn point_lookups_resolve_on_the_caller_while_the_executor_is_busy() {
     let _g = gate();
@@ -493,7 +494,19 @@ fn point_lookups_resolve_on_the_caller_while_the_executor_is_busy() {
         let rid = t.request_id();
         let r = t.wait();
         assert!(matches!(r.status, QueryStatus::Completed(_)), "{q:?}");
-        assert_eq!(r.queue_us, 0, "{q:?} never queued");
+        // Never queued, told by thread and not by a clock.
+        let evs = events_for(rid);
+        let tid_of = |kind| evs.iter().find(|e| e.kind == kind).map(|e| e.tid);
+        let caller = tid_of(EventKind::Admit);
+        assert!(caller.is_some(), "{q:?} recorded its admission");
+        assert_eq!(tid_of(EventKind::Dequeue), caller, "{q:?} dequeue");
+        assert_eq!(tid_of(EventKind::Run), caller, "{q:?} run");
+        let threads = recorder::snapshot().threads;
+        let name = threads.iter().find(|(t, _)| Some(*t) == caller);
+        assert!(
+            name.is_some_and(|(_, n)| !n.starts_with("graphbig-executor-")),
+            "{q:?} ran on {name:?}"
+        );
         assert_eq!(
             eng.admission().in_flight_cost(),
             stall.cost(n, m),

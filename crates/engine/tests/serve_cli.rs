@@ -21,6 +21,7 @@ fn serve(extra: &[&str]) -> (bool, String) {
 fn unknown_flags_and_malformed_values_fail_before_any_graph_is_built() {
     for (args, named) in [
         (&["--no-adaptive"][..], "--no-adaptive"),
+        (&["--aging-limit", "32"][..], "--aging-limit"),
         (&["--cost-budget", "10k"][..], "10k"),
         (&["--seed"][..], "--seed"),
     ] {

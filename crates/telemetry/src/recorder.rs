@@ -61,7 +61,7 @@ pub enum EventKind {
     /// Admission rejected the request (arg: 0 = queue full, 1 = cost
     /// budget). Terminal — rejected requests have no further stages.
     Reject = 2,
-    /// The admitted request was pushed into its priority lane (arg = cost).
+    /// The admitted request was pushed into its queue (arg = cost).
     Enqueue = 3,
     /// An executor popped the request (arg = queue wait in µs).
     Dequeue = 4,
@@ -179,7 +179,7 @@ pub struct RecorderEvent {
     pub ts_us: u64,
     /// What happened.
     pub kind: EventKind,
-    /// Priority lane (0 point, 1 traversal, 2 analytics, 3 write) or
+    /// Cost-class lane (0 point, 1 traversal, 2 analytics, 3 write) or
     /// [`NO_LANE`].
     pub lane: u8,
     /// Interned label code (see [`label`]); 0 = none.

@@ -37,7 +37,7 @@ impl WorkloadCategory {
 }
 
 /// Serving-cost class of a workload, used by the query engine's admission
-/// control and priority lanes. The classes order by expected work: a point
+/// control, queues and per-class latency metrics. The classes order by expected work: a point
 /// query touches O(degree) edges, a traversal touches each edge at most
 /// once, and analytics kernels make several passes over the whole graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -61,9 +61,10 @@ json_enum!(CostClass {
 });
 
 impl CostClass {
-    /// All classes in priority-lane order. The read classes stay cheapest
-    /// first (lanes 0–2, exactly as before Write existed); the write lane
-    /// is appended last so adding it never renumbered a read lane.
+    /// All classes in lane order (the class index of engine metrics and
+    /// recorder events). The read classes stay cheapest first (lanes 0–2,
+    /// exactly as before Write existed); the write lane is appended last so
+    /// adding it never renumbered a read lane.
     pub const ALL: [CostClass; 4] = [
         CostClass::Point,
         CostClass::Traversal,

@@ -104,6 +104,21 @@ if grep -rn --exclude=serve_cli.rs 'observe_cost\|adaptive_cost\|fn correction\|
   exit 1
 fi
 
+echo "==> one queue rule (two FIFO queues, interactive and analytical, each served first by its home executors)"
+# Four priority lanes were arbitrated by skip counters under an aging knob; a home executor per queue
+# bounds every wait by construction. serve_cli.rs is excluded: it asserts that graphbig-serve rejects
+# the retired flag.
+if grep -rn --exclude=serve_cli.rs \
+  'select_lane\|lane_aging\|max_skip\|max_lane_skip\|lane\.aged\|aging_limit\|lane_starvation\|--aging-limit' \
+  crates results/golden_*.json; then
+  echo "no priority lanes, skip counters or aging knob: Lanes holds two FIFO queues"
+  exit 1
+fi
+if ! grep -q '^    queues: \[VecDeque<Group>; 2\],$' crates/engine/src/lifecycle.rs; then
+  echo "Lanes must hold exactly two queues (interactive, analytical)"
+  exit 1
+fi
+
 echo "==> one latency feed (live SLO windows are read-time differences of cumulative histograms)"
 # A completed request fed a lane and a key sliding window (two clock reads, two EWMA CAS loops and
 # a BTreeMap search) on top of engine.latency_us; a read now subtracts an older snapshot instead.
