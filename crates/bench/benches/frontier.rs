@@ -5,6 +5,8 @@
 //! direction switch pays off on low-diameter, hub-heavy graphs where the
 //! middle levels sweep most of the edge set bottom-up); the Twitter
 //! generator checks the same effect on a power-law degree distribution.
+//! The `region/empty/{1,2,4}s` rows time one empty parallel region at 1, 2
+//! and 4 shares: the fixed cost a level-synchronous BFS pays per level.
 //! Baseline numbers live in `results/BENCH_frontier.json`.
 
 use graphbig::framework::csr::{BiCsr, Csr};
@@ -23,6 +25,14 @@ fn main() {
     r.param("dataset", "LDBC, Twitter");
     r.param("vertices", "65536, 32768");
     r.param("seed", "datagen defaults");
+    for shares in [1, 2, 4] {
+        let pool = ThreadPool::new(shares);
+        r.bench(&format!("region/empty/{shares}s"), || {
+            pool.broadcast(|share| {
+                black_box(share);
+            });
+        });
+    }
     let never = CancelToken::never();
     for (name, dataset, n) in [
         ("ldbc_64k", Dataset::Ldbc, 1usize << 16),

@@ -13,19 +13,19 @@
 //! ```
 //!
 //! Flags: `--dataset <short-name>` (default `ldbc`), `--vertices N`,
-//! `--mix <path>` (a [`MixSpec`] JSON file; overrides the request-shape
-//! flags), `--requests`, `--clients`, `--seed`, `--point-weight`,
-//! `--traversal-weight`, `--analytics-weight`, `--write-weight` (edge
-//! mutations in the mix; 0 = pure-read), `--write-delete-percent`,
-//! `--deadline-ms`, `--hot-sources N` (fold every source into a pool of
-//! N hot vertices), `--khop-hops N`, `--executors`, `--pool-threads`,
-//! `--queue-capacity`, `--cost-budget` (0 = unlimited), `--shards`,
-//! `--compact-threshold N` (buffered overlay edges that wake the
-//! background compactor; 0 = manual only), `--oracle`, `--emit <path>`,
-//! `--quiet`, `--faults <path>` (a `FaultPlan` JSON file — replay the
-//! mix under deterministic fault injection and sweep the chaos
-//! invariants; needs a build with the `chaos` feature to actually
-//! inject).
+//! `--mix <path>` (a [`MixSpec`] JSON file; overrides the request-shape flags),
+//! `--requests`, `--clients`, `--seed`, `--point-weight`, `--traversal-weight`,
+//! `--analytics-weight`, `--write-weight` (edge mutations in the mix; 0 =
+//! pure-read), `--write-delete-percent`, `--deadline-ms`, `--hot-sources N`
+//! (fold every source into a pool of N hot vertices), `--khop-hops N`,
+//! `--executors`, `--pool-threads N` (shares per kernel region, the calling
+//! executor's included, so N − 1 pool threads), `--queue-capacity`,
+//! `--cost-budget` (0 = unlimited), `--shards`, `--compact-threshold N`
+//! (buffered overlay edges that wake the background compactor; 0 = manual
+//! only), `--oracle`, `--emit <path>`, `--quiet`, `--faults <path>` (a
+//! `FaultPlan` JSON file — replay the mix under deterministic fault injection
+//! and sweep the chaos invariants; needs a build with the `chaos` feature to
+//! actually inject).
 //!
 //! With `--oracle` on a pure-read mix, every completed result is checked
 //! bit-identical against a sequential replay. On a mix with writes the

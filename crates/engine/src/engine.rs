@@ -6,8 +6,8 @@
 //! interactive (traversals) or analytical (whole-graph runs), and a small
 //! crew of executor threads drains them, each serving its home queue
 //! first, so neither kind waits behind the other. Heavy kernels
-//! run on one shared [`ThreadPool`] — the pool's per-worker channels
-//! serialize concurrent broadcasts from different executors, so analytics
+//! run on one shared [`ThreadPool`]; an executor runs share 0 of its own
+//! regions, and concurrent broadcasts take regions in arrival order, so
 //! queries interleave at parallel-region granularity instead of fighting
 //! over threads. Every query gets a [`CancelToken`] (optionally carrying a
 //! deadline); kernels poll it at superstep boundaries, so a deadline miss
@@ -61,7 +61,7 @@ pub struct EngineConfig {
     /// interactive queue first when `i` is even, the analytical one when odd,
     /// and the other only when its own has nothing runnable.
     pub executors: usize,
-    /// Workers in the shared kernel thread pool.
+    /// Shares per kernel-pool region: the opening executor and n − 1 pool threads.
     pub pool_threads: usize,
     /// Bounded submission-queue capacity (across both queues).
     pub queue_capacity: usize,

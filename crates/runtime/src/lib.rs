@@ -7,14 +7,14 @@
 //! The paper runs its CPU workloads on a 16-core Xeon with threads pinned to
 //! hardware cores; [`ThreadPool::new`] mirrors the thread-count knob (actual
 //! affinity pinning is OS-specific and outside this library's scope — the
-//! pool keeps one long-lived worker per requested core, which is the part
-//! that matters for the workloads' structure).
+//! pool runs one share per requested core, the caller's and n − 1 workers',
+//! which is the part that matters for the workloads' structure).
 //!
-//! Built from scratch on `std::sync::mpsc` channels, `std` mutexes/condvars
-//! and `std` atomics per the repository's from-scratch substrate rule — no
-//! external synchronization crates; the design follows the guidance of
-//! *Rust Atomics and Locks* (acquire/release pairs around the job latch,
-//! condvar-backed waiting).
+//! Built from scratch on one `std` mutex, two condvars and `std` atomics per
+//! the repository's from-scratch substrate rule — no external
+//! synchronization crates; the design follows the guidance of *Rust Atomics
+//! and Locks* (one locked region slot, condvar-backed waiting). The thread
+//! that opens a region runs its share 0, as in OpenMP fork–join.
 
 #![warn(missing_docs)]
 

@@ -1,79 +1,100 @@
 //! A persistent SPMD thread pool.
 //!
-//! Workers are spawned once and parked on their channel; each parallel
-//! region broadcasts one job to every worker and waits on a latch. This
-//! keeps per-region overhead at two atomic operations per worker — cheap
-//! enough to call inside iterative graph algorithms (level-synchronous BFS
-//! runs one region per frontier level).
+//! `ThreadPool::new(n)` spawns n − 1 workers; the thread that calls
+//! [`ThreadPool::broadcast`] runs share 0, as the thread opening an OpenMP
+//! parallel region is thread 0 of its team. A region is published once into
+//! one slot (a `Mutex` with a `start` and a `done` `Condvar`) and allocates
+//! nothing, so iterative kernels can open one per step (level-synchronous
+//! BFS runs one per frontier level). Broadcasters sharing a pool take the
+//! slot in ticket (arrival) order: the engine's executors alternate region
+//! by region.
 
 use std::any::Any;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 use graphbig_telemetry::metrics::{HistogramSnapshot, MetricSink};
 
-/// Completion latch: counts worker finishes and wakes the submitting thread.
-/// A panic inside a region job is caught by the worker, parked in `payload`,
-/// and re-thrown on the broadcasting thread after the region completes — a
-/// worker panic must never hang the latch or kill the pool.
-struct Latch {
-    remaining: AtomicUsize,
-    mutex: Mutex<()>,
-    condvar: Condvar,
-    payload: Mutex<Option<Box<dyn Any + Send>>>,
+/// A region's closure with its lifetime erased (see [`ThreadPool::broadcast`]).
+type ErasedJob = &'static (dyn Fn(usize) + Sync);
+
+/// The one region slot.
+#[derive(Default)]
+struct Region {
+    /// The published region's closure; `None` between regions.
+    job: Option<ErasedJob>,
+    /// Ticket of the region holding the slot, running or next to run.
+    serving: u64,
+    next: u64, // the next ticket to hand out
+    /// Shares of the published region, share 0 included, still running.
+    running: usize,
+    /// First panic caught in the published region; later ones are dropped.
+    panic: Option<Box<dyn Any + Send>>,
+    /// Set on drop: workers exit instead of waiting for a region.
+    exit: bool,
 }
 
-impl Latch {
-    fn new(count: usize) -> Self {
-        Latch {
-            remaining: AtomicUsize::new(count),
-            mutex: Mutex::new(()),
-            condvar: Condvar::new(),
-            payload: Mutex::new(None),
+/// What the broadcasters and the workers share.
+struct Shared {
+    region: Mutex<Region>,
+    /// Wakes the workers when a region is published or the pool drops.
+    start: Condvar,
+    /// Wakes a broadcaster when its region's last share finishes or the
+    /// slot passes to its ticket.
+    done: Condvar,
+    stats: PoolStats,
+}
+
+impl Shared {
+    /// Region code never runs under the lock; recover from poison all the same.
+    fn lock(&self) -> MutexGuard<'_, Region> {
+        self.region.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Run share `idx` of `job`, catching a panic for `broadcast` to re-throw
+    /// (it must not kill the worker). Returns the slot locked, the share done.
+    fn run_share(&self, job: ErasedJob, idx: usize) -> MutexGuard<'_, Region> {
+        let t0 = Instant::now();
+        let result = panic::catch_unwind(AssertUnwindSafe(|| job(idx)));
+        self.stats.busy_us[idx].fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+        let mut region = self.lock();
+        if let Err(payload) = result {
+            self.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
+            region.panic.get_or_insert(payload);
         }
-    }
-
-    /// Park the first panic payload for the waiter; later ones are dropped.
-    fn poison(&self, payload: Box<dyn Any + Send>) {
-        let mut slot = self.payload.lock().unwrap_or_else(|e| e.into_inner());
-        slot.get_or_insert(payload);
-    }
-
-    fn take_poison(&self) -> Option<Box<dyn Any + Send>> {
-        self.payload
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-    }
-
-    fn count_down(&self) {
-        // Release pairs with the Acquire in `wait`: everything the worker
-        // wrote is visible to the waiter once it observes zero.
-        if self.remaining.fetch_sub(1, Ordering::Release) == 1 {
-            let _guard = self.mutex.lock().unwrap_or_else(|e| e.into_inner());
-            self.condvar.notify_all();
+        region.running -= 1;
+        if region.running == 0 && idx != 0 {
+            self.done.notify_all();
         }
+        region
     }
 
-    fn wait(&self) {
-        let mut guard = self.mutex.lock().unwrap_or_else(|e| e.into_inner());
-        while self.remaining.load(Ordering::Acquire) != 0 {
-            guard = self.condvar.wait(guard).unwrap_or_else(|e| e.into_inner());
+    /// Worker `idx`'s loop: run every region once, in ticket order.
+    fn work(&self, idx: usize) {
+        let mut ticket = 0;
+        let mut region = self.lock();
+        while !region.exit {
+            match region.job.filter(|_| region.serving == ticket) {
+                Some(job) => {
+                    drop(region);
+                    ticket += 1;
+                    region = self.run_share(job, idx);
+                }
+                None => region = wait(&self.start, region),
+            }
         }
     }
 }
 
-type Job = Arc<dyn Fn(usize) + Send + Sync>;
-
-enum Msg {
-    Run(Job, Arc<Latch>),
-    Exit,
+fn wait<'a>(cv: &Condvar, guard: MutexGuard<'a, Region>) -> MutexGuard<'a, Region> {
+    cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Always-on lightweight pool accounting: broadcast regions, per-worker
-/// dynamic-scheduler chunk grabs, and per-worker busy time. A few relaxed
+/// Always-on lightweight pool accounting: broadcast regions, per-share
+/// dynamic-scheduler chunk grabs, and per-share busy time. A few relaxed
 /// atomics per region keep this cheap enough to leave unconditional; the
 /// numbers feed [`ThreadPool::export_metrics`] and the run manifest.
 #[derive(Debug)]
@@ -96,8 +117,8 @@ impl PoolStats {
         }
     }
 
-    /// Panics caught inside region jobs (each is re-thrown on the
-    /// broadcasting thread; the worker itself survives).
+    /// Panics caught inside region shares, share 0 included (the first of a
+    /// region is re-thrown on the broadcasting thread; the workers survive).
     pub fn worker_panics(&self) -> u64 {
         self.worker_panics.load(Ordering::Relaxed)
     }
@@ -136,69 +157,40 @@ impl PoolStats {
     }
 }
 
-/// A fixed-size pool of long-lived workers executing SPMD regions.
+/// A fixed-size pool executing SPMD regions: n shares per region, run by
+/// the broadcasting thread (share 0) and n − 1 long-lived workers.
 pub struct ThreadPool {
-    senders: Vec<Sender<Msg>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-    stats: Arc<PoolStats>,
+    shared: Arc<Shared>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl ThreadPool {
-    /// Spawn `threads` workers (at least one).
+    /// A pool of `threads` shares per region (at least one): spawns
+    /// `threads − 1` workers, `graphbig-worker-1` onward.
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
-        let stats = Arc::new(PoolStats::new(threads));
-        let mut senders = Vec::with_capacity(threads);
-        let mut handles = Vec::with_capacity(threads);
-        for worker_idx in 0..threads {
-            let (tx, rx) = channel::<Msg>();
-            senders.push(tx);
-            let stats = Arc::clone(&stats);
-            handles.push(
+        let shared = Arc::new(Shared {
+            region: Mutex::default(),
+            start: Condvar::new(),
+            done: Condvar::new(),
+            stats: PoolStats::new(threads),
+        });
+        let workers = (1..threads)
+            .map(|idx| {
+                let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
-                    .name(format!("graphbig-worker-{worker_idx}"))
-                    .spawn(move || {
-                        while let Ok(msg) = rx.recv() {
-                            match msg {
-                                Msg::Run(job, latch) => {
-                                    let t0 = Instant::now();
-                                    // A panicking job must not kill the
-                                    // worker or strand the latch: catch,
-                                    // park the payload, and let `broadcast`
-                                    // re-throw it on the caller's thread.
-                                    let result = std::panic::catch_unwind(
-                                        std::panic::AssertUnwindSafe(|| {
-                                            job(worker_idx);
-                                        }),
-                                    );
-                                    if let Err(payload) = result {
-                                        stats.worker_panics.fetch_add(1, Ordering::Relaxed);
-                                        latch.poison(payload);
-                                    }
-                                    stats.busy_us[worker_idx].fetch_add(
-                                        t0.elapsed().as_micros() as u64,
-                                        Ordering::Relaxed,
-                                    );
-                                    latch.count_down();
-                                }
-                                Msg::Exit => break,
-                            }
-                        }
-                    })
-                    .expect("spawn worker thread"),
-            );
-        }
-        ThreadPool {
-            senders,
-            handles,
-            stats,
-        }
+                    .name(format!("graphbig-worker-{idx}"))
+                    .spawn(move || shared.work(idx))
+                    .expect("spawn worker thread")
+            })
+            .collect();
+        ThreadPool { shared, workers }
     }
 
     /// The pool's always-on accounting (regions, chunks, busy time).
     #[inline]
     pub fn stats(&self) -> &PoolStats {
-        &self.stats
+        &self.shared.stats
     }
 
     /// Serialize pool state into any [`MetricSink`] under the
@@ -233,22 +225,19 @@ impl ThreadPool {
         );
     }
 
-    /// Number of workers.
+    /// Shares per region: the workers plus the broadcasting thread.
     #[inline]
     pub fn threads(&self) -> usize {
-        self.senders.len()
+        self.workers.len() + 1
     }
 
-    /// Run `f(worker_index)` on every worker simultaneously and wait for all
-    /// of them to finish (an SPMD region).
-    ///
-    /// If any worker's job panics, the first panic payload is re-thrown here
-    /// on the broadcasting thread *after* the region has fully completed —
-    /// the workers themselves survive and the pool stays usable.
+    /// Run `f(share)` for every share `0..threads()` at once, share 0 on the
+    /// calling thread, and return when all have finished (an SPMD region).
     ///
     /// # Panics
-    /// Re-throws the first panic raised inside `f`, and panics under the
-    /// chaos `runtime.pool.region` failpoint when a `Panic` fault fires.
+    /// Re-throws the first panic raised inside `f` once the whole region has
+    /// finished (the workers survive; the pool stays usable), and panics under
+    /// the chaos `runtime.pool.region` failpoint when a `Panic` fault fires.
     pub fn broadcast<F>(&self, f: F)
     where
         F: Fn(usize) + Send + Sync,
@@ -258,40 +247,50 @@ impl ThreadPool {
                 panic!("{} at runtime.pool.region", graphbig_chaos::PANIC_MSG);
             }
         }
-        // The channel's job type is 'static, but callers want to borrow
-        // stack state. Erase the closure's lifetime and rely on the latch:
-        // `broadcast` does not return until every worker has finished, so
-        // the borrow is live for every dereference.
-        struct SendRef(&'static (dyn Fn(usize) + Sync));
-        unsafe impl Send for SendRef {}
-        unsafe impl Sync for SendRef {}
-
-        self.stats.regions.fetch_add(1, Ordering::Relaxed);
-        let latch = Arc::new(Latch::new(self.senders.len()));
-        // SAFETY: lifetime erasure justified by the latch wait below.
-        let f_erased: &'static (dyn Fn(usize) + Sync) =
-            unsafe { std::mem::transmute(&f as &(dyn Fn(usize) + Sync)) };
-        let shared = Arc::new(SendRef(f_erased));
-        for tx in &self.senders {
-            let shared = Arc::clone(&shared);
-            let job: Job = Arc::new(move |idx| (shared.0)(idx));
-            tx.send(Msg::Run(job, Arc::clone(&latch)))
-                .expect("worker channel open");
+        // SAFETY: the slot is 'static, `f` is borrowed. A worker copies the
+        // job out only while its share counts in `running`, and this function
+        // clears the slot and returns only once `running` is 0, after every
+        // share has returned. Nothing unwinds before that (share 0 runs under
+        // `catch_unwind`; lock and waits ignore poison), so `f` outlives
+        // every call through the erased reference.
+        let job: ErasedJob = unsafe { std::mem::transmute(&f as &(dyn Fn(usize) + Sync)) };
+        let shared = &*self.shared;
+        let mut region = shared.lock();
+        let ticket = region.next;
+        region.next += 1;
+        while region.serving != ticket {
+            region = wait(&shared.done, region);
         }
-        latch.wait();
-        if let Some(payload) = latch.take_poison() {
-            std::panic::resume_unwind(payload);
+        region.job = Some(job);
+        region.running = self.threads();
+        drop(region);
+        if !self.workers.is_empty() {
+            shared.start.notify_all(); // a syscall even with nobody waiting
+        }
+        shared.stats.regions.fetch_add(1, Ordering::Relaxed);
+
+        let mut region = shared.run_share(job, 0);
+        while region.running != 0 {
+            region = wait(&shared.done, region);
+        }
+        region.job = None;
+        region.serving += 1;
+        if region.next != region.serving {
+            shared.done.notify_all(); // a broadcaster holds the next ticket
+        }
+        if let Some(payload) = region.panic.take() {
+            drop(region); // unwinding with the guard held would poison the slot
+            panic::resume_unwind(payload);
         }
     }
 }
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        for tx in &self.senders {
-            let _ = tx.send(Msg::Exit);
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
+        self.shared.lock().exit = true;
+        self.shared.start.notify_all();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
     }
 }
@@ -299,7 +298,7 @@ impl Drop for ThreadPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicBool, AtomicU64};
 
     #[test]
     fn broadcast_runs_on_every_worker() {
@@ -401,7 +400,7 @@ mod tests {
     }
 
     #[test]
-    fn every_worker_panicking_still_releases_the_latch() {
+    fn every_share_panicking_still_ends_the_region() {
         let pool = ThreadPool::new(4);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             pool.broadcast(|_| panic!("all down"));
@@ -417,7 +416,7 @@ mod tests {
 
     #[test]
     fn borrows_stack_state() {
-        // the whole point of the latch design: closures may borrow locals
+        // the whole point of the erased job: closures may borrow locals
         let pool = ThreadPool::new(4);
         let data: Vec<u64> = (0..1000).collect();
         let sum = AtomicU64::new(0);
@@ -429,5 +428,85 @@ mod tests {
             sum.fetch_add(local, Ordering::Relaxed);
         });
         assert_eq!(sum.load(Ordering::Relaxed), 999 * 1000 / 2);
+    }
+
+    #[test]
+    fn caller_panic_is_rethrown_after_every_other_share_finished() {
+        let pool = ThreadPool::new(4);
+        let data: Vec<u64> = (0..1000).collect();
+        let done = AtomicU64::new(0);
+        let raised = AtomicBool::new(false);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.broadcast(|idx| {
+                if idx == 0 {
+                    raised.store(true, Ordering::Release);
+                    std::panic::panic_any("share 0 exploded");
+                }
+                // Read the borrowed Vec only once the caller's share panicked.
+                while !raised.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                assert_eq!(data.iter().sum::<u64>(), 999 * 1000 / 2);
+                done.fetch_add(1, Ordering::Relaxed);
+            });
+        }));
+        let err = caught.expect_err("broadcast must re-throw the caller's panic");
+        assert_eq!(done.load(Ordering::Relaxed), 3);
+        assert_eq!(*err.downcast_ref::<&str>().unwrap(), "share 0 exploded");
+        assert_eq!(pool.stats().worker_panics(), 1);
+        let hits = AtomicU64::new(0);
+        pool.broadcast(|idx| {
+            hits.fetch_add(1 << (idx * 8), Ordering::Relaxed);
+        });
+        assert_eq!(hits.load(Ordering::Relaxed), 0x0101_0101);
+    }
+
+    #[test]
+    fn concurrent_broadcasters_take_regions_in_ticket_order() {
+        let pool = ThreadPool::new(2);
+        let a_regions = AtomicU64::new(0);
+        let release = AtomicBool::new(false);
+        let b_done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            // A opens region after region; its first one holds the slot
+            // until B has taken a ticket.
+            s.spawn(|| {
+                while !b_done.load(Ordering::Acquire) {
+                    pool.broadcast(|idx| {
+                        if idx == 0 {
+                            a_regions.fetch_add(1, Ordering::Relaxed);
+                            while !release.load(Ordering::Acquire) {
+                                std::thread::yield_now();
+                            }
+                        }
+                    });
+                }
+            });
+            while pool.shared.lock().running == 0 {
+                std::thread::yield_now();
+            }
+            let b = s.spawn(|| {
+                let seen = AtomicU64::new(u64::MAX);
+                pool.broadcast(|idx| {
+                    if idx == 0 {
+                        seen.store(a_regions.load(Ordering::Relaxed), Ordering::Relaxed);
+                    }
+                });
+                b_done.store(true, Ordering::Release);
+                seen.into_inner()
+            });
+            // B holds ticket 1 once two tickets are out; A is still parked
+            // in region 0, so its counter is stable here.
+            while pool.shared.lock().next < 2 {
+                std::thread::yield_now();
+            }
+            let at_ticket = a_regions.load(Ordering::Relaxed);
+            release.store(true, Ordering::Release);
+            let seen = b.join().unwrap();
+            assert!(
+                seen <= at_ticket + 1,
+                "B ran after {seen} of A's regions, {at_ticket} were out when it took its ticket"
+            );
+        });
     }
 }

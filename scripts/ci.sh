@@ -134,6 +134,15 @@ for site in "lifecycle.rs finish_job" "engine.rs mutate_tagged"; do
   [ "$n" -le 2 ] || { echo "$2 reads the clock $n times (at most 2: its own stage stamp)"; exit 1; }
 done
 
+echo "==> one region mechanism (one region slot; the broadcaster runs share 0; one unsafe)"
+# A region was n channel sends, n boxed Arc jobs and a latch while the broadcaster parked.
+if grep -n 'mpsc\|Sender\|Latch' crates/runtime/src/pool.rs; then
+  echo "pool.rs publishes a region into its one slot: no channels, no latch"
+  exit 1
+fi
+n=$(grep -c 'unsafe' crates/runtime/src/pool.rs || true)
+[ "$n" -eq 1 ] || { echo "pool.rs names unsafe $n times, expected 1 (the job's lifetime erasure)"; exit 1; }
+
 echo "==> one home for numbers (four bench targets, one result schema, one argv parser)"
 # Bench rows are `bench.*` gauges of a run manifest; graphbig-report is the one reader.
 if grep -rn 'BenchResult\|"suite"' crates/bench/src crates/bench/benches; then
