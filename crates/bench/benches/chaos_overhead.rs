@@ -3,8 +3,8 @@
 //! Measures two levels, each in two states:
 //!
 //! * `raw_site/*` — one `failpoint!` evaluation in a tight loop:
-//!   `disarmed` is the gate everyone pays when the `chaos` feature is on
-//!   but no plan is armed (one relaxed atomic load); `armed_inert` is the
+//!   `disarmed` is the gate every build pays while no plan is armed (one
+//!   relaxed atomic load and one branch); `armed_inert` is the
 //!   worst case while a plan is armed — the site matches a spec whose
 //!   probability is 0, so every hit takes the registry lock and decides
 //!   "no fire".
@@ -13,10 +13,9 @@
 //!   sites; the armed-inert delta shows what a running chaos mix adds to
 //!   queries the plan never touches.
 //!
-//! Building with `--no-default-features` compiles every failpoint out
-//! (`failpoint!` becomes an inlined `None`) — compare that run against a
-//! default build to verify the compile-time claim. Baseline numbers live
-//! in `results/BENCH_chaos_overhead.json`.
+//! Failpoints are always compiled in, so there is no other build to
+//! compare against. Baseline numbers live in
+//! `results/BENCH_chaos_overhead.json`.
 
 use graphbig::chaos::{self, FaultAction, FaultPlan, FaultSpec, Trigger};
 use graphbig::engine::{Engine, EngineConfig, Query};
@@ -44,9 +43,6 @@ fn main() {
     r.param("dataset", "LDBC");
     r.param("vertices", 1usize << 12);
     r.param("seed", "datagen default");
-    if !chaos::compiled() {
-        eprintln!("failpoints compiled out: both states measure the bare loop");
-    }
 
     chaos::disarm();
     let mut key = 0u64;

@@ -55,9 +55,6 @@ fn show(path: &str) {
     }
     println!("  git rev:  {}", m.git_rev);
     println!("  threads:  {}", m.threads);
-    if !m.features.is_empty() {
-        println!("  features: {}", m.features.join(", "));
-    }
     for (k, v) in &m.params {
         println!("  param {k} = {v}");
     }

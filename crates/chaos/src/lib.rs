@@ -9,11 +9,9 @@
 //! key**, so a chaotic run is replayable bit-for-bit from one seed and is
 //! independent of thread scheduling.
 //!
-//! Feature-gated: with the
-//! `failpoints` feature off (the default), [`failpoint!`] expands to an
-//! inlined `None` and none of the registry machinery is compiled — zero
-//! cost in the hot path. With the feature on but no plan armed, each site
-//! costs one relaxed atomic load.
+//! Failpoints are always compiled in and disarmed by default: with no plan
+//! armed, a site costs one relaxed atomic load and one branch, and the
+//! evaluation behind it stays out of line.
 //!
 //! ```no_run
 //! use graphbig_chaos::{self as chaos, FaultPlan};
@@ -26,7 +24,13 @@
 
 #![warn(missing_docs)]
 
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
+use std::time::Duration;
+
 use graphbig_json::{json_enum, json_struct};
+use graphbig_telemetry::recorder;
 
 /// Key value meaning "this context has no chaos identity"; keyed failpoints
 /// never fire for it. Used by untargeted cancel tokens (e.g. the sequential
@@ -42,7 +46,8 @@ pub const PANIC_MSG: &str = "chaos-injected panic";
 ///
 /// Not every site honours every action; sites ignore actions they cannot
 /// express (e.g. `RejectQueueFull` outside admission). `Delay` is honoured
-/// at every site and is performed by [`fire`] itself.
+/// at every site and is performed by [`fire`] itself, whatever else fires
+/// there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
     /// Sleep for the spec's `delay_us` microseconds at the site.
@@ -196,7 +201,7 @@ impl Default for FaultPlan {
     }
 }
 
-/// A fault handed back to a call site: the action plus its delay parameter.
+/// A fault handed back to a call site: the action it should take.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fault {
     /// What the site should do.
@@ -247,222 +252,139 @@ pub fn decides(seed: u64, spec: &FaultSpec, key: u64) -> bool {
     }
 }
 
-/// True when the failpoint machinery is compiled in at all.
-pub fn compiled() -> bool {
-    cfg!(feature = "failpoints")
+/// Fast gate: one relaxed load decides "nothing armed, bail".
+static ARMED: AtomicBool = AtomicBool::new(false);
+static PLAN: Mutex<Option<ArmedPlan>> = Mutex::new(None);
+
+struct ArmedPlan {
+    plan: FaultPlan,
+    /// Hit counters for unkeyed (counted) sites, by site name.
+    counters: BTreeMap<String, AtomicU64>,
+    /// Fired counts per fault spec, aligned with `plan.faults`.
+    fired: Vec<AtomicU64>,
 }
 
-#[cfg(feature = "failpoints")]
-mod armed {
-    use super::{decides, Fault, FaultAction, FaultPlan, NO_KEY};
-    use graphbig_telemetry::recorder;
-    use std::collections::BTreeMap;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::Mutex;
-    use std::time::Duration;
-
-    /// Fast gate: one relaxed load decides "nothing armed, bail".
-    static ARMED: AtomicBool = AtomicBool::new(false);
-    static PLAN: Mutex<Option<ArmedPlan>> = Mutex::new(None);
-
-    struct ArmedPlan {
-        plan: FaultPlan,
-        /// Hit counters for unkeyed (counted) sites, by site name.
-        counters: BTreeMap<String, AtomicU64>,
-        /// Fired counts per fault spec, aligned with `plan.faults`.
-        fired: Vec<AtomicU64>,
+/// Arm `plan` process-wide; subsequent [`fire`] calls consult it. Replaces
+/// any previously armed plan and resets fired counters. Chaos runs are
+/// process-serial: arm, run, [`disarm`].
+pub fn arm(plan: &FaultPlan) {
+    let mut slot = PLAN.lock().unwrap();
+    let mut counters = BTreeMap::new();
+    for f in &plan.faults {
+        counters
+            .entry(f.site.clone())
+            .or_insert_with(|| AtomicU64::new(0));
     }
-
-    pub fn arm(plan: &FaultPlan) {
-        let mut slot = PLAN.lock().unwrap();
-        let mut counters = BTreeMap::new();
-        for f in &plan.faults {
-            counters
-                .entry(f.site.clone())
-                .or_insert_with(|| AtomicU64::new(0));
-        }
-        let fired = plan.faults.iter().map(|_| AtomicU64::new(0)).collect();
-        *slot = Some(ArmedPlan {
-            plan: plan.clone(),
-            counters,
-            fired,
-        });
-        ARMED.store(!plan.faults.is_empty(), Ordering::Release);
-    }
-
-    pub fn disarm() {
-        let mut slot = PLAN.lock().unwrap();
-        ARMED.store(false, Ordering::Release);
-        *slot = None;
-    }
-
-    pub fn is_armed() -> bool {
-        ARMED.load(Ordering::Relaxed)
-    }
-
-    /// Fired counts since [`arm`], labelled `<site>.<action>`.
-    pub fn fired_counts() -> Vec<(String, u64)> {
-        let slot = PLAN.lock().unwrap();
-        let Some(armed) = slot.as_ref() else {
-            return Vec::new();
-        };
-        armed
-            .plan
-            .faults
-            .iter()
-            .zip(&armed.fired)
-            .map(|(f, c)| {
-                let action = graphbig_json::to_compact(&f.action);
-                let action = action.trim_matches('"').to_string();
-                (format!("{}.{}", f.site, action), c.load(Ordering::Relaxed))
-            })
-            .collect()
-    }
-
-    fn eval(site: &str, key: u64) -> Option<Fault> {
-        let slot = PLAN.lock().unwrap();
-        let armed = slot.as_ref()?;
-        let mut hit: Option<Fault> = None;
-        for (idx, spec) in armed.plan.faults.iter().enumerate() {
-            if spec.site != site || !decides(armed.plan.seed, spec, key) {
-                continue;
-            }
-            armed.fired[idx].fetch_add(1, Ordering::Relaxed);
-            // Flight-record the fire with the triggering request key, so a
-            // failure dump correlates injected faults with the requests
-            // they hit. Off the hot path: only reached when a fault fires.
-            recorder::record_full(
-                recorder::EventKind::FaultFired,
-                recorder::NO_LANE,
-                recorder::intern(site),
-                key,
-                idx as u64,
-            );
-            if spec.action == FaultAction::Delay {
-                let us = spec.delay_us;
-                drop(slot);
-                std::thread::sleep(Duration::from_micros(us));
-                return hit;
-            }
-            if hit.is_none() {
-                hit = Some(Fault {
-                    action: spec.action,
-                });
-            }
-        }
-        hit
-    }
-
-    pub fn fire(site: &str, key: u64) -> Option<Fault> {
-        if !is_armed() || key == NO_KEY {
-            return None;
-        }
-        eval(site, key)
-    }
-
-    pub fn fire_counted(site: &str) -> Option<Fault> {
-        if !is_armed() {
-            return None;
-        }
-        let hit = {
-            let slot = PLAN.lock().unwrap();
-            let armed = slot.as_ref()?;
-            armed
-                .counters
-                .get(site)
-                .map(|c| c.fetch_add(1, Ordering::Relaxed))
-        };
-        eval(site, hit?)
-    }
+    let fired = plan.faults.iter().map(|_| AtomicU64::new(0)).collect();
+    *slot = Some(ArmedPlan {
+        plan: plan.clone(),
+        counters,
+        fired,
+    });
+    ARMED.store(!plan.faults.is_empty(), Ordering::Release);
 }
 
-#[cfg(feature = "failpoints")]
-pub use enabled_api::*;
-
-#[cfg(feature = "failpoints")]
-mod enabled_api {
-    use super::{armed, Fault, FaultPlan};
-
-    /// Arm `plan` process-wide; subsequent [`fire`](super::fire) calls
-    /// consult it. Replaces any previously armed plan and resets fired
-    /// counters. Chaos runs are process-serial: arm, run, [`disarm`].
-    pub fn arm(plan: &FaultPlan) {
-        armed::arm(plan);
-    }
-
-    /// Drop the armed plan; all failpoints become inert again.
-    pub fn disarm() {
-        armed::disarm();
-    }
-
-    /// True when a non-empty plan is armed.
-    pub fn is_armed() -> bool {
-        armed::is_armed()
-    }
-
-    /// Per-fault fired counts since the plan was armed, labelled
-    /// `<site>.<action>` in plan order.
-    pub fn fired_counts() -> Vec<(String, u64)> {
-        armed::fired_counts()
-    }
-
-    /// Evaluate the failpoint `site` for request key `key`.
-    ///
-    /// `Delay` faults sleep here and return `None`; any other firing fault
-    /// is returned for the site to interpret. Keys equal to
-    /// [`NO_KEY`](super::NO_KEY) never fire.
-    #[inline]
-    pub fn fire(site: &str, key: u64) -> Option<Fault> {
-        armed::fire(site, key)
-    }
-
-    /// Evaluate an unkeyed failpoint: the key is a per-site hit counter
-    /// (0, 1, 2, ... since arming), so `EveryNth` means every n-th hit.
-    #[inline]
-    pub fn fire_counted(site: &str) -> Option<Fault> {
-        armed::fire_counted(site)
-    }
+/// Drop the armed plan; all failpoints become inert again.
+pub fn disarm() {
+    let mut slot = PLAN.lock().unwrap();
+    ARMED.store(false, Ordering::Release);
+    *slot = None;
 }
 
-#[cfg(not(feature = "failpoints"))]
-pub use disabled_api::*;
+/// True when a non-empty plan is armed.
+#[inline]
+pub fn is_armed() -> bool {
+    ARMED.load(Ordering::Relaxed)
+}
 
-#[cfg(not(feature = "failpoints"))]
-mod disabled_api {
-    use super::{Fault, FaultPlan};
+/// Per-fault fired counts since the plan was armed, labelled
+/// `<site>.<action>` in plan order.
+pub fn fired_counts() -> Vec<(String, u64)> {
+    let slot = PLAN.lock().unwrap();
+    let Some(armed) = slot.as_ref() else {
+        return Vec::new();
+    };
+    armed
+        .plan
+        .faults
+        .iter()
+        .zip(&armed.fired)
+        .map(|(f, c)| {
+            let action = graphbig_json::to_compact(&f.action);
+            let action = action.trim_matches('"').to_string();
+            (format!("{}.{}", f.site, action), c.load(Ordering::Relaxed))
+        })
+        .collect()
+}
 
-    /// No-op: the `failpoints` feature is off.
-    pub fn arm(_plan: &FaultPlan) {}
-
-    /// No-op: the `failpoints` feature is off.
-    pub fn disarm() {}
-
-    /// Always false: the `failpoints` feature is off.
-    pub fn is_armed() -> bool {
-        false
+/// Evaluate the failpoint `site` for request key `key`.
+///
+/// Every spec that fires at the site is counted and flight-recorded.
+/// `Delay` faults sleep here; the first other firing fault, in plan order,
+/// is returned for the site to interpret. Keys equal to [`NO_KEY`] never
+/// fire.
+#[inline]
+pub fn fire(site: &str, key: u64) -> Option<Fault> {
+    if !is_armed() || key == NO_KEY {
+        return None;
     }
+    eval(site, Some(key))
+}
 
-    /// Always empty: the `failpoints` feature is off.
-    pub fn fired_counts() -> Vec<(String, u64)> {
-        Vec::new()
+/// Evaluate an unkeyed failpoint: the key is a per-site hit counter
+/// (0, 1, 2, ... since arming), so `EveryNth` means every n-th hit.
+#[inline]
+pub fn fire_counted(site: &str) -> Option<Fault> {
+    if !is_armed() {
+        return None;
     }
+    eval(site, None)
+}
 
-    /// Compiled out: always `None`, inlined away.
-    #[inline(always)]
-    pub fn fire(_site: &str, _key: u64) -> Option<Fault> {
-        None
+/// The armed path, out of line so a disarmed site stays one load and one
+/// branch. `key` is `None` for a counted site, which takes its next hit.
+#[inline(never)]
+fn eval(site: &str, key: Option<u64>) -> Option<Fault> {
+    let slot = PLAN.lock().unwrap();
+    let armed = slot.as_ref()?;
+    let key = match key {
+        Some(key) => key,
+        None => armed.counters.get(site)?.fetch_add(1, Ordering::Relaxed),
+    };
+    let mut hit: Option<Fault> = None;
+    let mut delay_us = 0u64;
+    for (idx, spec) in armed.plan.faults.iter().enumerate() {
+        if spec.site != site || !decides(armed.plan.seed, spec, key) {
+            continue;
+        }
+        armed.fired[idx].fetch_add(1, Ordering::Relaxed);
+        // Flight-record the fire with the triggering request key, so a
+        // failure dump correlates injected faults with the requests they
+        // hit. Off the hot path: only reached when a fault fires.
+        recorder::record_full(
+            recorder::EventKind::FaultFired,
+            recorder::NO_LANE,
+            recorder::intern(site),
+            key,
+            idx as u64,
+        );
+        if spec.action == FaultAction::Delay {
+            delay_us += spec.delay_us;
+        } else if hit.is_none() {
+            hit = Some(Fault {
+                action: spec.action,
+            });
+        }
     }
-
-    /// Compiled out: always `None`, inlined away.
-    #[inline(always)]
-    pub fn fire_counted(_site: &str) -> Option<Fault> {
-        None
+    drop(slot);
+    if delay_us > 0 {
+        std::thread::sleep(Duration::from_micros(delay_us));
     }
+    hit
 }
 
 /// Evaluate a failpoint site. `failpoint!("site", key)` for keyed sites,
-/// `failpoint!("site")` for counted sites. Expands to an inlined `None`
-/// when the `failpoints` feature is off.
+/// `failpoint!("site")` for counted sites.
 #[macro_export]
 macro_rules! failpoint {
     ($site:expr) => {
@@ -576,11 +498,17 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "failpoints")]
+    /// The armed plan is process-global: each arming test holds this lock
+    /// for its duration; other chaos-arming tests live in other binaries.
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn armed_registry_fires_and_counts() {
-        // Process-global state: this test owns the armed plan for its
-        // duration; other chaos-arming tests live in other test binaries.
+        let _g = serial();
         let plan = FaultPlan {
             seed: 1,
             max_retries: 0,
@@ -602,5 +530,35 @@ mod tests {
         disarm();
         assert!(!is_armed());
         assert_eq!(fire("unit.site", 2), None);
+    }
+
+    #[test]
+    fn a_delay_does_not_end_the_evaluation() {
+        let _g = serial();
+        let delay = spec("unit.site", Trigger::Always, FaultAction::Delay);
+        let cancel = spec("unit.site", Trigger::Always, FaultAction::Cancel);
+        for faults in [
+            vec![delay.clone(), cancel.clone()],
+            vec![cancel.clone(), delay.clone()],
+        ] {
+            arm(&FaultPlan {
+                faults,
+                ..FaultPlan::none()
+            });
+            assert_eq!(
+                fire("unit.site", 4).map(|f| f.action),
+                Some(FaultAction::Cancel)
+            );
+            assert!(
+                fired_counts().iter().all(|(_, n)| *n == 1),
+                "every firing spec counts: {:?}",
+                fired_counts()
+            );
+            assert_eq!(
+                fire_counted("unit.site").map(|f| f.action),
+                Some(FaultAction::Cancel)
+            );
+            disarm();
+        }
     }
 }

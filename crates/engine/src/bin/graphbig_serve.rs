@@ -24,8 +24,7 @@
 //! (buffered overlay edges that wake the background compactor; 0 = manual
 //! only), `--oracle`, `--emit <path>`, `--quiet`, `--faults <path>` (a
 //! `FaultPlan` JSON file — replay the mix under deterministic fault injection
-//! and sweep the chaos invariants; needs a build with the `chaos` feature to
-//! actually inject).
+//! and sweep the chaos invariants).
 //!
 //! With `--oracle` on a pure-read mix, every completed result is checked
 //! bit-identical against a sequential replay. On a mix with writes the
@@ -341,14 +340,7 @@ fn main() -> ExitCode {
         }
     };
     if !plan.is_empty() {
-        if chaos::compiled() {
-            chaos::install_quiet_panic_hook();
-        } else {
-            eprintln!(
-                "warning: --faults given but failpoints are compiled out; \
-                 rebuild with `--features chaos` to inject (plan ignored)"
-            );
-        }
+        chaos::install_quiet_panic_hook();
     }
     let cost_budget: u64 = parsed_arg("--cost-budget", 0u64);
     let stats_interval: u64 = parsed_arg("--stats-interval", 0u64);
@@ -571,9 +563,6 @@ fn main() -> ExitCode {
         let mut manifest = RunManifest::new("graphbig-serve");
         manifest.dataset = Some(dataset_name.clone());
         manifest.threads = cfg.pool_threads as u64;
-        if chaos::compiled() {
-            manifest.features.push("chaos".into());
-        }
         manifest.param("vertices", vertices);
         manifest.param("seed", spec.seed);
         manifest.param("requests", spec.requests);

@@ -152,7 +152,6 @@ fn cache_on_and_cache_off_answers_are_bit_identical() {
     assert_eq!(hits_off, 0, "disabled cache must never hit");
 }
 
-#[cfg(feature = "chaos")]
 mod chaos_paths {
     use super::*;
     use graphbig_chaos::{self as chaos, FaultAction, FaultPlan, FaultSpec, Trigger};

@@ -1,10 +1,7 @@
 //! Seeded chaos matrix: FaultPlans × mixes, all invariants checked.
 //!
-//! Only compiled with the `chaos` feature (`cargo test -p graphbig-engine
-//! --features chaos`; the default workspace test sweep also enables it via
-//! `graphbig-bench`). The armed fault plan is process-global, so every test
-//! takes `SERIAL` — chaos runs are process-serial by design.
-#![cfg(feature = "chaos")]
+//! The armed fault plan is process-global, so every test takes `SERIAL` —
+//! chaos runs are process-serial by design.
 
 use std::sync::{Mutex, MutexGuard, Once};
 

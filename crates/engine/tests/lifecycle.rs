@@ -4,9 +4,9 @@
 //! once per lifecycle stage** (admit → enqueue → dequeue → run → resolve)
 //! in the always-on flight recorder — on the completed path and on every
 //! failure path: rejected, deadline-exceeded, cancelled, unsupported, and
-//! (with the `chaos` feature) kernel-failed. What the recorder costs is
-//! gated here too, as a count: a solo request emits exactly its stages plus
-//! one `kernel_step` per superstep poll. The chaos-gated tests also
+//! kernel-failed (an injected panic). What the recorder costs is gated here
+//! too, as a count: a solo request emits exactly its stages plus one
+//! `kernel_step` per superstep poll. The fault-injection tests also
 //! prove the two correlation stories the recorder exists for: fault fires
 //! tagged with the triggering request, and an invariant violation dumping
 //! the full per-stage story of the affected request.
@@ -23,7 +23,7 @@ use graphbig_telemetry::recorder::{self, EventKind, RecorderEvent};
 use graphbig_workloads::{parallel, Workload};
 
 /// The flight recorder is process-global (and so is chaos arming in the
-/// gated tests below), so every test in this file takes one gate and the
+/// `chaos_paths` tests below), so every test in this file takes one gate and the
 /// assertions filter snapshots by freshly-minted request ids.
 static GATE: Mutex<()> = Mutex::new(());
 
@@ -620,7 +620,6 @@ fn live_windows_count_point_reads_and_writes() {
     );
 }
 
-#[cfg(feature = "chaos")]
 mod chaos_paths {
     use super::*;
     use graphbig_chaos::{self as chaos, FaultAction, FaultPlan, FaultSpec, Trigger};

@@ -1,6 +1,6 @@
 //! `graphbig-serve`'s flag boundary: a flag it does not know, or a value its
 //! flag cannot parse, is an error that names it, raised before any graph
-//! is built.
+//! is built; and `--faults` injects in every build.
 
 use std::process::Command;
 
@@ -32,4 +32,30 @@ fn unknown_flags_and_malformed_values_fail_before_any_graph_is_built() {
     }
     let (ok, stderr) = serve(&["--cost-budget", "100"]);
     assert!(ok, "a well-formed run succeeds: {stderr}");
+}
+
+#[test]
+fn faults_inject_without_a_build_flag() {
+    let dump = std::env::temp_dir().join(format!("serve_cli_flight_{}.json", std::process::id()));
+    let plan = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../traffic/faults_violation.json"
+    );
+    let out = Command::new(env!("CARGO_BIN_EXE_graphbig-serve"))
+        .args(["--vertices", "64", "--requests", "8", "--faults", plan])
+        .arg("--flight-dump")
+        .arg(&dump)
+        .output()
+        .expect("graphbig-serve runs");
+    let text = std::fs::read_to_string(&dump).unwrap_or_default();
+    let _ = std::fs::remove_file(&dump);
+    assert!(
+        !out.status.success(),
+        "the plan's double resolve (request 5) must fail the run: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        text.contains("\"double_resolve\""),
+        "the flight dump must hold the injected double resolve"
+    );
 }

@@ -2,7 +2,7 @@
 //!
 //! A [`RunManifest`] captures everything needed to interpret or regression-
 //! diff a run — what executed (binary, workload, dataset, parameters, git
-//! revision, thread count, feature flags), what was measured (the metrics
+//! revision, thread count), what was measured (the metrics
 //! registry snapshot in the shared [`MetricValue`] schema), how time was
 //! spent ([`SpanSummary`] per span name), and the rendered result tables.
 //! `graphbig-report` diffs two manifests; CI checks a fresh manifest's
@@ -53,8 +53,6 @@ pub struct RunManifest {
     pub git_rev: String,
     /// Worker thread count (0 = not applicable / sequential).
     pub threads: u64,
-    /// Active cargo feature flags relevant to the run.
-    pub features: Vec<String>,
     /// Free-form run parameters (`scale`, `seed`, ...).
     pub params: BTreeMap<String, String>,
     /// Human-readable remarks the binary used to print to stdout.
@@ -120,10 +118,6 @@ impl RunManifest {
             .push_opt("dataset", self.dataset.clone().map(Json::Str))
             .push("git_rev", Json::Str(self.git_rev.clone()))
             .push("threads", Json::Num(self.threads as f64))
-            .push(
-                "features",
-                Json::Arr(self.features.iter().cloned().map(Json::Str).collect()),
-            )
             .push(
                 "params",
                 Json::Obj(
@@ -241,7 +235,6 @@ impl RunManifest {
                 .map(str::to_string),
             git_rev: str_field("git_rev"),
             threads: doc.get("threads").and_then(Json::as_u64).unwrap_or(0),
-            features: str_list("features"),
             notes: str_list("notes"),
             ..Default::default()
         };
@@ -469,7 +462,6 @@ mod tests {
             dataset: Some("LDBC".into()),
             git_rev: "abc123def456".into(),
             threads: 16,
-            features: vec!["chaos".into()],
             ..Default::default()
         };
         m.param("scale", 0.03);
@@ -516,6 +508,28 @@ mod tests {
             Err(ManifestError::Invalid(_))
         ));
         assert!(RunManifest::from_json_str("not json").is_err());
+    }
+
+    #[test]
+    fn a_retired_features_key_still_parses() {
+        // Manifests committed while failpoints were a cargo feature carry
+        // `"features": [...]`; the reader skips it.
+        let m = sample();
+        let text = m.to_json_string().replacen(
+            "\"threads\": 16,",
+            "\"threads\": 16,\n  \"features\": [\"chaos\"],",
+            1,
+        );
+        assert!(text.contains("\"features\""));
+        assert_eq!(RunManifest::from_json_str(&text).unwrap(), m);
+        let golden = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../results/golden_chaos.json"
+        );
+        assert_eq!(
+            RunManifest::read_from(golden).unwrap().bin,
+            "graphbig-serve"
+        );
     }
 
     #[test]

@@ -143,6 +143,15 @@ fi
 n=$(grep -c 'unsafe' crates/runtime/src/pool.rs || true)
 [ "$n" -eq 1 ] || { echo "pool.rs names unsafe $n times, expected 1 (the job's lifetime erasure)"; exit 1; }
 
+echo "==> one build (failpoints always compiled and disarmed; no cargo features)"
+# Failpoints were a feature that graphbig-bench switched on: tests and drills ran one program, the
+# frozen benchmark and per-package builds another.
+if grep -n '^\[features\]' Cargo.toml crates/*/Cargo.toml \
+  || grep -rn --include='*.rs' 'cfg(feature\|cfg!(feature\|chaos::compiled' crates src tests examples; then
+  echo "one build: no [features] table, no feature gate, no compiled-out failpoints"
+  exit 1
+fi
+
 echo "==> one home for numbers (four bench targets, one result schema, one argv parser)"
 # Bench rows are `bench.*` gauges of a run manifest; graphbig-report is the one reader.
 if grep -rn 'BenchResult\|"suite"' crates/bench/src crates/bench/benches; then
@@ -170,9 +179,6 @@ cargo bench "${CARGO_FLAGS[@]}" -p graphbig-bench --bench mutation -- \
   --filter compact --samples 5 --emit /tmp/bench_mutation_compact.json
 cargo run "${CARGO_FLAGS[@]}" --release -p graphbig-bench --bin graphbig-report -- \
   --show /tmp/bench_mutation_compact.json > /dev/null
-
-echo "==> failpoints-off configuration (no chaos feature) still builds"
-cargo build "${CARGO_FLAGS[@]}" -p graphbig-bench --no-default-features
 
 echo "==> benchmark package (frozen surface: builds standalone, smoke-runs every workload)"
 benchmark/check.sh
@@ -231,14 +237,14 @@ cargo run "${CARGO_FLAGS[@]}" --release -p graphbig-bench --bin graphbig-report 
   --check results/golden_engine.json /tmp/engine_smoke.json
 
 echo "==> chaos smoke (same mix under the committed fault plan, oracle + invariants)"
-cargo run "${CARGO_FLAGS[@]}" --release -p graphbig-engine --features chaos --bin graphbig-serve -- \
+cargo run "${CARGO_FLAGS[@]}" --release -p graphbig-engine --bin graphbig-serve -- \
   --vertices 4096 --mix traffic/smoke_200.json --faults traffic/faults_smoke.json \
   --oracle --quiet --emit /tmp/chaos_smoke.json
 cargo run "${CARGO_FLAGS[@]}" --release -p graphbig-bench --bin graphbig-report -- \
   --check results/golden_chaos.json /tmp/chaos_smoke.json
 
 echo "==> mutation drill (LDBC-4k mixed read/write mix, rebuild oracle, slow compaction)"
-cargo run "${CARGO_FLAGS[@]}" --release -p graphbig-engine --features chaos --bin graphbig-serve -- \
+cargo run "${CARGO_FLAGS[@]}" --release -p graphbig-engine --bin graphbig-serve -- \
   --vertices 4096 --mix traffic/mutate_200.json --faults traffic/faults_compact.json \
   --compact-threshold 40 --oracle --quiet --emit /tmp/mutation_drill.json
 for key in '"mutation_oracle"' '"engine.mutations"' '"engine.compact.started"' \
@@ -259,7 +265,7 @@ for key in t_ms queue_depth in_flight_cost lanes p50_us p99_us p999_us ewma_us \
 done
 
 echo "==> cache-coherence drill (hot mix, mid-mix republishes, sequential oracle)"
-cargo run "${CARGO_FLAGS[@]}" --release -p graphbig-engine --features chaos --bin graphbig-serve -- \
+cargo run "${CARGO_FLAGS[@]}" --release -p graphbig-engine --bin graphbig-serve -- \
   --vertices 4096 --mix traffic/hot_200.json --faults traffic/faults_republish.json \
   --oracle --quiet --emit /tmp/cache_drill.json
 grep -q '"engine.cache.hit"' /tmp/cache_drill.json \
@@ -285,7 +291,7 @@ fi
 
 echo "==> flight recorder violation drill (injected double resolve must fail + dump)"
 rm -f /tmp/flight_violation.json
-if cargo run "${CARGO_FLAGS[@]}" --release -p graphbig-engine --features chaos --bin graphbig-serve -- \
+if cargo run "${CARGO_FLAGS[@]}" --release -p graphbig-engine --bin graphbig-serve -- \
   --vertices 4096 --mix traffic/smoke_200.json --faults traffic/faults_violation.json \
   --quiet --flight-dump /tmp/flight_violation.json; then
   echo "error: a double-resolve fault plan must exit non-zero"
